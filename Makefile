@@ -4,12 +4,12 @@ GO ?= go
 # directory to get a fresh run without clobbering the committed files.
 BENCH_DIR ?= .
 
-.PHONY: check vet lint build test race alloc bench bench-json bench-gate chaos relay-bench relayd-smoke
+.PHONY: check vet lint build test race alloc bench bench-build bench-json bench-gate chaos relay-bench relayd-smoke
 
 # BENCH_GATE=1 appends the benchmark regression gate (a full fresh
 # bench-json run — minutes, not seconds), so plain `make check` stays
 # fast. CI always runs the gate as its own job.
-check: vet lint build race alloc bench $(if $(filter 1,$(BENCH_GATE)),bench-gate)
+check: vet lint build race alloc bench bench-build $(if $(filter 1,$(BENCH_GATE)),bench-gate)
 
 vet:
 	$(GO) vet ./...
@@ -56,6 +56,13 @@ relayd-smoke:
 # stable numbers.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkScanThroughput -benchtime 1x .
+
+# bench/ is a module of its own that imports internal/..., so the root
+# module's build and tests never compile it: vet it and run its tests
+# (≈12 s) here, so an internal/ API change that breaks the product
+# benchmark fails in CI rather than in the benchmark run.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./e2e
 
 # Machine-readable numbers for the sharded pipelines (attribution,
 # campaigns, Table 3, CSV parse) and the zero-allocation exchange path.

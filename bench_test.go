@@ -198,6 +198,11 @@ func BenchmarkS1ECSScanApril(b *testing.B) {
 // it reports mutex-wait nanoseconds per subnet from runtime/metrics, so
 // the trajectory files (BENCH_exchange.json) show whether a scaling
 // change came from contention or from per-op cost.
+//
+// There is no separate BenchmarkScanCold (fresh world per iteration):
+// the answer path keeps no memo, so nothing warms between iterations
+// and the first pass over a world costs what every later one does —
+// this is the number the CLIs and relayd see.
 func BenchmarkScanThroughput(b *testing.B) {
 	e := env(b)
 	for _, conc := range []int{1, 8, 64} {

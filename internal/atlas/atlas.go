@@ -333,9 +333,8 @@ func freshAddrs(w *netsim.World, month bgp.Month, proto netsim.Proto, phase int)
 }
 
 // Handle implements dnsserver.Handler. It is safe for concurrent use: the
-// fresh lists are read-only and answer slices are cloned before the swap
-// below — the inner server hands out answer sections shared with its
-// memoized record cache, which must never be written through.
+// fresh lists are read-only, and the response's answer records are the
+// message's own, so the swap below writes nothing anyone else reads.
 func (p *phaseHandler) Handle(q *dnswire.Message, from netip.Addr) *dnswire.Message {
 	resp := p.inner.Handle(q, from)
 	if p.phase == 0 || resp == nil || len(resp.Answers) == 0 {
@@ -352,7 +351,6 @@ func (p *phaseHandler) Handle(q *dnswire.Message, from netip.Addr) *dnswire.Mess
 		// Swap the first answer for a fresh address on a sliver of
 		// queries, reproducing the single extra address.
 		if iputil.HashAddr(from)%97 == 0 {
-			resp.Answers = slices.Clone(resp.Answers)
 			resp.Answers[0].A = fresh[iputil.HashAddr(from)%uint64(len(fresh))]
 		}
 	}

@@ -20,10 +20,10 @@ import (
 
 // TestProcessSubnetAllocBudget pins the steady-state cost of one
 // scanned /24 end to end: breaker admission, pacing, query re-stamping,
-// the in-memory exchange against a warm server, classification and
-// shard accounting. The budget is zero — the whole loop runs on reused
-// messages, cached answers and preallocated shard maps, and this test
-// is what keeps it that way.
+// the in-memory exchange, classification and shard accounting. The
+// budget is zero — the whole loop runs on reused messages, answers
+// synthesized into message-owned storage and preallocated shard maps,
+// and this test is what keeps it that way.
 func TestProcessSubnetAllocBudget(t *testing.T) {
 	const budget = 0
 	w := testWorld(t)
@@ -51,7 +51,7 @@ func TestProcessSubnetAllocBudget(t *testing.T) {
 	ref := subnetRef{p: clientSubnetPrefix(w, 0)}
 	ctx := context.Background()
 
-	// Warm the server's record cache, the message pool and the shard maps.
+	// Prime the message pool and the shard maps.
 	for i := 0; i < 16; i++ {
 		if !worker.processSubnet(ctx, worker.sh, ref) {
 			t.Fatal("warm-up subnet did not complete")

@@ -43,11 +43,27 @@ func chaosProfiles(t *testing.T) map[string]*faults.Profile {
 	return out
 }
 
+// scanInput names one scan the equivalence and resume suites run.
+type scanInput struct {
+	month  bgp.Month
+	domain string
+}
+
+var (
+	aprDefault = scanInput{netsim.MonthApr, dnsserver.MaskDomain}
+	// marFallback is the scan whose operator is decided by the March
+	// fallback ramp: the one month and plane where two /24s of a
+	// single-operator AS can be served by different operators, so the
+	// S rows only come out the same at every worker count and across a
+	// resume if the operator is constant inside each advertised scope.
+	marFallback = scanInput{netsim.MonthMar, dnsserver.MaskH2Domain}
+)
+
 // resilientConfig wires a scan config through a fresh injector on a
 // virtual clock, with the full resilience stack enabled.
-func resilientConfig(w *netsim.World, profile *faults.Profile, workers int) (ScanConfig, *faults.Injector, *faults.VirtualClock) {
+func resilientConfig(w *netsim.World, in scanInput, profile *faults.Profile, workers int) (ScanConfig, *faults.Injector, *faults.VirtualClock) {
 	clock := faults.NewVirtualClock()
-	cfg := scanConfig(w, netsim.MonthApr, dnsserver.MaskDomain)
+	cfg := scanConfig(w, in.month, in.domain)
 	cfg.Concurrency = workers
 	cfg.Retries = 4
 	cfg.MaxPasses = 10
@@ -70,9 +86,9 @@ func canonicalBytes(t *testing.T, ds *Dataset) []byte {
 	return buf.Bytes()
 }
 
-func faultFreeBaseline(t *testing.T, w *netsim.World) []byte {
+func faultFreeBaseline(t *testing.T, w *netsim.World, in scanInput) []byte {
 	t.Helper()
-	ds, err := Scan(context.Background(), scanConfig(w, netsim.MonthApr, dnsserver.MaskDomain))
+	ds, err := Scan(context.Background(), scanConfig(w, in.month, in.domain))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +97,12 @@ func faultFreeBaseline(t *testing.T, w *netsim.World) []byte {
 
 func TestScanChaosConvergesToFaultFreeDataset(t *testing.T) {
 	w := testWorld(t)
-	want := faultFreeBaseline(t, w)
+	want := faultFreeBaseline(t, w, aprDefault)
 
 	for name, profile := range chaosProfiles(t) {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				cfg, inj, _ := resilientConfig(w, profile, workers)
+				cfg, inj, _ := resilientConfig(w, aprDefault, profile, workers)
 				ds, err := Scan(context.Background(), cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -177,73 +193,74 @@ func (k *killSwitch) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire
 
 func TestScanCheckpointResumeBitIdentical(t *testing.T) {
 	w := testWorld(t)
-	want := faultFreeBaseline(t, w)
+	for _, in := range []scanInput{aprDefault, marFallback} {
+		want := faultFreeBaseline(t, w, in)
+		for name, profile := range chaosProfiles(t) {
+			for _, workers := range []int{1, 8} {
+				t.Run(fmt.Sprintf("%v/%s/workers=%d", in.month, name, workers), func(t *testing.T) {
+					path := filepath.Join(t.TempDir(), "scan.ckpt")
 
-	for name, profile := range chaosProfiles(t) {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				path := filepath.Join(t.TempDir(), "scan.ckpt")
+					// Phase 1: run under faults, kill mid-scan.
+					cfg, _, _ := resilientConfig(w, in, profile, workers)
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					cfg.Exchanger = &killSwitch{inner: cfg.Exchanger, after: 2000, cancel: cancel}
+					cfg.Checkpoint = &CheckpointConfig{Path: path, Every: 256}
+					if _, err := Scan(ctx, cfg); err == nil {
+						t.Fatal("killed scan returned no error")
+					}
 
-				// Phase 1: run under faults, kill mid-scan.
-				cfg, _, _ := resilientConfig(w, profile, workers)
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				cfg.Exchanger = &killSwitch{inner: cfg.Exchanger, after: 2000, cancel: cancel}
-				cfg.Checkpoint = &CheckpointConfig{Path: path, Every: 256}
-				if _, err := Scan(ctx, cfg); err == nil {
-					t.Fatal("killed scan returned no error")
-				}
+					ck, err := LoadCheckpoint(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var done int64
+					for _, r := range ck.DoneRanges {
+						done += r[1] - r[0] + 1
+					}
+					if done == 0 || done >= ck.UniverseTotal {
+						t.Fatalf("kill left %d/%d subnets done; want a genuine partial", done, ck.UniverseTotal)
+					}
 
-				ck, err := LoadCheckpoint(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var done int64
-				for _, r := range ck.DoneRanges {
-					done += r[1] - r[0] + 1
-				}
-				if done == 0 || done >= ck.UniverseTotal {
-					t.Fatalf("kill left %d/%d subnets done; want a genuine partial", done, ck.UniverseTotal)
-				}
+					// Phase 2: resume with a fresh injector under the same
+					// profile; the result must be byte-identical to an
+					// uninterrupted fault-free scan.
+					cfg2, _, _ := resilientConfig(w, in, profile, workers)
+					cfg2.Checkpoint = &CheckpointConfig{Path: path, Every: 256, Resume: true}
+					ds, err := Scan(context.Background(), cfg2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ds.Stats.ResumedSubnets == 0 {
+						t.Fatal("resume skipped nothing despite a partial checkpoint")
+					}
+					if ds.Stats.FailedSubnets != 0 {
+						t.Fatalf("%d subnets unrecovered after resume", ds.Stats.FailedSubnets)
+					}
+					if got := canonicalBytes(t, ds); !bytes.Equal(got, want) {
+						t.Fatalf("resumed dataset differs from uninterrupted baseline (%d vs %d bytes)",
+							len(got), len(want))
+					}
 
-				// Phase 2: resume with a fresh injector under the same
-				// profile; the result must be byte-identical to an
-				// uninterrupted fault-free scan.
-				cfg2, _, _ := resilientConfig(w, profile, workers)
-				cfg2.Checkpoint = &CheckpointConfig{Path: path, Every: 256, Resume: true}
-				ds, err := Scan(context.Background(), cfg2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ds.Stats.ResumedSubnets == 0 {
-					t.Fatal("resume skipped nothing despite a partial checkpoint")
-				}
-				if ds.Stats.FailedSubnets != 0 {
-					t.Fatalf("%d subnets unrecovered after resume", ds.Stats.FailedSubnets)
-				}
-				if got := canonicalBytes(t, ds); !bytes.Equal(got, want) {
-					t.Fatalf("resumed dataset differs from uninterrupted baseline (%d vs %d bytes)",
-						len(got), len(want))
-				}
-
-				// Phase 3: resuming a *finished* checkpoint is a no-op read.
-				cfg3, inj3, _ := resilientConfig(w, profile, workers)
-				cfg3.Checkpoint = &CheckpointConfig{Path: path, Resume: true}
-				ds3, err := Scan(context.Background(), cfg3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ds3.Stats.ResumedSubnets != ds3.Stats.SubnetsTotal {
-					t.Fatalf("finished checkpoint resumed %d of %d subnets",
-						ds3.Stats.ResumedSubnets, ds3.Stats.SubnetsTotal)
-				}
-				if inj3.Stats.Passed.Load()+inj3.Stats.Total() != 0 {
-					t.Fatal("resuming a finished scan still sent queries")
-				}
-				if got := canonicalBytes(t, ds3); !bytes.Equal(got, want) {
-					t.Fatal("no-op resume changed the dataset")
-				}
-			})
+					// Phase 3: resuming a *finished* checkpoint is a no-op read.
+					cfg3, inj3, _ := resilientConfig(w, in, profile, workers)
+					cfg3.Checkpoint = &CheckpointConfig{Path: path, Resume: true}
+					ds3, err := Scan(context.Background(), cfg3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ds3.Stats.ResumedSubnets != ds3.Stats.SubnetsTotal {
+						t.Fatalf("finished checkpoint resumed %d of %d subnets",
+							ds3.Stats.ResumedSubnets, ds3.Stats.SubnetsTotal)
+					}
+					if inj3.Stats.Passed.Load()+inj3.Stats.Total() != 0 {
+						t.Fatal("resuming a finished scan still sent queries")
+					}
+					if got := canonicalBytes(t, ds3); !bytes.Equal(got, want) {
+						t.Fatal("no-op resume changed the dataset")
+					}
+				})
+			}
 		}
 	}
 }
@@ -254,7 +271,7 @@ func TestScanCheckpointResumeBitIdentical(t *testing.T) {
 // contention-free fast path.
 func TestScanCheckpointCollectorMatchesFastPath(t *testing.T) {
 	w := testWorld(t)
-	want := faultFreeBaseline(t, w)
+	want := faultFreeBaseline(t, w, aprDefault)
 
 	cfg := scanConfig(w, netsim.MonthApr, dnsserver.MaskDomain)
 	cfg.Checkpoint = &CheckpointConfig{Path: filepath.Join(t.TempDir(), "scan.ckpt"), Every: 512}

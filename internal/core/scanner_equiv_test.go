@@ -15,49 +15,41 @@ import (
 )
 
 // TestScanEquivalentAcrossConcurrency pins the determinism contract of
-// the sharded pipeline: on a fixed lossless world, Addresses, Serving,
-// SubnetsTotal and SubnetsSkipped must be identical whether the scan runs
-// sequentially or on 64 workers. Only QueriesSent may differ (a racing
-// worker can query a subnet its covering scope was about to suppress).
+// the sharded pipeline: on a fixed lossless world, the canonical dataset
+// bytes (A and S rows), SubnetsTotal and SubnetsSkipped must be identical
+// whether the scan runs sequentially or on 64 workers. Only QueriesSent
+// may differ (a racing worker can query a subnet its covering scope was
+// about to suppress).
 func TestScanEquivalentAcrossConcurrency(t *testing.T) {
 	w := testWorld(t)
 	ctx := context.Background()
 
-	run := func(conc int) *Dataset {
-		cfg := scanConfig(w, netsim.MonthApr, dnsserver.MaskDomain)
-		cfg.Concurrency = conc
-		ds, err := Scan(ctx, cfg)
-		if err != nil {
-			t.Fatalf("conc=%d: %v", conc, err)
+	for _, in := range []scanInput{aprDefault, marFallback} {
+		run := func(conc int) *Dataset {
+			cfg := scanConfig(w, in.month, in.domain)
+			cfg.Concurrency = conc
+			ds, err := Scan(ctx, cfg)
+			if err != nil {
+				t.Fatalf("%v conc=%d: %v", in.month, conc, err)
+			}
+			return ds
 		}
-		return ds
-	}
 
-	base := run(1)
-	if base.Stats.SubnetsSkipped == 0 {
-		t.Fatal("baseline skipped nothing; the equivalence test would be vacuous")
-	}
-	for _, conc := range []int{8, 64} {
-		ds := run(conc)
-		if !maps.Equal(base.Addresses, ds.Addresses) {
-			t.Errorf("conc=%d: address set differs from sequential baseline (%d vs %d)",
-				conc, len(ds.Addresses), len(base.Addresses))
+		base := run(1)
+		if base.Stats.SubnetsSkipped == 0 {
+			t.Fatalf("%v: baseline skipped nothing; the equivalence test would be vacuous", in.month)
 		}
-		if ds.Stats.SubnetsTotal != base.Stats.SubnetsTotal {
-			t.Errorf("conc=%d: SubnetsTotal = %d, want %d", conc, ds.Stats.SubnetsTotal, base.Stats.SubnetsTotal)
-		}
-		if ds.Stats.SubnetsSkipped != base.Stats.SubnetsSkipped {
-			t.Errorf("conc=%d: SubnetsSkipped = %d, want %d", conc, ds.Stats.SubnetsSkipped, base.Stats.SubnetsSkipped)
-		}
-		if len(ds.Serving) != len(base.Serving) {
-			t.Errorf("conc=%d: %d serving ASes, want %d", conc, len(ds.Serving), len(base.Serving))
-			continue
-		}
-		for as, want := range base.Serving {
-			got := ds.Serving[as]
-			if got == nil || !maps.Equal(want.SubnetsByOperator, got.SubnetsByOperator) {
-				t.Errorf("conc=%d: serving stats for AS%d differ: %v vs %v",
-					conc, as, got, want)
+		want := canonicalBytes(t, base)
+		for _, conc := range []int{8, 64} {
+			ds := run(conc)
+			if !bytes.Equal(canonicalBytes(t, ds), want) {
+				t.Errorf("%v conc=%d: canonical dataset differs from sequential baseline", in.month, conc)
+			}
+			if ds.Stats.SubnetsTotal != base.Stats.SubnetsTotal {
+				t.Errorf("%v conc=%d: SubnetsTotal = %d, want %d", in.month, conc, ds.Stats.SubnetsTotal, base.Stats.SubnetsTotal)
+			}
+			if ds.Stats.SubnetsSkipped != base.Stats.SubnetsSkipped {
+				t.Errorf("%v conc=%d: SubnetsSkipped = %d, want %d", in.month, conc, ds.Stats.SubnetsSkipped, base.Stats.SubnetsSkipped)
 			}
 		}
 	}
@@ -108,14 +100,14 @@ func TestScanServingCoversUniverse(t *testing.T) {
 func TestScanEquivalentAcrossConcurrencyFaulted(t *testing.T) {
 	w := testWorld(t)
 	ctx := context.Background()
-	want := faultFreeBaseline(t, w)
+	want := faultFreeBaseline(t, w, aprDefault)
 
 	profile, err := faults.Parse("mild,seed=11")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, conc := range []int{1, 8, 64} {
-		cfg, _, _ := resilientConfig(w, profile, conc)
+		cfg, _, _ := resilientConfig(w, aprDefault, profile, conc)
 		ds, err := Scan(ctx, cfg)
 		if err != nil {
 			t.Fatalf("conc=%d: %v", conc, err)

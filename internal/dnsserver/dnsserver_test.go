@@ -24,6 +24,20 @@ func clientSubnetOf(w *netsim.World, i int) netip.Prefix {
 	return iputil.NthSubnet(w.ClientASes[i].Prefixes[0], 24, 0)
 }
 
+// clientSlash24s lists every client /24 of the world, in table order.
+func clientSlash24s(w *netsim.World) []netip.Prefix {
+	var out []netip.Prefix
+	for _, c := range w.ClientASes {
+		for _, p := range c.Prefixes {
+			iputil.Subnets(p, 24, func(s netip.Prefix) bool {
+				out = append(out, s)
+				return true
+			})
+		}
+	}
+	return out
+}
+
 func ecsQuery(id uint16, domain string, subnet netip.Prefix) *dnswire.Message {
 	return dnswire.NewQuery(id, domain, dnswire.TypeA).WithECS(subnet)
 }
@@ -370,15 +384,19 @@ func TestUDPClientTimeout(t *testing.T) {
 	}
 }
 
+// BenchmarkAuthServerHandle measures one authoritative answer the way a
+// scan asks for it: every query names a different client /24, walking
+// the whole client universe.
 func BenchmarkAuthServerHandle(b *testing.B) {
 	w := netsim.NewWorld(netsim.Params{Seed: 3, Scale: 0.0005})
 	srv := NewAuthServer(w, netsim.MonthApr, nil)
-	subnet := clientSubnetOf(w, 0)
+	subnets := clientSlash24s(w)
 	from := netip.MustParseAddr("198.51.100.1")
-	q := ecsQuery(1, MaskDomain, subnet)
+	q := ecsQuery(1, MaskDomain, subnets[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		q.SetECS(subnets[i%len(subnets)])
 		resp := srv.Handle(q, from)
 		if resp == nil {
 			b.Fatal("dropped")
@@ -389,17 +407,19 @@ func BenchmarkAuthServerHandle(b *testing.B) {
 
 // BenchmarkExchangeMemTransport measures the scanner's view of one
 // in-memory query/response exchange, the per-subnet unit of work the
-// 12M-subnet scan multiplies. With the record cache warm this is the
-// steady state, and allocs/op is the headline number.
+// 12M-subnet scan multiplies — over distinct client /24s, as the scan
+// sends them. allocs/op is the headline number.
 func BenchmarkExchangeMemTransport(b *testing.B) {
 	w := netsim.NewWorld(netsim.Params{Seed: 3, Scale: 0.0005})
 	srv := NewAuthServer(w, netsim.MonthApr, nil)
 	tr := &MemTransport{Handler: srv, Source: netip.MustParseAddr("198.51.100.53")}
 	ctx := context.Background()
-	q := ecsQuery(1, MaskDomain, clientSubnetOf(w, 0))
+	subnets := clientSlash24s(w)
+	q := ecsQuery(1, MaskDomain, subnets[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		q.SetECS(subnets[i%len(subnets)])
 		resp, err := tr.Exchange(ctx, q)
 		if err != nil {
 			b.Fatal(err)

@@ -10,14 +10,11 @@
 package dnsserver
 
 import (
-	"encoding/binary"
 	"net/netip"
-	"sync"
 	"sync/atomic"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/dnswire"
-	"github.com/relay-networks/privaterelay/internal/epochmap"
 	"github.com/relay-networks/privaterelay/internal/iputil"
 	"github.com/relay-networks/privaterelay/internal/netsim"
 )
@@ -45,11 +42,13 @@ type Stats struct {
 
 // AuthServer is the authoritative name server for the Private Relay zone.
 //
-// Responses are assembled in pooled dnswire.Message values: the caller
-// that receives a response owns it and may hand it back with
-// dnswire.ReleaseMessage once consumed (see that function's ownership
-// rules). Answer record sets are memoized per answer key, so the steady
-// state serves entirely from shared read-only slices without allocating.
+// Every answer is synthesized in place, per query, as a pure function of
+// (world, month, plane, qtype, client subnet): nothing is memoized, so a
+// never-seen /24 costs the same as a repeated one. Responses are
+// assembled in pooled dnswire.Message values whose answer records live in
+// message-owned storage: the caller that receives a response owns all of
+// it and may hand it back with dnswire.ReleaseMessage once consumed (see
+// that function's ownership rules).
 type AuthServer struct {
 	world *netsim.World
 	// month pins which scan month's fleet the server answers from.
@@ -58,85 +57,12 @@ type AuthServer struct {
 	limiter *RateLimiter
 	// Stats exposes counters for scan instrumentation.
 	Stats Stats
-	// cache memoizes responses. It is shared by every AuthServer over the
-	// same world (see cacheFor): records are pure functions of (world,
-	// month, proto, qtype, subnet), so one materialization serves all
-	// server instances and a fresh server starts warm.
-	cache *serverCache
-}
-
-// recordKey identifies one memoized response record set. It mirrors
-// netsim's answerCacheKey: serving is included because the March
-// fallback ramp can split a covering-route key across operators, and
-// known separates non-client subnets from a real key hashing to 0.
-type recordKey struct {
-	key     uint64
-	known   bool
-	serving bgp.ASN
-	month   bgp.Month
-	proto   netsim.Proto
-	qtype   dnswire.Type
-}
-
-// fastKeyOf addresses the per-prefix front map: the packed exact client
-// subnet and the month/plane folded injectively into one uint64 (40
-// bits of prefix, 7+4 of month, 1 of plane) — a single-word map key
-// probes several times faster than the equivalent struct. Reports false
-// for inputs outside the packable ranges; those fall back to the class
-// path.
-func fastKeyOf(pack uint64, month bgp.Month, proto netsim.Proto) (uint64, bool) {
-	y := month.Year - 1990
-	if y < 0 || y > 127 || month.M < 0 || month.M > 15 || proto < 0 || proto > 1 {
-		return 0, false
-	}
-	return pack<<12 | uint64(y)<<5 | uint64(month.M)<<1 | uint64(proto), true
-}
-
-// answerEntry is one memoized response: the shared read-only record
-// slice and the ECS scope the server attaches for the answer's class.
-type answerEntry struct {
-	records []dnswire.Record
-	scope   uint8
-}
-
-// serverCache holds the epoch-published response maps. class memoizes
-// one entry per answer class (covering route or "both"-AS /24); fast
-// fronts it with a per-client-prefix map so the steady-state A path is
-// a single lock-free lookup.
-type serverCache struct {
-	fast  epochmap.Map[uint64, *answerEntry]
-	class epochmap.Map[recordKey, *answerEntry]
-}
-
-// worldCaches shares one serverCache per world across AuthServer
-// instances. Responses depend only on (world, month, proto, qtype,
-// subnet) — never on per-server state — so sharing is sound and spares
-// each new server instance the full warm-up sweep.
-var worldCaches sync.Map // *netsim.World → *serverCache
-
-func cacheFor(w *netsim.World) *serverCache {
-	if c, ok := worldCaches.Load(w); ok {
-		return c.(*serverCache)
-	}
-	c, _ := worldCaches.LoadOrStore(w, &serverCache{})
-	return c.(*serverCache)
-}
-
-// packSubnet packs an IPv4 prefix into a fastKey pack value (address
-// bits over prefix length). Reports false for non-IPv4 prefixes.
-func packSubnet(subnet netip.Prefix) (uint64, bool) {
-	addr := subnet.Addr()
-	if !addr.Is4() {
-		return 0, false
-	}
-	a4 := addr.As4()
-	return uint64(binary.BigEndian.Uint32(a4[:]))<<8 | uint64(uint8(subnet.Bits())), true
 }
 
 // NewAuthServer builds the authoritative server backed by a world,
 // answering with the fleet of the given month. limiter may be nil.
 func NewAuthServer(w *netsim.World, month bgp.Month, limiter *RateLimiter) *AuthServer {
-	return &AuthServer{world: w, month: month, limiter: limiter, cache: cacheFor(w)}
+	return &AuthServer{world: w, month: month, limiter: limiter}
 }
 
 // SetMonth repoints the server at another scan month's fleet (the
@@ -176,15 +102,14 @@ func (s *AuthServer) Handle(query *dnswire.Message, from netip.Addr) *dnswire.Me
 		return s.answerAAAA(query, from, proto)
 	default:
 		// Authoritative for the name but no data of this type.
-		m := s.respond(query, nil)
+		m := s.respond(query)
 		m.Edns = nil
 		return m
 	}
 }
 
-// zoneName returns the canonical owner name records are served under.
-// Cached records carry the canonical name rather than echoing the query's
-// spelling, so one memoized slice serves every case variant.
+// zoneName returns the canonical owner name records are served under,
+// rather than echoing the query's spelling.
 func zoneName(proto netsim.Proto) string {
 	if proto == netsim.ProtoFallback {
 		return MaskH2Domain
@@ -193,93 +118,52 @@ func zoneName(proto netsim.Proto) string {
 }
 
 // answerA serves the ECS-aware A response: record selection and scope come
-// from the world's serving assignment for the client subnet. The warm
-// path is one epoch-map lookup keyed on the packed subnet — no locks, no
-// routing-table walks, no hashing beyond the map's own.
+// from the world's serving assignment for the client subnet — one routing
+// lookup, the picks into a stack array, the records into the message's
+// own storage.
 func (s *AuthServer) answerA(query *dnswire.Message, from netip.Addr, proto netsim.Proto) *dnswire.Message {
 	subnet, hadECS := clientSubnet(query, from)
+	m := s.respond(query)
 	if !subnet.IsValid() {
-		m := s.respond(query, nil)
 		m.Edns = nil
 		return m
 	}
-	month := s.month
-	pack, packed := packSubnet(subnet)
-	var fk uint64
-	if packed {
-		fk, packed = fastKeyOf(pack, month, proto)
+	ac := s.world.AnswerClass(subnet, s.month, proto)
+	var picks [netsim.MaxAnswerRecords]netip.Addr
+	addrs := s.world.IngressAnswerFor(picks[:0], ac, s.month, proto)
+	name := zoneName(proto)
+	records := m.GrowAnswers(len(addrs))
+	for i, a := range addrs {
+		records[i] = dnswire.Record{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, A: a}
 	}
-	var e *answerEntry
-	if packed {
-		e, _ = s.cache.fast.Get(fk)
-	}
-	if e == nil {
-		e = s.classAnswerA(subnet, month, proto)
-		if packed {
-			e = s.cache.fast.Put(fk, e)
-		}
-	}
-	m := s.respond(query, e.records)
 	if hadECS {
 		// Never claim a scope wider than what was asked about... the
 		// RFC permits it, and the skip optimization depends on it, so
 		// the server reports the true validity prefix even when it is
 		// shorter than the /24 source.
-		ecsEcho(m, uint8(subnet.Bits()), e.scope, subnet.Addr())
+		scope := ac.Scope
+		if !ac.Known {
+			scope = 24
+		}
+		ecsEcho(m, uint8(subnet.Bits()), scope, subnet.Addr())
 	} else {
 		m.Edns = nil
 	}
 	return m
 }
 
-// classAnswerA resolves subnet to its answer-class entry, materializing
-// and memoizing the record set on a class miss.
-func (s *AuthServer) classAnswerA(subnet netip.Prefix, month bgp.Month, proto netsim.Proto) *answerEntry {
-	ac := s.world.AnswerClass(subnet, month, proto)
-	rk := recordKey{ac.Key, ac.Known, ac.Serving, month, proto, dnswire.TypeA}
-	if e, ok := s.cache.class.Get(rk); ok {
-		return e
-	}
-	addrs := s.world.IngressAnswerFor(ac, month, proto)
-	var records []dnswire.Record
-	if len(addrs) > 0 {
-		name := zoneName(proto)
-		records = make([]dnswire.Record, 0, len(addrs))
-		for _, a := range addrs {
-			records = append(records, dnswire.Record{
-				Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, A: a,
-			})
-		}
-	}
-	scope := ac.Scope
-	if !ac.Known {
-		scope = 24
-	}
-	return s.cache.class.Put(rk, &answerEntry{records: records, scope: scope})
-}
-
 // answerAAAA serves AAAA queries. Per the paper (§3), the server reports
 // an ECS scope of zero for IPv6 — the answer is keyed on the resolver,
 // not the client subnet, so ECS enumeration cannot work for AAAA.
 func (s *AuthServer) answerAAAA(query *dnswire.Message, from netip.Addr, proto netsim.Proto) *dnswire.Message {
-	key := iputil.HashAddr(from)
-	rk := recordKey{key, true, 0, s.month, proto, dnswire.TypeAAAA}
-	e, ok := s.cache.class.Get(rk)
-	if !ok {
-		addrs := s.world.IngressAnswerV6(key, rk.month, proto)
-		var records []dnswire.Record
-		if len(addrs) > 0 {
-			name := zoneName(proto)
-			records = make([]dnswire.Record, 0, len(addrs))
-			for _, a := range addrs {
-				records = append(records, dnswire.Record{
-					Name: name, Type: dnswire.TypeAAAA, Class: dnswire.ClassIN, TTL: 60, AAAA: a,
-				})
-			}
-		}
-		e = s.cache.class.Put(rk, &answerEntry{records: records})
+	var picks [netsim.MaxAnswerRecords]netip.Addr
+	addrs := s.world.IngressAnswerV6(picks[:0], iputil.HashAddr(from), s.month, proto)
+	m := s.respond(query)
+	name := zoneName(proto)
+	records := m.GrowAnswers(len(addrs))
+	for i, a := range addrs {
+		records[i] = dnswire.Record{Name: name, Type: dnswire.TypeAAAA, Class: dnswire.ClassIN, TTL: 60, AAAA: a}
 	}
-	m := s.respond(query, e.records)
 	if query.Edns != nil && query.Edns.ClientSubnet != nil {
 		cs := query.Edns.ClientSubnet
 		// Scope zero: the answer is valid for the entire address space.
@@ -295,28 +179,27 @@ func (s *AuthServer) answerAAAA(query *dnswire.Message, from netip.Addr, proto n
 // of a RIPE Atlas probe.
 func (s *AuthServer) whoami(query *dnswire.Message, from netip.Addr) *dnswire.Message {
 	q := query.Questions[0]
-	var answers []dnswire.Record
+	m := s.respond(query)
+	m.Edns = nil
 	from = iputil.Canonical(from)
 	switch {
 	case q.Type == dnswire.TypeA && from.Is4():
-		answers = append(answers, dnswire.Record{
+		m.GrowAnswers(1)[0] = dnswire.Record{
 			Name: q.Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 0, A: from,
-		})
+		}
 	case q.Type == dnswire.TypeAAAA && from.Is6():
-		answers = append(answers, dnswire.Record{
+		m.GrowAnswers(1)[0] = dnswire.Record{
 			Name: q.Name, Type: dnswire.TypeAAAA, Class: dnswire.ClassIN, TTL: 0, AAAA: from,
-		})
+		}
 	}
-	m := s.respond(query, answers)
-	m.Edns = nil
 	return m
 }
 
-// respond builds a NOERROR authoritative response in a pooled message.
-// The returned message's Edns field still holds pool scratch: every
-// caller must either fill it (ecsEcho) or set it to nil before the
-// response leaves the server.
-func (s *AuthServer) respond(query *dnswire.Message, answers []dnswire.Record) *dnswire.Message {
+// respond starts a NOERROR authoritative response in a pooled message;
+// callers add answers with GrowAnswers. The returned message's Edns
+// field still holds pool scratch: every caller must either fill it
+// (ecsEcho) or set it to nil before the response leaves the server.
+func (s *AuthServer) respond(query *dnswire.Message) *dnswire.Message {
 	s.Stats.Answered.Add(1)
 	m := dnswire.AcquireMessage()
 	m.Header = dnswire.Header{
@@ -327,7 +210,6 @@ func (s *AuthServer) respond(query *dnswire.Message, answers []dnswire.Record) *
 		RCode:            dnswire.RCodeNoError,
 	}
 	m.Questions = query.Questions
-	m.Answers = answers
 	return m
 }
 

@@ -359,6 +359,55 @@ func TestRootNameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPooledAnswerStorage pins the message-owned answer storage: it rides
+// the pool zeroed and capped, and DecodeInto fills it rather than a slice
+// the caller had assigned to Answers. The released messages are inspected
+// directly — the pool may hand them to nobody in between, this test being
+// the package's only pool user while it runs.
+func TestPooledAnswerStorage(t *testing.T) {
+	rec := Record{Name: "mask.icloud.com.", Type: TypeA, Class: ClassIN, TTL: 60, A: netip.MustParseAddr("17.0.0.1")}
+
+	m := AcquireMessage()
+	for i := range m.GrowAnswers(8) {
+		m.Answers[i] = rec
+	}
+	m.Edns = nil
+	wire, err := m.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ReleaseMessage(m)
+	if m.Answers != nil || len(m.answerBuf) != 0 || cap(m.answerBuf) != 8 {
+		t.Fatalf("released message: Answers=%v, storage len %d cap %d, want nil, 0, 8",
+			m.Answers, len(m.answerBuf), cap(m.answerBuf))
+	}
+	for i, r := range m.answerBuf[:8] {
+		if r.Name != "" || r.A.IsValid() {
+			t.Fatalf("retained record %d not zeroed: %+v", i, r)
+		}
+	}
+
+	big := AcquireMessage()
+	big.GrowAnswers(maxPooledAnswers + 1)
+	ReleaseMessage(big)
+	if big.answerBuf != nil {
+		t.Fatalf("released message kept %d records of storage, cap is %d", cap(big.answerBuf), maxPooledAnswers)
+	}
+
+	mine := []Record{{Name: "caller."}}
+	d := &Message{Answers: mine, answerBuf: make([]Record, 0, 8)}
+	storage := &d.answerBuf[:1][0]
+	if err := DecodeInto(wire, d); err != nil {
+		t.Fatal(err)
+	}
+	if mine[0].Name != "caller." {
+		t.Fatal("DecodeInto wrote through the caller's Answers slice")
+	}
+	if len(d.Answers) != 8 || &d.Answers[0] != storage || d.Answers[7].A != rec.A {
+		t.Fatalf("DecodeInto did not decode into the message's own storage: %d answers", len(d.Answers))
+	}
+}
+
 // Property: any query built from valid inputs round-trips unchanged.
 func TestPropertyQueryRoundTrip(t *testing.T) {
 	f := func(id uint16, l1, l2 uint8, v4 [4]byte, bits uint8) bool {

@@ -172,9 +172,11 @@ func Decode(msg []byte) (*Message, error) {
 
 // DecodeInto parses a complete DNS message into m, reusing m's question
 // and record slices (and its EDNS structs) from a previous decode so
-// steady-state decode loops stop allocating per message. On error m's
-// contents are undefined. Like Decode, it never retains references into
-// msg.
+// steady-state decode loops stop allocating per message. Answers always
+// decode into the message-owned storage (see GrowAnswers) — which a
+// pooled message brings along from its previous life — never into a
+// slice a caller assigned to m.Answers. On error m's contents are
+// undefined. Like Decode, it never retains references into msg.
 func DecodeInto(msg []byte, m *Message) error {
 	if len(msg) < 12 {
 		return ErrTruncatedMessage
@@ -183,9 +185,9 @@ func DecodeInto(msg []byte, m *Message) error {
 	*m = Message{
 		pooled:      m.pooled,
 		Questions:   m.Questions[:0],
-		Answers:     m.Answers[:0],
 		Authorities: m.Authorities[:0],
 		Additionals: m.Additionals[:0],
+		answerBuf:   m.answerBuf[:0],
 	}
 	m.Header.ID = binary.BigEndian.Uint16(msg[0:2])
 	flags := binary.BigEndian.Uint16(msg[2:4])
@@ -230,7 +232,7 @@ func DecodeInto(msg []byte, m *Message) error {
 		var dest *[]Record
 		switch si {
 		case 0:
-			n, dest = an, &m.Answers
+			n, dest = an, &m.answerBuf
 		case 1:
 			n, dest = ns, &m.Authorities
 		default:
@@ -257,6 +259,7 @@ func DecodeInto(msg []byte, m *Message) error {
 			*dest = append(*dest, r)
 		}
 	}
+	m.Answers = m.answerBuf
 	return nil
 }
 

@@ -23,9 +23,9 @@ import (
 //   - Consumers that retain responses indefinitely (the resolver cache,
 //     Atlas measurement results) just never release them; retention is
 //     always safe because nothing recycles a message behind its back.
-//   - After ReleaseMessage the message must not be touched; its section
-//     slices are gone and its EDNS scratch will be rewritten by the next
-//     owner.
+//   - After ReleaseMessage the message must not be touched — nor may a
+//     copy of its Answers slice: the answer storage and the EDNS scratch
+//     stay with the message and are rewritten by the next owner.
 
 // poolAcquires / poolMisses feed the pool-hit-rate metric relayd
 // exports: a miss is an acquire the pool served by allocating a fresh
@@ -35,6 +35,13 @@ var (
 	poolAcquires atomic.Int64
 	poolMisses   atomic.Int64
 )
+
+// maxPooledAnswers caps the answer storage a recycled message keeps,
+// mirroring masque's maxPooledPayload: a message that decoded an
+// oversized answer section drops its storage on release, so one hostile
+// response cannot pin memory in the pool. The service answers with at
+// most eight records.
+const maxPooledAnswers = 16
 
 var msgPool = sync.Pool{New: func() any {
 	poolMisses.Add(1)
@@ -51,7 +58,8 @@ func MessagePoolStats() (acquires, misses int64) {
 // AcquireMessage returns a pooled Message. Its section slices are nil
 // and its Header is zero; Edns may point at scratch EDNS/ClientSubnet
 // structs from a previous life — overwrite them (e.g. via SetECS or
-// DecodeInto) or set Edns to nil before use.
+// DecodeInto) or set Edns to nil before use. Answer storage from a
+// previous life is retained and reused by GrowAnswers / DecodeInto.
 func AcquireMessage() *Message {
 	poolAcquires.Add(1)
 	m := msgPool.Get().(*Message)
@@ -62,13 +70,20 @@ func AcquireMessage() *Message {
 // ReleaseMessage returns m to the pool if it came from AcquireMessage
 // (otherwise it is a no-op, see the ownership rules above). The
 // message's EDNS and ClientSubnet structs are kept as scratch so the
-// steady state re-serves them without allocating; everything that may
-// reference caller data (section slices, TXT/SOA/Data rdata) is dropped.
+// steady state re-serves them without allocating, and so is the answer
+// storage up to maxPooledAnswers records, zeroed; everything that may
+// reference caller data (section slices, names, TXT/SOA/Data rdata) is
+// dropped.
 func ReleaseMessage(m *Message) {
 	if m == nil || !m.pooled {
 		return
 	}
 	m.pooled = false
+	buf := m.answerBuf[:cap(m.answerBuf)]
+	if len(buf) > maxPooledAnswers {
+		buf = nil
+	}
+	clear(buf)
 	edns := m.Edns
 	if edns != nil {
 		cs := edns.ClientSubnet
@@ -77,6 +92,21 @@ func ReleaseMessage(m *Message) {
 			*cs = ClientSubnet{}
 		}
 	}
-	*m = Message{Edns: edns}
+	*m = Message{Edns: edns, answerBuf: buf[:0]}
 	msgPool.Put(m)
+}
+
+// GrowAnswers readies n records of message-owned answer storage,
+// reusing retained capacity, points Answers at it and returns it for
+// the caller to fill — all n records: reused storage is not zeroed
+// here. Responses are assembled this way rather than by assigning a
+// caller's slice to Answers, so no receiver can write through to (or
+// release) records someone else still reads.
+func (m *Message) GrowAnswers(n int) []Record {
+	if cap(m.answerBuf) < n {
+		m.answerBuf = make([]Record, n)
+	}
+	m.answerBuf = m.answerBuf[:n]
+	m.Answers = m.answerBuf
+	return m.answerBuf
 }

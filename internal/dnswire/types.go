@@ -188,6 +188,12 @@ type Message struct {
 	Additionals []Record
 	Edns        *EDNS
 
+	// answerBuf is the message-owned answer storage; Answers aliases it
+	// after GrowAnswers and DecodeInto. A pooled message keeps it across
+	// pool lives (see ReleaseMessage), so the steady state assembles and
+	// decodes responses without allocating a record slice.
+	answerBuf []Record
+
 	// pooled marks messages that came from AcquireMessage, so
 	// ReleaseMessage never recycles a message it does not own.
 	pooled bool

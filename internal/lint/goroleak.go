@@ -7,7 +7,7 @@ import (
 )
 
 // Goroleak guards the goroutine trees of the serving plane and the
-// daemon (masque, relayd, epochmap): every `go` statement must carry
+// daemon (masque, relayd): every `go` statement must carry
 // provable termination evidence —
 //
 //   - a WaitGroup join: the goroutine calls wg.Done and a matching
@@ -24,7 +24,7 @@ import (
 // the spawning function are poolcheck's domain.
 var Goroleak = &Analyzer{
 	Name: "goroleak",
-	Doc: "every go statement in masque, relayd and epochmap needs a provable " +
+	Doc: "every go statement in masque and relayd needs a provable " +
 		"termination path: a matched wg.Add/Done pair, a ctx.Done()/quit-channel " +
 		"select in its loops, or a loop-free body",
 	Run: runGoroleak,
@@ -34,7 +34,6 @@ var Goroleak = &Analyzer{
 var goroleakPkgs = []string{
 	"internal/masque",
 	"internal/relayd",
-	"internal/epochmap",
 }
 
 // quitChannelWords mark a channel as a shutdown signal by name.

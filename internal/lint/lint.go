@@ -1,11 +1,10 @@
 // Package lint is relaylint: a project-specific static-analysis suite
 // enforcing the invariants the test suite can only spot-check — pooled
 // message lifecycles (poolcheck), dataset determinism (determinism),
-// atomic-field access discipline (atomicfield), epoch-published map
-// immutability (epochcheck), enum switch coverage (exhaustive),
-// shard-lock ordering and leaf discipline (lockorder), goroutine
-// termination evidence (goroleak) and atomic durable writes
-// (durability). A ninth check, hotalloc, is not a per-package pass: it
+// atomic-field access discipline (atomicfield), enum switch coverage
+// (exhaustive), shard-lock ordering and leaf discipline (lockorder),
+// goroutine termination evidence (goroleak) and atomic durable writes
+// (durability). An eighth check, hotalloc, is not a per-package pass: it
 // gates the compiler's escape analysis against a committed manifest of
 // zero-alloc hot functions (see hotalloc.go and cmd/relaylint
 // -hotalloc).
@@ -97,7 +96,7 @@ func (f Finding) MarshalJSON() ([]byte, error) {
 
 // All returns the full relaylint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Poolcheck, Determinism, Atomicfield, Epochcheck, Exhaustive, Lockorder, Goroleak, Durability}
+	return []*Analyzer{Poolcheck, Determinism, Atomicfield, Exhaustive, Lockorder, Goroleak, Durability}
 }
 
 // HotallocName is the name the escape gate reports under; it is valid

@@ -98,10 +98,6 @@ func TestAtomicfieldGolden(t *testing.T) {
 	runGolden(t, Atomicfield, "atomicfield", modulePath+"/lintdata/atomicfield")
 }
 
-func TestEpochcheckGolden(t *testing.T) {
-	runGolden(t, Epochcheck, "epochcheck", modulePath+"/lintdata/epochcheck")
-}
-
 func TestExhaustiveGolden(t *testing.T) {
 	runGolden(t, Exhaustive, "exhaustive", modulePath+"/lintdata/exhaustive")
 }

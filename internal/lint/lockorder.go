@@ -8,7 +8,7 @@ import (
 )
 
 // Lockorder guards the locking discipline of the serving plane and the
-// daemon (masque, relayd, epochmap), where PRs 7–9 introduced sharded
+// daemon (masque, relayd), where PRs 7–9 introduced sharded
 // mutexes whose critical sections must stay tiny:
 //
 //   - a mutex field annotated `//lint:shardlock` is a leaf lock: while
@@ -31,7 +31,7 @@ import (
 var Lockorder = &Analyzer{
 	Name: "lockorder",
 	Doc: "enforce shard-lock leaf discipline, declared lock acquisition order, " +
-		"and release-on-every-path in masque, relayd and epochmap",
+		"and release-on-every-path in masque and relayd",
 	Run: runLockorder,
 }
 
@@ -39,7 +39,6 @@ var Lockorder = &Analyzer{
 var lockorderPkgs = []string{
 	"internal/masque",
 	"internal/relayd",
-	"internal/epochmap",
 }
 
 // blockingMethodNames are method names that, on a receiver from another

@@ -1,8 +1,8 @@
 package netsim
 
 import (
-	"encoding/binary"
 	"net/netip"
+	"slices"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/iputil"
@@ -18,9 +18,9 @@ const (
 	poolAkamaiFallback = 1100
 )
 
-// maxAnswerRecords is the maximum number of A/AAAA records per response,
+// MaxAnswerRecords is the maximum number of A/AAAA records per response,
 // matching the paper's observation of "up to eight different records".
-const maxAnswerRecords = 8
+const MaxAnswerRecords = 8
 
 // buildPools materializes every ingress relay address pool.
 func (w *World) buildPools() {
@@ -65,13 +65,27 @@ func monthIndex(m bgp.Month) int {
 	return 0
 }
 
-// fleetKey memoizes one IngressFleet result.
+// fleetKey names one prebuilt fleet: the unshifted (phase 0) window of
+// one operator in one scan month, plane and family.
 type fleetKey struct {
 	as    bgp.ASN
 	month bgp.Month
 	proto Proto
 	fam   Family
-	phase int
+}
+
+// buildFleets materializes the phase-0 fleet of every operator, scan
+// month, plane and family — the only fleets the answer path asks for.
+func (w *World) buildFleets() {
+	for _, as := range []bgp.ASN{ASApple, ASAkamaiPR} {
+		for _, month := range ScanMonths {
+			for _, proto := range []Proto{ProtoDefault, ProtoFallback} {
+				for _, fam := range []Family{FamilyV4, FamilyV6} {
+					w.fleets[fleetKey{as, month, proto, fam}] = w.buildIngressFleet(as, month, proto, fam, 0)
+				}
+			}
+		}
+	}
 }
 
 // IngressFleet returns the relay addresses of one operator active in the
@@ -80,16 +94,16 @@ type fleetKey struct {
 // different times (the RIPE Atlas validation in §4.1 found exactly one
 // address the concurrent ECS scan did not).
 //
-// The returned slice is memoized and shared between callers — treat it as
-// read-only.
+// Unshifted scan-month fleets come from the table built in NewWorld and
+// are shared between callers — treat the returned slice as read-only.
+// Anything else is computed on demand.
 func (w *World) IngressFleet(as bgp.ASN, month bgp.Month, proto Proto, fam Family, phase int) []netip.Addr {
-	key := fleetKey{as, month, proto, fam, phase}
-	if cached, ok := w.fleetCache.Load(key); ok {
-		return cached.([]netip.Addr)
+	if phase == 0 {
+		if fleet, ok := w.fleets[fleetKey{as, month, proto, fam}]; ok {
+			return fleet
+		}
 	}
-	fleet := w.buildIngressFleet(as, month, proto, fam, phase)
-	cached, _ := w.fleetCache.LoadOrStore(key, fleet)
-	return cached.([]netip.Addr)
+	return w.buildIngressFleet(as, month, proto, fam, phase)
 }
 
 func (w *World) buildIngressFleet(as bgp.ASN, month bgp.Month, proto Proto, fam Family, phase int) []netip.Addr {
@@ -137,19 +151,25 @@ func (w *World) FleetUnion(month bgp.Month, proto Proto, fam Family, phase int) 
 	return out
 }
 
-// answerPlan is everything the serving path derives from one client /24
-// spelling: whether it belongs to a client AS, the month/proto-invariant
-// parts of the serving decision, and the answer key and ECS scope. One
-// routing-table walk builds it; every later question about the subnet is
-// answered from the cached plan without touching the trie.
+// answerPlan is everything the serving path derives from one client
+// subnet, before the month and plane come in: whether it belongs to a
+// client AS, the serving operator, the answer key and the ECS scope.
+// It is computed per query from one lookup in the flattened routing
+// table — nothing on the answer path is memoized.
+//
+// Scope honesty: every field is a function of the answer key's unit —
+// the /24 itself inside "both" ASes (scope /24), the covering route in
+// single-operator ASes (scope = route length) — so all /24s inside an
+// advertised scope get the same plan, and with it the same answer, in
+// every month and on both planes. The scanner's scope skipping (§7)
+// and its concurrency-independence rest on this.
 type answerPlan struct {
 	key   uint64  // record-selection hash (per-/24 in "both" ASes, per-route otherwise)
 	scope uint8   // ECS scope length the server advertises
 	known bool    // subnet belongs to a client AS
 	base  bgp.ASN // serving operator before the fallback ramp
-	// marAkamai: the March fallback ramp keeps this /24 at Akamai (only
-	// meaningful when base == ASAkamaiPR). Hashed from the exact prefix
-	// spelling, matching the historical behavior of the ramp.
+	// marAkamai: the March fallback ramp keeps this answer unit at
+	// Akamai (only meaningful when base == ASAkamaiPR).
 	marAkamai bool
 }
 
@@ -172,42 +192,11 @@ func (p answerPlan) serving(month bgp.Month, proto Proto) bgp.ASN {
 	return s
 }
 
-// packPrefix packs an IPv4 prefix into the plan-cache key: the address's
-// big-endian 32 bits shifted over the prefix length. Distinct spellings
-// of the same /24 (host bits set vs. masked) pack differently on
-// purpose: plan hashes are computed from the exact spelling, so each
-// spelling memoizes its own — historically faithful — plan.
-func packPrefix(subnet netip.Prefix) (uint64, bool) {
-	addr := subnet.Addr()
-	if !addr.Is4() {
-		return 0, false
-	}
-	a4 := addr.As4()
-	return uint64(binary.BigEndian.Uint32(a4[:]))<<8 | uint64(uint8(subnet.Bits())), true
-}
-
-// planFor returns the memoized answer plan for subnet, building it on
-// first sight. The fast path is one epoch-map lookup: no locks, no
-// allocations, no routing-table walk. Plans are stored by value — a
-// 24-byte copy spares one heap object per /24 in the universe.
+// planFor derives subnet's answer plan. Assignment reproduces the
+// Table 2 structure: whole ASes are Akamai-only or Apple-only, and
+// inside "both" ASes the split is per-/24 with Apple at 76 %.
 func (w *World) planFor(subnet netip.Prefix) answerPlan {
-	pk, ok := packPrefix(subnet)
-	if !ok {
-		return w.buildPlan(subnet)
-	}
-	if p, ok := w.plans.Get(pk); ok {
-		return p
-	}
-	return w.plans.Put(pk, w.buildPlan(subnet))
-}
-
-
-// buildPlan derives subnet's answer plan with a single routing-table
-// walk. Assignment reproduces the Table 2 structure: whole ASes are
-// Akamai-only or Apple-only, and inside "both" ASes the split is
-// per-/24 with Apple at 76 %.
-func (w *World) buildPlan(subnet netip.Prefix) answerPlan {
-	route, origin, routed := w.Table.Route(subnet.Addr())
+	route, origin, routed := w.routes.Route(subnet.Addr())
 	if !routed {
 		return answerPlan{}
 	}
@@ -215,44 +204,39 @@ func (w *World) buildPlan(subnet netip.Prefix) answerPlan {
 	if !isClient {
 		return answerPlan{}
 	}
-	group := w.ClientASes[idx].Group
 
+	// The answer unit is the /24 inside "both" ASes, where the operator
+	// varies per /24, and the covering route everywhere else.
+	group := w.ClientASes[idx].Group
 	p := answerPlan{known: true}
-	canon := iputil.CanonicalPrefix(subnet)
+	if group == GroupBoth {
+		p.key, p.scope = iputil.HashPrefix(subnet), 24
+	} else {
+		p.key, p.scope = iputil.HashPrefix(route), uint8(route.Bits())
+	}
 	switch group {
 	case GroupAkamaiOnly:
 		p.base = ASAkamaiPR
 	case GroupAppleOnly:
 		p.base = ASApple
 	default:
-		h := iputil.Mix(iputil.HashPrefix(canon), w.seed^0xA5)
-		if h%100 < 100-appleShareInBothPct {
+		if iputil.Mix(p.key, w.seed^0xA5)%100 < 100-appleShareInBothPct {
 			p.base = ASAkamaiPR
 		} else {
 			p.base = ASApple
 		}
 	}
 	if p.base == ASAkamaiPR {
-		// March fallback ramp: ~7 % of Akamai-served /24s already have
-		// fallback capacity. The hash covers the exact spelling passed in.
-		p.marAkamai = iputil.Mix(iputil.HashPrefix(subnet), w.seed^0x7C)%100 < 7
-	}
-	// Answer key and scope: the /24 inside "both" ASes (operator varies
-	// per /24), the covering route otherwise — so the advertised scope is
-	// honest, one answer per scope. The scanner exploits scopes shorter
-	// than /24 to skip queries (§7).
-	if group == GroupBoth {
-		p.key = iputil.HashPrefix(canon)
-		p.scope = 24
-	} else {
-		p.key = iputil.HashPrefix(route)
-		p.scope = uint8(route.Bits())
+		// March fallback ramp: ~7 % of Akamai-served answer units already
+		// have fallback capacity. Hashed from the answer key, not the /24,
+		// so the operator is constant inside every advertised scope.
+		p.marAkamai = iputil.Mix(p.key, w.seed^0x7C)%100 < 7
 	}
 	return p
 }
 
 // ServingAS decides which ingress operator serves a client /24 on the
-// given plane and month. See buildPlan for the assignment structure.
+// given plane and month. See planFor for the assignment structure.
 func (w *World) ServingAS(subnet netip.Prefix, month bgp.Month, proto Proto) (bgp.ASN, bool) {
 	p := w.planFor(subnet)
 	if !p.known {
@@ -275,9 +259,9 @@ func (w *World) AnswerScope(subnet netip.Prefix) (uint8, bool) {
 
 // AnswerClass bundles the per-subnet serving decision for one month and
 // plane: the operator, the record-selection key and the ECS scope, all
-// from a single plan lookup. Callers that need more than one of these —
-// the authoritative server needs all three per query — use this instead
-// of three separate World calls.
+// from a single routing lookup. Callers that need more than one of
+// these — the authoritative server needs all three per query — use this
+// instead of three separate World calls.
 type AnswerClass struct {
 	Serving bgp.ASN
 	Key     uint64
@@ -299,117 +283,61 @@ func (w *World) AnswerClass(subnet netip.Prefix, month bgp.Month, proto Proto) A
 	}
 }
 
-// answerCacheKey identifies one memoized answer set. known separates the
-// degenerate "not a client subnet" class (answer key 0, empty answer)
-// from a real key that happens to hash to 0. serving is part of the key
-// because the answer is pickAnswers(fleet(serving), key) and serving is
-// not always a function of key alone: the March fallback ramp hashes the
-// /24 itself, so two /24s sharing a covering-route key can be served by
-// different operators.
-type answerCacheKey struct {
-	key     uint64
-	known   bool
-	serving bgp.ASN
-	month   bgp.Month
-	proto   Proto
-	fam     Family
-}
-
 // IngressAnswer returns the up-to-eight A records the authoritative name
 // server serves for an ECS query with the given client subnet, for the
 // month/plane. Record selection is deterministic per (subnet, month) —
 // more precisely per the subnet's answer key, which also determines the
-// serving operator — so results are memoized per key and the returned
-// slice is shared between callers: treat it as read-only.
+// serving operator.
 func (w *World) IngressAnswer(subnet netip.Prefix, month bgp.Month, proto Proto) []netip.Addr {
 	ac := w.AnswerClass(iputil.CanonicalPrefix(subnet), month, proto)
-	return w.IngressAnswerFor(ac, month, proto)
+	return w.IngressAnswerFor(nil, ac, month, proto)
 }
 
-// IngressAnswerFor returns the A records for an already-classified
-// subnet (see AnswerClass), skipping the plan lookup entirely. Callers
-// that classified the subnet themselves — the authoritative server does,
-// to get the ECS scope — must use this rather than IngressAnswer, or the
-// duplicate plan writes degenerate the plan map's epoch publication.
-func (w *World) IngressAnswerFor(ac AnswerClass, month bgp.Month, proto Proto) []netip.Addr {
+// IngressAnswerFor appends the A records for an already-classified
+// subnet (see AnswerClass) to dst and returns the extended slice. The
+// authoritative server classifies each query itself, to get the ECS
+// scope, and passes a stack array of MaxAnswerRecords here.
+func (w *World) IngressAnswerFor(dst []netip.Addr, ac AnswerClass, month bgp.Month, proto Proto) []netip.Addr {
 	if !ac.Known {
-		return nil
-	}
-	ck := answerCacheKey{ac.Key, true, ac.Serving, month, proto, FamilyV4}
-	if out, ok := w.answers.Get(ck); ok {
-		return out
+		return dst
 	}
 	fleet := w.IngressFleet(ac.Serving, month, proto, FamilyV4, 0)
 	if len(fleet) == 0 {
 		// Plane not yet deployed at this operator: Apple serves it.
 		fleet = w.IngressFleet(ASApple, month, proto, FamilyV4, 0)
-		if len(fleet) == 0 {
-			return w.answers.Put(ck, nil)
-		}
 	}
-	return w.answers.Put(ck, pickAnswers(fleet, ac.Key, month, proto))
+	return pickAnswers(dst, fleet, ac.Key, month, proto)
 }
 
-// IngressAnswerV6 returns the AAAA records served to a resolver identified
-// by key (the server has no per-subnet view for IPv6 — it answers with
-// scope 0, §3). The Apple/Akamai split matches the April IPv6 shares.
-// Like IngressAnswer, results are memoized per key; the returned slice is
-// shared and read-only.
-func (w *World) IngressAnswerV6(key uint64, month bgp.Month, proto Proto) []netip.Addr {
+// IngressAnswerV6 appends to dst the AAAA records served to a resolver
+// identified by key (the server has no per-subnet view for IPv6 — it
+// answers with scope 0, §3). The Apple/Akamai split matches the April
+// IPv6 shares.
+func (w *World) IngressAnswerV6(dst []netip.Addr, key uint64, month bgp.Month, proto Proto) []netip.Addr {
 	serving := ASAkamaiPR
 	// 346/1575 ≈ 22 % of IPv6 relays sit at Apple.
 	if iputil.Mix(key, w.seed^0x6A)%100 < 22 {
 		serving = ASApple
 	}
-	ck := answerCacheKey{key, true, serving, month, proto, FamilyV6}
-	if out, ok := w.answers.Get(ck); ok {
-		return out
-	}
-	fleet := w.IngressFleet(serving, month, proto, FamilyV6, 0)
-	return w.answers.Put(ck, pickAnswers(fleet, key, month, proto))
+	return pickAnswers(dst, w.IngressFleet(serving, month, proto, FamilyV6, 0), key, month, proto)
 }
 
-// AnswerKey exposes the memoization key for subnet's answer set: the
-// hash the serving assignment and record selection are derived from.
-// The boolean reports whether subnet belongs to a client AS.
-func (w *World) AnswerKey(subnet netip.Prefix) (uint64, bool) {
-	p := w.planFor(iputil.CanonicalPrefix(subnet))
-	if !p.known {
-		return 0, false
-	}
-	return p.key, true
-}
-
-// pickAnswers deterministically selects up to maxAnswerRecords distinct
-// fleet members for a key.
-func pickAnswers(fleet []netip.Addr, key uint64, month bgp.Month, proto Proto) []netip.Addr {
-	if len(fleet) == 0 {
-		return nil
-	}
-	n := maxAnswerRecords
-	if n > len(fleet) {
-		n = len(fleet)
-	}
+// pickAnswers deterministically selects up to MaxAnswerRecords distinct
+// fleet members for a key, appending them to dst.
+func pickAnswers(dst, fleet []netip.Addr, key uint64, month bgp.Month, proto Proto) []netip.Addr {
+	n := min(MaxAnswerRecords, len(fleet))
+	base := len(dst)
 	salt := uint64(monthIndex(month))<<8 | uint64(proto)
-	out := make([]netip.Addr, 0, n)
-	for k := 0; len(out) < n; k++ {
-		idx := iputil.Mix(key, salt+uint64(k)*0x9E37) % uint64(len(fleet))
-		a := fleet[idx]
-		// Linear dedup: n is at most maxAnswerRecords (8), so scanning the
+	for k := 0; len(dst)-base < n; k++ {
+		a := fleet[iputil.Mix(key, salt+uint64(k)*0x9E37)%uint64(len(fleet))]
+		// Linear dedup: n is at most MaxAnswerRecords (8), so scanning the
 		// short output slice beats allocating a set per query.
-		dup := false
-		for _, prev := range out {
-			if prev == a {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, a)
+		if !slices.Contains(dst[base:], a) {
+			dst = append(dst, a)
 		}
 		if k > 16*n { // fleet smaller than n after dedup pressure
 			break
 		}
 	}
-	return out
+	return dst
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
@@ -337,29 +338,49 @@ func TestIngressAnswerProperties(t *testing.T) {
 	}
 }
 
+// TestIngressAnswerScopeHonesty is the invariant the scanner's scope
+// skipping rests on: wherever the server advertises a scope shorter than
+// /24 — every route of a single-operator AS — all /24s inside that route
+// get the same class and the same answer, in every scan month and on
+// both planes (the March fallback ramp included).
 func TestIngressAnswerScopeHonesty(t *testing.T) {
 	w := testWorld(t)
+	routes := 0
 	for _, c := range w.ClientASes {
-		if c.Group == GroupBoth {
-			continue
-		}
-		// All /24s within a single-operator AS must share one answer,
-		// making the advertised route-length scope honest.
-		p := c.Prefixes[0]
-		first := w.IngressAnswer(iputil.NthSubnet(p, 24, 0), MonthApr, ProtoDefault)
-		last := w.IngressAnswer(iputil.NthSubnet(p, 24, iputil.SubnetCount(p, 24)-1), MonthApr, ProtoDefault)
-		if len(first) != len(last) {
-			t.Fatalf("scope dishonest for %v: answer sizes differ", p)
-		}
-		for i := range first {
-			if first[i] != last[i] {
-				t.Fatalf("scope dishonest for %v: answers differ", p)
+		for _, p := range c.Prefixes {
+			first := iputil.NthSubnet(p, 24, 0)
+			scope, ok := w.AnswerScope(first)
+			if !ok {
+				t.Fatalf("client route %v has no answer scope", p)
+			}
+			if c.Group != GroupBoth && int(scope) != p.Bits() {
+				t.Fatalf("AnswerScope(%v) = %d, want the route length %d", first, scope, p.Bits())
+			}
+			if scope >= 24 {
+				continue
+			}
+			routes++
+			for _, month := range ScanMonths {
+				for _, proto := range []Proto{ProtoDefault, ProtoFallback} {
+					wantClass := w.AnswerClass(first, month, proto)
+					wantAnswer := w.IngressAnswer(first, month, proto)
+					iputil.Subnets(p, 24, func(s netip.Prefix) bool {
+						if got := w.AnswerClass(s, month, proto); got != wantClass {
+							t.Fatalf("%v %v: class of %v = %+v, but %v in the same /%d scope has %+v",
+								month, proto, s, got, first, scope, wantClass)
+						}
+						if got := w.IngressAnswer(s, month, proto); !slices.Equal(got, wantAnswer) {
+							t.Fatalf("%v %v: answer for %v differs from %v in the same /%d scope",
+								month, proto, s, first, scope)
+						}
+						return true
+					})
+				}
 			}
 		}
-		scope, ok := w.AnswerScope(iputil.NthSubnet(p, 24, 0))
-		if !ok || int(scope) != p.Bits() {
-			t.Fatalf("AnswerScope = %d,%v want %d", scope, ok, p.Bits())
-		}
+	}
+	if routes == 0 {
+		t.Fatal("no client route with a scope shorter than /24")
 	}
 }
 
@@ -382,7 +403,7 @@ func TestIngressAnswerV6(t *testing.T) {
 	w := testWorld(t)
 	sawApple, sawAkamai := false, false
 	for key := uint64(0); key < 200; key++ {
-		ans := w.IngressAnswerV6(key, MonthApr, ProtoDefault)
+		ans := w.IngressAnswerV6(nil, key, MonthApr, ProtoDefault)
 		if len(ans) == 0 || len(ans) > 8 {
 			t.Fatalf("v6 answer size %d", len(ans))
 		}

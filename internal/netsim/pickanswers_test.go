@@ -7,17 +7,16 @@ import (
 	"github.com/relay-networks/privaterelay/internal/bgp"
 )
 
-// TestPickAnswersSmallFleetComplete pins a property the answer cache
-// relies on: for fleets no larger than maxAnswerRecords, pickAnswers
-// returns every distinct member — the answer is the whole fleet, in a
-// key-dependent order. If the dedup bailout ever started dropping
-// members, cached and uncached answers would still agree (the cache
-// stores whatever pickAnswers returns) but the simulated CDN would
-// under-advertise its ingress fleet.
+// TestPickAnswersSmallFleetComplete pins that for fleets no larger than
+// MaxAnswerRecords, pickAnswers returns every distinct member — the
+// answer is the whole fleet, in a key-dependent order. If the dedup
+// bailout ever started dropping members the simulated CDN would
+// under-advertise its ingress fleet. The picks are appended after what
+// dst already holds, and deduplicated only among themselves.
 func TestPickAnswersSmallFleetComplete(t *testing.T) {
 	months := []bgp.Month{{Year: 2022, M: 1}, {Year: 2022, M: 3}, {Year: 2022, M: 4}}
 	protos := []Proto{ProtoDefault, ProtoFallback}
-	for n := 1; n <= maxAnswerRecords; n++ {
+	for n := 1; n <= MaxAnswerRecords; n++ {
 		fleet := make([]netip.Addr, n)
 		for i := range fleet {
 			fleet[i] = netip.AddrFrom4([4]byte{143, 92, byte(n), byte(i)})
@@ -25,7 +24,11 @@ func TestPickAnswersSmallFleetComplete(t *testing.T) {
 		for key := uint64(0); key < 500; key++ {
 			for _, month := range months {
 				for _, proto := range protos {
-					out := pickAnswers(fleet, key*0x9E3779B97F4A7C15, month, proto)
+					out := pickAnswers(fleet[:1:1], fleet, key*0x9E3779B97F4A7C15, month, proto)
+					if out[0] != fleet[0] {
+						t.Fatalf("n=%d key=%d: dst prefix overwritten: %v", n, key, out[0])
+					}
+					out = out[1:]
 					if len(out) != n {
 						t.Fatalf("n=%d key=%d month=%v proto=%v: got %d answers, want all %d",
 							n, key, month, proto, len(out), n)
@@ -49,11 +52,11 @@ func TestPickAnswersSmallFleetComplete(t *testing.T) {
 // the bailout it would spin forever.
 func TestPickAnswersTerminatesUnderDedupPressure(t *testing.T) {
 	same := netip.AddrFrom4([4]byte{143, 92, 0, 1})
-	fleet := make([]netip.Addr, maxAnswerRecords)
+	fleet := make([]netip.Addr, MaxAnswerRecords)
 	for i := range fleet {
 		fleet[i] = same
 	}
-	out := pickAnswers(fleet, 42, bgp.Month{Year: 2022, M: 4}, ProtoDefault)
+	out := pickAnswers(nil, fleet, 42, bgp.Month{Year: 2022, M: 4}, ProtoDefault)
 	if len(out) != 1 || out[0] != same {
 		t.Fatalf("got %v, want exactly [%v]", out, same)
 	}

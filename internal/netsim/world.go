@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"sync"
 
 	"github.com/relay-networks/privaterelay/internal/aspop"
 	"github.com/relay-networks/privaterelay/internal/bgp"
-	"github.com/relay-networks/privaterelay/internal/epochmap"
 	"github.com/relay-networks/privaterelay/internal/iputil"
 )
 
@@ -22,7 +20,8 @@ type ClientAS struct {
 }
 
 // World is the generated Internet model. It is immutable after NewWorld
-// and safe for concurrent use.
+// — every table below is built there and only read afterwards — and safe
+// for concurrent use.
 type World struct {
 	Params Params
 
@@ -47,22 +46,14 @@ type World struct {
 	clientIdx map[bgp.ASN]int
 	seed      uint64
 
-	// fleetCache memoizes IngressFleet results. Fleets are deterministic
-	// per key and requested once per DNS query on the scan hot path, so
-	// rebuilding the slice each time dominated server-side allocation.
-	fleetCache sync.Map
+	// routes is Table flattened once at the end of NewWorld: the answer
+	// path resolves a client subnet's covering route with one lock-free
+	// binary search.
+	routes *bgp.Index
 
-	// answers memoizes IngressAnswer/IngressAnswerV6 record sets. Answers
-	// are deterministic per (answer key, month, proto, family), so the
-	// steady-state serving path returns one shared read-only slice per
-	// equivalence class instead of re-running pickAnswers per query.
-	// Epoch-published: readers never lock.
-	answers epochmap.Map[answerCacheKey, []netip.Addr]
-
-	// plans memoizes per-prefix answer plans (serving assignment, answer
-	// key, ECS scope) so the steady-state serving path never walks the
-	// routing trie. Keyed by the packed exact prefix spelling.
-	plans epochmap.Map[uint64, answerPlan]
+	// fleets holds the unshifted fleet of every (operator, scan month,
+	// plane, family); see buildFleets.
+	fleets map[fleetKey][]netip.Addr
 }
 
 type serviceKey struct {
@@ -99,11 +90,14 @@ func NewWorld(params Params) *World {
 		pools:      make(map[poolKey][]netip.Addr),
 		clientIdx:  make(map[bgp.ASN]int),
 		seed:       p.Seed,
+		fleets:     make(map[fleetKey][]netip.Addr),
 	}
 	w.buildServicePrefixes()
 	w.buildClientUniverse()
 	w.buildPools()
+	w.buildFleets()
 	w.buildHistory()
+	w.routes = w.Table.Index()
 	return w
 }
 

@@ -4,7 +4,7 @@ GO ?= go
 # directory to get a fresh run without clobbering the committed files.
 BENCH_DIR ?= .
 
-.PHONY: check vet lint build test race alloc bench bench-build bench-json bench-gate chaos relay-bench relayd-smoke
+.PHONY: check vet lint build test race alloc bench bench-build bench-json bench-gate chaos fuzz-smoke relay-bench relayd-smoke
 
 # BENCH_GATE=1 appends the benchmark regression gate (a full fresh
 # bench-json run — minutes, not seconds), so plain `make check` stays
@@ -45,6 +45,23 @@ chaos:
 	$(GO) test -race \
 		-run 'Chaos|Checkpoint|Backoff|Breaker|Fault|Injector|Profile|Resilien|Retr|Resume|Dominant|Rotation|Campaign|BlockingStudy|RunDirect|RunRetries|RunDisting|ConnectWithRetry|VirtualClock' \
 		./internal/faults/ ./internal/core/ ./internal/colstore/ ./internal/dnsserver/ ./internal/scan/ ./internal/atlas/ ./internal/masque/ ./internal/relayd/
+
+# Five seconds of each fuzz target: every reader of bytes from disk or
+# a socket keeps its "never panics, typed rejection, accepted input
+# re-encodes to itself" contract under fresh mutations, not only on
+# the committed corpus `go test` replays. One target per invocation
+# (go test -fuzz takes a single match); -parallel 2 keeps the worker
+# processes few.
+FUZZ_TARGETS = \
+	internal/dnswire:FuzzDecode internal/dnswire:FuzzDecodeName \
+	internal/colstore:FuzzDecodeBinary internal/core:FuzzReadJournal \
+	internal/masque:FuzzReadFrame internal/masque:FuzzUnseal \
+	internal/masque:FuzzParseReject internal/masque:FuzzParseReservationInfo \
+	internal/masque:FuzzParseDatagramPreamble
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 5s -parallel 2 ./$${t%%:*}/ || exit 1; \
+	done
 
 # End-to-end service smoke: boot cmd/relayd on the virtual clock, wait
 # for a full cycle, scrape /healthz and /metrics, SIGTERM, and require

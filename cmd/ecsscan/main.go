@@ -28,6 +28,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/faults"
 	"github.com/relay-networks/privaterelay/internal/netsim"
+	"github.com/relay-networks/privaterelay/internal/profiling"
 )
 
 func main() {
@@ -50,8 +51,10 @@ func main() {
 		ckptPath     = flag.String("checkpoint", "", "periodically checkpoint scan progress to this file")
 		ckptEvery    = flag.Int64("checkpoint-every", 0, "checkpoint flush interval in completed /24s (0 = default)")
 		resume       = flag.Bool("resume", false, "resume from an existing -checkpoint file instead of starting over")
+		profiles     = profiling.Register()
 	)
 	flag.Parse()
+	defer profiles.Start()()
 	if *resume && *ckptPath == "" {
 		log.Fatal("-resume requires -checkpoint")
 	}

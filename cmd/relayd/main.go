@@ -22,6 +22,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/relay-networks/privaterelay/internal/profiling"
 	"github.com/relay-networks/privaterelay/internal/relayd"
 	"github.com/relay-networks/privaterelay/internal/vclock"
 )
@@ -39,8 +40,10 @@ func main() {
 		atlasProbes  = flag.Int("atlas-probes", 0, "Atlas campaign probe count (0 disables)")
 		atlasClus    = flag.Int("atlas-clusters", 0, "Atlas campaign subnet clusters")
 		virtual      = flag.Bool("virtual-clock", false, "run campaigns on a virtual clock (sleeps cost no wall time)")
+		profiles     = profiling.Register()
 	)
 	flag.Parse()
+	stopProfiles := profiles.Start()
 
 	var clock vclock.Clock = vclock.WallClock{}
 	if *virtual {
@@ -95,6 +98,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "relayd: http shutdown: %v\n", err)
 	}
 	<-httpDone
+	stopProfiles()
 
 	if runErr != nil && !errors.Is(runErr, context.Canceled) {
 		fail("%v", runErr)

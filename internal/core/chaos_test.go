@@ -324,11 +324,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Counters:   map[string]int64{"queries": 777, "retries": 5},
 		DoneRanges: [][2]int64{{0, 99}, {200, 4095}},
 	}
-	var buf bytes.Buffer
-	if err := ck.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+	got, err := loadImage(t, journalImage(t, ck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +349,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("done ranges: %v", got.DoneRanges)
 	}
 
-	if _, err := ReadCheckpoint(bytes.NewReader([]byte("A 192.0.2.1,1\n"))); err == nil {
+	if _, err := loadImage(t, []byte("A 192.0.2.1,1\n")); err == nil {
 		t.Fatal("headerless checkpoint accepted")
 	}
 }

@@ -6,14 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"os"
 	"slices"
 	"strconv"
 	"strings"
 
-	"github.com/relay-networks/privaterelay/internal/atomicio"
 	"github.com/relay-networks/privaterelay/internal/bgp"
-	"github.com/relay-networks/privaterelay/internal/faults"
 )
 
 // Dataset persistence: the paper publishes its collected ingress address
@@ -206,113 +203,22 @@ func (ds *Dataset) WriteCanonical(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Checkpoint is a consistent snapshot of scan progress: everything
-// collected so far plus the done-bitmap over the /24 universe, written
-// periodically so a killed scan resumes where it left off and converges
-// to the same canonical dataset an uninterrupted run produces.
-type Checkpoint struct {
-	Domain        string
-	UniverseTotal int64
-	Addresses     map[netip.Addr]bgp.ASN
-	Serving       map[bgp.ASN]map[bgp.ASN]int64
-	Ledger        map[netip.Prefix]*SubnetFault
-	Counters      map[string]int64
-	// DoneRanges are inclusive [start, end] runs of completed universe
-	// indices (run-length encoding keeps full-coverage checkpoints tiny).
-	DoneRanges [][2]int64
-}
-
-// Write serializes the checkpoint in a line-oriented format matching the
-// dataset CSV family: `# key value` metadata, then tagged rows, then a
-// `# end <rows>` footer. The footer is load-bearing: a file truncated by
-// a crash (or a partially copied one) is missing it, and ReadCheckpoint
-// rejects such files with ErrCheckpointCorrupt instead of silently
-// resuming from a partial state.
-func (ck *Checkpoint) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# checkpoint v1\n")
-	fmt.Fprintf(bw, "# domain %s\n", ck.Domain)
-	fmt.Fprintf(bw, "# universe %d\n", ck.UniverseTotal)
-	keys := make([]string, 0, len(ck.Counters))
-	for k := range ck.Counters {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		fmt.Fprintf(bw, "# counter %s %d\n", k, ck.Counters[k])
-	}
-	addrs := make([]netip.Addr, 0, len(ck.Addresses))
-	for a := range ck.Addresses {
-		addrs = append(addrs, a)
-	}
-	sortAddrs(addrs)
-	for _, a := range addrs {
-		fmt.Fprintf(bw, "A %s,%d\n", a, uint32(ck.Addresses[a]))
-	}
-	clients := make([]bgp.ASN, 0, len(ck.Serving))
-	for as := range ck.Serving {
-		clients = append(clients, as)
-	}
-	slices.Sort(clients)
-	for _, client := range clients {
-		ops := ck.Serving[client]
-		opList := make([]bgp.ASN, 0, len(ops))
-		for op := range ops {
-			opList = append(opList, op)
-		}
-		slices.Sort(opList)
-		for _, op := range opList {
-			fmt.Fprintf(bw, "S %d,%d,%d\n", uint32(client), uint32(op), ops[op])
-		}
-	}
-	subnets := make([]netip.Prefix, 0, len(ck.Ledger))
-	for p := range ck.Ledger {
-		subnets = append(subnets, p)
-	}
-	slices.SortFunc(subnets, func(a, b netip.Prefix) int { return a.Addr().Compare(b.Addr()) })
-	for _, p := range subnets {
-		e := ck.Ledger[p]
-		rec := 0
-		if e.Recovered {
-			rec = 1
-		}
-		fmt.Fprintf(bw, "L %s,%d,%d,%d,%d,%d,%d,%s,%d\n", p,
-			e.Timeouts, e.ServFails, e.Refused, e.Truncated, e.Stale,
-			e.Attempts, e.LastKind, rec)
-	}
-	for _, r := range ck.DoneRanges {
-		fmt.Fprintf(bw, "D %d-%d\n", r[0], r[1])
-	}
-	rows := len(ck.Addresses) + len(ck.Ledger) + len(ck.DoneRanges)
-	for _, ops := range ck.Serving {
-		rows += len(ops)
-	}
-	fmt.Fprintf(bw, "# end %d\n", rows)
-	return bw.Flush()
-}
-
-// WriteFile writes the checkpoint atomically and durably: temp file in
-// the target's directory, fsync, rename, directory fsync. A crash at
-// any instant — including kill -9 between syscalls — leaves either the
-// previous checkpoint or the complete new one.
-func (ck *Checkpoint) WriteFile(path string) error {
-	return atomicio.WriteFile(path, ck.Write)
-}
-
-// ErrCheckpointCorrupt tags every checkpoint-integrity failure: a
-// missing or mismatched `# end` footer (truncation), an unparseable
-// row, or a bad header. Callers branch on it with errors.Is to
-// quarantine the file and restart from scratch instead of resuming a
-// partial state.
+// ErrCheckpointCorrupt tags every integrity failure of resumable
+// state: a scan journal with a bad magic or header, a whole frame that
+// fails its CRC or does not decode, a journal for a different scan —
+// and, in relayd, a diff file with a missing footer or an unparseable
+// row. Callers branch on it with errors.Is to quarantine the file and
+// rebuild instead of resuming a partial state.
 var ErrCheckpointCorrupt = errors.New("checkpoint corrupt")
 
-// CorruptError is the typed error for a checkpoint that failed
-// integrity checks. It matches ErrCheckpointCorrupt under errors.Is.
+// CorruptError is the typed error for a file that failed integrity
+// checks. It matches ErrCheckpointCorrupt under errors.Is.
 type CorruptError struct {
 	// Path is the offending file ("" when parsed from a reader).
 	Path string
-	// Line is the 1-based line of the failure (0 for whole-file
-	// problems such as a missing footer).
+	// Line is the 1-based line of the failure in a text format (0 for
+	// whole-file problems and for the binary journal, whose Reason
+	// carries the byte offset).
 	Line int
 	// Reason describes the failure.
 	Reason string
@@ -333,197 +239,3 @@ func (e *CorruptError) Error() string {
 // Is reports target equivalence so errors.Is(err, ErrCheckpointCorrupt)
 // matches any CorruptError.
 func (e *CorruptError) Is(target error) bool { return target == ErrCheckpointCorrupt }
-
-// ReadCheckpoint parses a checkpoint written by Write. Every integrity
-// failure — bad header, unparseable row, missing or mismatched footer —
-// comes back as a *CorruptError (matching ErrCheckpointCorrupt), never
-// as a silently partial checkpoint.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	ck := &Checkpoint{
-		Addresses: make(map[netip.Addr]bgp.ASN),
-		Serving:   make(map[bgp.ASN]map[bgp.ASN]int64),
-		Ledger:    make(map[netip.Prefix]*SubnetFault),
-		Counters:  make(map[string]int64),
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	line, sawHeader, sawEnd := 0, false, false
-	var rows, wantRows int64
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		bad := func(format string, args ...any) (*Checkpoint, error) {
-			return nil, &CorruptError{Line: line, Reason: fmt.Sprintf(format, args...)}
-		}
-		if sawEnd {
-			return bad("content after `# end` footer: %q", text)
-		}
-		if strings.HasPrefix(text, "#") {
-			fields := strings.Fields(strings.TrimPrefix(text, "#"))
-			if len(fields) == 0 {
-				continue
-			}
-			switch fields[0] {
-			case "checkpoint":
-				if len(fields) != 2 || fields[1] != "v1" {
-					return bad("unsupported version %q", text)
-				}
-				sawHeader = true
-			case "domain":
-				if len(fields) == 2 {
-					ck.Domain = fields[1]
-				}
-			case "universe":
-				if len(fields) != 2 {
-					return bad("want `# universe N`")
-				}
-				n, err := strconv.ParseInt(fields[1], 10, 64)
-				if err != nil {
-					return bad("universe: %v", err)
-				}
-				ck.UniverseTotal = n
-			case "counter":
-				if len(fields) != 3 {
-					return bad("want `# counter name N`")
-				}
-				n, err := strconv.ParseInt(fields[2], 10, 64)
-				if err != nil {
-					return bad("counter %s: %v", fields[1], err)
-				}
-				ck.Counters[fields[1]] = n
-			case "end":
-				if len(fields) != 2 {
-					return bad("want `# end N`")
-				}
-				n, err := strconv.ParseInt(fields[1], 10, 64)
-				if err != nil {
-					return bad("end: %v", err)
-				}
-				wantRows, sawEnd = n, true
-			}
-			continue
-		}
-		if !sawHeader {
-			return bad("missing `# checkpoint v1` header")
-		}
-		rows++
-		tag, rest, ok := strings.Cut(text, " ")
-		if !ok {
-			return bad("want `TAG payload`, got %q", text)
-		}
-		switch tag {
-		case "A":
-			parts := strings.Split(rest, ",")
-			if len(parts) != 2 {
-				return bad("want A addr,asn")
-			}
-			addr, err := netip.ParseAddr(parts[0])
-			if err != nil {
-				return bad("%v", err)
-			}
-			asn, err := strconv.ParseUint(parts[1], 10, 32)
-			if err != nil {
-				return bad("%v", err)
-			}
-			ck.Addresses[addr] = bgp.ASN(asn)
-		case "S":
-			parts := strings.Split(rest, ",")
-			if len(parts) != 3 {
-				return bad("want S client,operator,count")
-			}
-			nums := make([]int64, 3)
-			for i, p := range parts {
-				n, err := strconv.ParseInt(p, 10, 64)
-				if err != nil {
-					return bad("%v", err)
-				}
-				nums[i] = n
-			}
-			client, op := bgp.ASN(nums[0]), bgp.ASN(nums[1])
-			if ck.Serving[client] == nil {
-				ck.Serving[client] = make(map[bgp.ASN]int64)
-			}
-			ck.Serving[client][op] = nums[2]
-		case "L":
-			parts := strings.Split(rest, ",")
-			if len(parts) != 9 {
-				return bad("want 9 ledger fields, got %d", len(parts))
-			}
-			p, err := netip.ParsePrefix(parts[0])
-			if err != nil {
-				return bad("%v", err)
-			}
-			e := &SubnetFault{Subnet: p}
-			for i, dst := range []*int32{&e.Timeouts, &e.ServFails, &e.Refused, &e.Truncated, &e.Stale, &e.Attempts} {
-				n, err := strconv.ParseInt(parts[1+i], 10, 32)
-				if err != nil {
-					return bad("%v", err)
-				}
-				*dst = int32(n)
-			}
-			if e.LastKind, err = faults.ParseKind(parts[7]); err != nil {
-				return bad("%v", err)
-			}
-			e.Recovered = parts[8] == "1"
-			ck.Ledger[p] = e
-		case "D":
-			lo, hi, ok := strings.Cut(rest, "-")
-			if !ok {
-				return bad("want D start-end")
-			}
-			start, err := strconv.ParseInt(lo, 10, 64)
-			if err != nil {
-				return bad("%v", err)
-			}
-			end, err := strconv.ParseInt(hi, 10, 64)
-			if err != nil {
-				return bad("%v", err)
-			}
-			if start < 0 || end < start {
-				return bad("range %d-%d invalid", start, end)
-			}
-			ck.DoneRanges = append(ck.DoneRanges, [2]int64{start, end})
-		default:
-			return bad("unknown tag %q", tag)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !sawHeader {
-		return nil, &CorruptError{Reason: "not a checkpoint file (no `# checkpoint v1` header)"}
-	}
-	if !sawEnd {
-		return nil, &CorruptError{Reason: fmt.Sprintf("missing `# end` footer after %d rows (truncated write?)", rows)}
-	}
-	if rows != wantRows {
-		return nil, &CorruptError{Reason: fmt.Sprintf("footer declares %d rows, file has %d", wantRows, rows)}
-	}
-	return ck, nil
-}
-
-// LoadCheckpoint reads a checkpoint file. A missing file surfaces as
-// os.ErrNotExist so resume-from-nothing can start fresh; an
-// integrity failure surfaces as a *CorruptError carrying the path
-// (errors.Is ErrCheckpointCorrupt) so callers can quarantine the file.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	ck, err := ReadCheckpoint(f)
-	var corrupt *CorruptError
-	if errors.As(err, &corrupt) {
-		c := *corrupt
-		c.Path = path
-		return nil, &c
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint %s: %w", path, err)
-	}
-	return ck, nil
-}

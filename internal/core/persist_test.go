@@ -27,56 +27,86 @@ func sampleCheckpoint() *Checkpoint {
 	}
 }
 
-// TestCheckpointTruncationRejected: any prefix of a valid checkpoint
-// that lost its footer must be rejected as corrupt — never resumed as
-// a silently partial state.
-func TestCheckpointTruncationRejected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleCheckpoint().Write(&buf); err != nil {
+// journalImage writes ck as a compacted journal and returns its bytes.
+func journalImage(t *testing.T, ck *Checkpoint) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "scan.ckpt")
+	if err := ck.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.String()
-	if !strings.Contains(full, "# end ") {
-		t.Fatalf("checkpoint lacks footer:\n%s", full)
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return image
+}
 
-	// Chop the footer line (clean truncation at a line boundary).
-	idx := strings.LastIndex(full, "# end ")
-	if _, err := ReadCheckpoint(strings.NewReader(full[:idx])); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("footer-less checkpoint: err = %v, want ErrCheckpointCorrupt", err)
+// loadImage plants image as a journal file and loads it.
+func loadImage(t *testing.T, image []byte) (*Checkpoint, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "scan.ckpt")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	return LoadCheckpoint(path)
+}
 
-	// Chop mid-row (torn write).
-	if _, err := ReadCheckpoint(strings.NewReader(full[:len(full)/2])); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("mid-row truncation: err = %v, want ErrCheckpointCorrupt", err)
-	}
+// TestCheckpointTruncationRejected: a journal cut short never resumes
+// as a silently partial state. A cut inside the last frame is a torn
+// append — the frame is dropped whole and the state before it comes
+// back; damage to a complete frame is corrupt.
+func TestCheckpointTruncationRejected(t *testing.T) {
+	full := journalImage(t, sampleCheckpoint())
+	headerEnd := len(journalHeader{"mask.icloud.com.", 512}.appendTo(nil))
 
-	// A row deleted from the middle changes the count the footer pins.
-	lines := strings.Split(strings.TrimSuffix(full, "\n"), "\n")
-	for i, l := range lines {
-		if strings.HasPrefix(l, "A ") {
-			mangled := strings.Join(append(append([]string(nil), lines[:i]...), lines[i+1:]...), "\n")
-			if _, err := ReadCheckpoint(strings.NewReader(mangled)); !errors.Is(err, ErrCheckpointCorrupt) {
-				t.Fatalf("row-count mismatch: err = %v, want ErrCheckpointCorrupt", err)
-			}
-			break
+	// Chop inside the state frame (torn write): the frame must not be
+	// half-applied.
+	for _, cut := range []int{len(full) - 1, (headerEnd + len(full)) / 2, headerEnd + 1, headerEnd} {
+		ck, err := loadImage(t, full[:cut])
+		if err != nil {
+			t.Fatalf("cut at %d of %d: %v", cut, len(full), err)
+		}
+		if ck.Domain != "mask.icloud.com." || ck.UniverseTotal != 512 {
+			t.Fatalf("cut at %d: header lost: %+v", cut, ck)
+		}
+		if len(ck.Addresses)+len(ck.Serving)+len(ck.DoneRanges) != 0 || ck.Counters["queries"] != 0 {
+			t.Fatalf("cut at %d: torn frame partially applied: %+v", cut, ck)
 		}
 	}
 
-	// Garbage rows are corrupt, not ignored.
-	bad := strings.Replace(full, "A 192.0.2.7,65001", "A not-an-addr,xyz", 1)
-	if _, err := ReadCheckpoint(strings.NewReader(bad)); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("garbage row: err = %v, want ErrCheckpointCorrupt", err)
+	// Chop inside the header: nothing to resume, and no error either.
+	for _, cut := range []int{0, 3, len(journalMagic), headerEnd - 1} {
+		ck, err := loadImage(t, full[:cut])
+		if err != nil || ck.UniverseTotal != 0 || len(ck.DoneRanges) != 0 {
+			t.Fatalf("header cut at %d: ck=%+v err=%v, want empty state", cut, ck, err)
+		}
+	}
+
+	// A byte deleted from the middle shifts every later frame boundary:
+	// the damaged frame is complete, so this is corruption, not a tear.
+	mid := headerEnd / 2
+	mangled := append(append([]byte(nil), full[:mid]...), full[mid+1:]...)
+	if _, err := loadImage(t, mangled); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("deleted byte: err = %v, want ErrCheckpointCorrupt", err)
+	}
+
+	// Garbage inside a complete frame is corrupt, not ignored.
+	bad := append([]byte(nil), full...)
+	bad[headerEnd+6] ^= 0x40
+	if _, err := loadImage(t, bad); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("flipped byte: err = %v, want ErrCheckpointCorrupt", err)
 	}
 
 	// The intact file still round-trips.
-	if _, err := ReadCheckpoint(strings.NewReader(full)); err != nil {
-		t.Fatalf("intact checkpoint rejected: %v", err)
+	if ck, err := loadImage(t, full); err != nil || ck.Addresses[netip.MustParseAddr("192.0.2.7")] != 65001 {
+		t.Fatalf("intact checkpoint: ck=%+v err=%v", ck, err)
 	}
 }
 
 // TestLoadCheckpointCorruptCarriesPath: LoadCheckpoint decorates the
 // typed error with the offending path so operators can find the file.
+// The planted file is what an older binary's text checkpoint looks
+// like: not a journal, so corrupt.
 func TestLoadCheckpointCorruptCarriesPath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "scan.ckpt")
 	if err := os.WriteFile(path, []byte("# checkpoint v1\nA 192.0.2.1,1\n"), 0o644); err != nil {

@@ -200,6 +200,24 @@ type SubnetFault struct {
 	LastKind faults.Kind
 }
 
+// note records one failed attempt of the given kind.
+func (f *SubnetFault) note(kind faults.Kind) {
+	f.Attempts++
+	f.LastKind = kind
+	switch kind {
+	case faults.KindTimeout:
+		f.Timeouts++
+	case faults.KindServFail:
+		f.ServFails++
+	case faults.KindRefused:
+		f.Refused++
+	case faults.KindTruncate:
+		f.Truncated++
+	case faults.KindStale:
+		f.Stale++
+	}
+}
+
 // merge folds another ledger entry for the same subnet into f.
 func (f *SubnetFault) merge(o *SubnetFault) {
 	f.Timeouts += o.Timeouts
@@ -214,15 +232,14 @@ func (f *SubnetFault) merge(o *SubnetFault) {
 	f.Recovered = f.Recovered || o.Recovered
 }
 
-// mergeLedgers folds src into dst.
-func mergeLedgers(dst, src map[netip.Prefix]*SubnetFault) {
-	for p, e := range src {
-		if have, ok := dst[p]; ok {
-			have.merge(e)
-		} else {
-			cp := *e
-			dst[p] = &cp
-		}
+// mergeLedgerEntry folds e into dst's entry for the same subnet, or
+// enters a copy.
+func mergeLedgerEntry(dst map[netip.Prefix]*SubnetFault, e *SubnetFault) {
+	if have, ok := dst[e.Subnet]; ok {
+		have.merge(e)
+	} else {
+		cp := *e
+		dst[e.Subnet] = &cp
 	}
 }
 

@@ -16,7 +16,7 @@
 // per-attempt classification of timeouts, SERVFAIL, REFUSED, truncation
 // and stale responses, exponential backoff with decorrelated jitter, a
 // shared circuit breaker, a per-subnet failure ledger, deferred-subnet
-// retry passes, and periodic checkpoints a killed scan resumes from with
+// retry passes, and a checkpoint journal a killed scan resumes from with
 // bit-identical results.
 package core
 
@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -38,15 +37,18 @@ import (
 	"github.com/relay-networks/privaterelay/internal/iputil"
 )
 
-// CheckpointConfig enables periodic progress snapshots so a killed scan
-// restarts where it left off.
+// CheckpointConfig enables the scan journal so a killed scan restarts
+// where it left off.
 type CheckpointConfig struct {
-	// Path is the checkpoint file; writes are atomic (temp + rename).
+	// Path is the journal file: an append-only sequence of CRC-framed
+	// batch deltas (see journal.go).
 	Path string
-	// Every is how many newly completed /24s trigger a snapshot
-	// (default 1<<15).
+	// Every is how many newly completed /24s trigger a group commit —
+	// one buffered write plus one fsync (default 1<<15). A kill loses at
+	// most the batches since the last commit.
 	Every int64
-	// Resume loads Path if it exists and skips its completed subnets.
+	// Resume replays Path if it exists and skips its completed subnets;
+	// otherwise the scan starts a fresh journal there.
 	Resume bool
 }
 
@@ -100,8 +102,9 @@ type ScanConfig struct {
 	// Clock drives backoff, breaker cooldowns and inter-pass waits
 	// (default wall clock; tests use a faults.VirtualClock).
 	Clock faults.Clock
-	// Checkpoint enables periodic progress snapshots (nil disables; the
-	// snapshot-free hot path is unchanged).
+	// Checkpoint journals progress for kill/resume (nil disables).
+	// Workers record the same way either way; with a journal each batch
+	// is additionally encoded as a delta frame.
 	Checkpoint *CheckpointConfig
 }
 
@@ -131,6 +134,15 @@ type ScanStats struct {
 	// Ledger is the per-subnet failure ledger: every /24 that met at
 	// least one fault, with per-kind counts and recovery status.
 	Ledger map[netip.Prefix]*SubnetFault
+
+	// Journal activity of this run (zero without a Checkpoint). Like the
+	// counters above these describe the path, not the result: frames and
+	// bytes appended, group commits (fsyncs), and the bytes of a torn
+	// tail dropped when resuming.
+	CheckpointFrames    int64
+	CheckpointBytes     int64
+	CheckpointSyncs     int64
+	CheckpointTornBytes int64
 
 	Elapsed time.Duration
 }
@@ -324,19 +336,14 @@ type subnetRef struct {
 	attempts int32
 }
 
-// scanShard is one accumulator: a worker's private shard on the
-// hot path, a per-batch mini on the checkpoint path, and the master
-// accumulation a checkpoint persists. Workers never share mutable state
-// on the steady-state path.
+// scanShard is one accumulator: a worker's private shard for the whole
+// scan, or the state a resumed journal replays into. Workers never
+// share mutable state on the steady-state path.
 type scanShard struct {
-	addrs   map[netip.Addr]bgp.ASN
-	serving map[bgp.ASN]map[bgp.ASN]int64 // client AS → operator → /24s
-	ledger  map[netip.Prefix]*SubnetFault
-
-	queries, skipped, retries, deferrals int64
-	termErrors                           int64 // subnets lost to non-retryable errors
-	tAttempts, sfAttempts, refAttempts   int64
-	trAttempts, stAttempts               int64
+	addrs    map[netip.Addr]bgp.ASN
+	serving  map[bgp.ASN]map[bgp.ASN]int64 // client AS → operator → /24s
+	ledger   map[netip.Prefix]*SubnetFault
+	counters scanCounters
 }
 
 func newScanShard() *scanShard {
@@ -347,32 +354,32 @@ func newScanShard() *scanShard {
 	}
 }
 
+// servingOf returns client's per-operator counter map, creating it on
+// first sight.
+func (sh *scanShard) servingOf(client bgp.ASN) map[bgp.ASN]int64 {
+	ops := sh.serving[client]
+	if ops == nil {
+		ops = make(map[bgp.ASN]int64)
+		sh.serving[client] = ops
+	}
+	return ops
+}
+
 // absorb folds another shard into sh.
 func (sh *scanShard) absorb(o *scanShard) {
 	for addr, as := range o.addrs {
 		sh.addrs[addr] = as
 	}
 	for clientAS, ops := range o.serving {
-		dst := sh.serving[clientAS]
-		if dst == nil {
-			dst = make(map[bgp.ASN]int64, len(ops))
-			sh.serving[clientAS] = dst
-		}
+		dst := sh.servingOf(clientAS)
 		for op, n := range ops {
 			dst[op] += n
 		}
 	}
-	mergeLedgers(sh.ledger, o.ledger)
-	sh.queries += o.queries
-	sh.skipped += o.skipped
-	sh.retries += o.retries
-	sh.deferrals += o.deferrals
-	sh.termErrors += o.termErrors
-	sh.tAttempts += o.tAttempts
-	sh.sfAttempts += o.sfAttempts
-	sh.refAttempts += o.refAttempts
-	sh.trAttempts += o.trAttempts
-	sh.stAttempts += o.stAttempts
+	for _, e := range o.ledger {
+		mergeLedgerEntry(sh.ledger, e)
+	}
+	sh.counters.add(&o.counters)
 }
 
 // workerAux is a worker's private lookup state, persisted across passes
@@ -394,14 +401,21 @@ type workerAux struct {
 	cursor bgp.Cursor
 	// skipHint seeds the scope-span binary search with the last hit.
 	skipHint int
-	// Route-range accounting memo (see scanShard.account): the address
-	// range of the last covering client route and the per-operator
-	// counter map it resolved to, valid only for shard accSh.
-	accSh        *scanShard
+	// Route-range accounting memo (see scanWorker.account): the address
+	// range of the last covering client route, its client AS and the
+	// per-operator counter map it resolved to in the worker's shard (nil
+	// = no memo).
 	accLo, accHi uint32
+	accClient    bgp.ASN
 	accOps       map[bgp.ASN]int64
 	// grant is the worker's outstanding pacer tranche.
 	grant pacerGrant
+
+	// Journal mode only (nil otherwise): delta collects what the batch
+	// in progress adds to the shard, and journalled is the shard's
+	// counters as of the last sealed frame.
+	delta      *journalFrame
+	journalled scanCounters
 }
 
 // foldAddr attributes one answer address and enters it into the shard's
@@ -409,7 +423,7 @@ type workerAux struct {
 // address, later folds are a single inlined uint32 probe with no
 // writes (the memo is only ever filled alongside a ledger write, so a
 // hit proves the address is already in this worker's shard).
-func (w *scanWorker) foldAddr(sh *scanShard, addr netip.Addr) bgp.ASN {
+func (w *scanWorker) foldAddr(addr netip.Addr) bgp.ASN {
 	if addr.Is4() {
 		a4 := addr.As4()
 		key := uint32(a4[0])<<24 | uint32(a4[1])<<16 | uint32(a4[2])<<8 | uint32(a4[3])
@@ -418,7 +432,7 @@ func (w *scanWorker) foldAddr(sh *scanShard, addr netip.Addr) bgp.ASN {
 		}
 		as, _ := w.st.idx.Origin(addr)
 		w.aux.origins4[key] = as
-		sh.addrs[addr] = as
+		w.firstSight(addr, as)
 		return as
 	}
 	if as, ok := w.aux.origins[addr]; ok {
@@ -426,8 +440,18 @@ func (w *scanWorker) foldAddr(sh *scanShard, addr netip.Addr) bgp.ASN {
 	}
 	as, _ := w.st.idx.Origin(addr)
 	w.aux.origins[addr] = as
-	sh.addrs[addr] = as
+	w.firstSight(addr, as)
 	return as
+}
+
+// firstSight enters an address this worker has not met into its shard
+// and, in journal mode, into the batch delta — so the address is
+// journalled no later than the first done bit that depends on it.
+func (w *scanWorker) firstSight(addr netip.Addr, as bgp.ASN) {
+	w.sh.addrs[addr] = as
+	if d := w.aux.delta; d != nil {
+		d.addrs = append(d.addrs, addrEntry{addr, as})
+	}
 }
 
 // account attributes one served /24 to the subnet's own client AS under
@@ -435,28 +459,24 @@ func (w *scanWorker) foldAddr(sh *scanShard, addr netip.Addr) bgp.ASN {
 // covering client route (routes span 4–1024 /24s), so the last route's
 // address range and its per-operator counter map are memoized in the
 // worker aux: the steady state is one range check and one counter
-// bump. The memo is bound to the shard whose map it points into and
-// invalidated when the shard changes (checkpoint mode hands a worker a
-// fresh mini-shard per batch).
-func (sh *scanShard) account(w *scanWorker, subnet netip.Prefix, operator bgp.ASN) {
+// bump.
+func (w *scanWorker) account(subnet netip.Prefix, operator bgp.ASN) {
 	aux := w.aux
 	a, ok := addrKey32(subnet.Addr())
-	if ok && sh == aux.accSh && a >= aux.accLo && a <= aux.accHi {
-		aux.accOps[operator]++
-		return
+	if !ok || aux.accOps == nil || a < aux.accLo || a > aux.accHi {
+		route, clientAS, routed := aux.cursor.CoveringPrefix(subnet)
+		if !routed {
+			return
+		}
+		aux.accClient, aux.accOps = clientAS, w.sh.servingOf(clientAS)
+		var spanned bool
+		if aux.accLo, aux.accHi, spanned = spanRange(route); !spanned {
+			aux.accLo, aux.accHi = 1, 0 // empty range: never hits
+		}
 	}
-	route, clientAS, routed := aux.cursor.CoveringPrefix(subnet)
-	if !routed {
-		return
-	}
-	ops := sh.serving[clientAS]
-	if ops == nil {
-		ops = make(map[bgp.ASN]int64)
-		sh.serving[clientAS] = ops
-	}
-	ops[operator]++
-	if lo, hi, spanned := spanRange(route); ok && spanned {
-		aux.accSh, aux.accLo, aux.accHi, aux.accOps = sh, lo, hi, ops
+	aux.accOps[operator]++
+	if aux.delta != nil {
+		aux.delta.serve(aux.accClient, operator)
 	}
 }
 
@@ -464,13 +484,13 @@ func (sh *scanShard) account(w *scanWorker, subnet netip.Prefix, operator bgp.AS
 // covering answer serves it too, so it is accounted to its own client AS
 // under the operator recorded with the scope entry — the accounting a
 // direct query would have produced, without sending one.
-func (sh *scanShard) skipCovered(w *scanWorker, subnet netip.Prefix, operator bgp.ASN) {
-	sh.skipped++
-	sh.account(w, subnet, operator)
+func (w *scanWorker) skipCovered(subnet netip.Prefix, operator bgp.ASN) {
+	w.sh.counters[cSkipped]++
+	w.account(subnet, operator)
 }
 
 // record folds one successful response into the shard.
-func (sh *scanShard) record(w *scanWorker, subnet netip.Prefix, resp *dnswire.Message) {
+func (w *scanWorker) record(subnet netip.Prefix, resp *dnswire.Message) {
 	if resp.Header.RCode != dnswire.RCodeNoError || len(resp.Answers) == 0 {
 		return
 	}
@@ -486,7 +506,7 @@ func (sh *scanShard) record(w *scanWorker, subnet netip.Prefix, resp *dnswire.Me
 		default:
 			continue
 		}
-		operator = w.foldAddr(sh, addr) // all records of one answer share an AS (§4.1)
+		operator = w.foldAddr(addr) // all records of one answer share an AS (§4.1)
 	}
 
 	// Publish scope suppression. Exactly one worker wins the publication
@@ -509,9 +529,9 @@ func (sh *scanShard) record(w *scanWorker, subnet netip.Prefix, resp *dnswire.Me
 		}
 	}
 	if !fresh {
-		sh.skipped++
+		w.sh.counters[cSkipped]++
 	}
-	sh.account(w, subnet, operator)
+	w.account(subnet, operator)
 }
 
 // attemptOutcome classifies one exchange.
@@ -557,15 +577,11 @@ type scanState struct {
 	breaker *circuitBreaker
 	auxes   []*workerAux // per-worker lookup state, persistent across passes
 
-	// Checkpoint mode state (nil/unused on the hot path). done is owned
-	// by the collector goroutine while a pass runs; resumed is the frozen
-	// snapshot loaded from the checkpoint, safe for the producer to read
-	// concurrently.
-	master        *scanShard
-	done          *bitset
-	resumed       *bitset
-	universeTotal int64
-	ckptErr       error
+	// Journal mode state (nil without a Checkpoint). The collector
+	// goroutine owns journal while a pass runs; resumed is the done
+	// bitmap the journal replayed to, read-only from then on.
+	journal *journalWriter
+	resumed *bitset
 
 	scanErr error
 	errOnce sync.Once
@@ -578,7 +594,7 @@ func (st *scanState) fail(err error) {
 // scanWorker is one worker's per-pass view.
 type scanWorker struct {
 	st       *scanState
-	sh       *scanShard // persistent on the hot path; per-batch mini otherwise
+	sh       *scanShard // the worker's shard, persistent across passes
 	aux      *workerAux // persistent lookup state (memos, cursor, grant)
 	budget   int64      // remaining retry budget this pass (<0 = unlimited)
 	deferred []subnetRef
@@ -590,39 +606,33 @@ type scanWorker struct {
 	query *dnswire.Message
 }
 
+// outcomeFault maps a retryable outcome to its fault kind and attempt
+// counter. outcomeOK and outcomeError never reach the fault ledger:
+// successes carry no fault and terminal transport errors are accounted
+// in cTermErrors.
+var outcomeFault = [...]struct {
+	kind    faults.Kind
+	counter int
+}{
+	outcomeTimeout:   {faults.KindTimeout, cTimeoutAttempts},
+	outcomeServFail:  {faults.KindServFail, cServFailAttempts},
+	outcomeRefused:   {faults.KindRefused, cRefusedAttempts},
+	outcomeTruncated: {faults.KindTruncate, cTruncatedAttempts},
+	outcomeStale:     {faults.KindStale, cStaleAttempts},
+}
+
 // ledgerFail records one failed attempt for the subnet.
-func ledgerFail(sh *scanShard, subnet netip.Prefix, out attemptOutcome) {
-	e := sh.ledger[subnet]
+func (w *scanWorker) ledgerFail(subnet netip.Prefix, out attemptOutcome) {
+	f := outcomeFault[out]
+	e := w.sh.ledger[subnet]
 	if e == nil {
 		e = &SubnetFault{Subnet: subnet}
-		sh.ledger[subnet] = e
+		w.sh.ledger[subnet] = e
 	}
-	e.Attempts++
-	e.LastKind = faults.KindTimeout
-	switch out {
-	case outcomeTimeout:
-		e.Timeouts++
-		sh.tAttempts++
-	case outcomeServFail:
-		e.ServFails++
-		e.LastKind = faults.KindServFail
-		sh.sfAttempts++
-	case outcomeRefused:
-		e.Refused++
-		e.LastKind = faults.KindRefused
-		sh.refAttempts++
-	case outcomeTruncated:
-		e.Truncated++
-		e.LastKind = faults.KindTruncate
-		sh.trAttempts++
-	case outcomeStale:
-		e.Stale++
-		e.LastKind = faults.KindStale
-		sh.stAttempts++
-	default:
-		// outcomeOK and outcomeError never reach the fault ledger:
-		// successes carry no fault and terminal transport errors are
-		// accounted in Stats.TermErrors.
+	e.note(f.kind)
+	w.sh.counters[f.counter]++
+	if d := w.aux.delta; d != nil {
+		d.fault(subnet).note(f.kind)
 	}
 }
 
@@ -630,15 +640,15 @@ func ledgerFail(sh *scanShard, subnet netip.Prefix, out attemptOutcome) {
 // failure. It reports whether the subnet is done (success, scope-skip or
 // terminal error); deferred subnets are appended to w.deferred with
 // their attempt count advanced.
-func (w *scanWorker) processSubnet(ctx context.Context, sh *scanShard, ref subnetRef) bool {
-	st, cfg := w.st, w.st.cfg
+func (w *scanWorker) processSubnet(ctx context.Context, ref subnetRef) bool {
+	st, cfg, sh := w.st, w.st.cfg, w.sh
 	if cfg.RespectScope {
 		if op := st.global.Load(); op != nil {
-			sh.skipCovered(w, ref.p, *op)
+			w.skipCovered(ref.p, *op)
 			return true
 		}
 		if op, ok := st.skip.lookup(ref.p.Addr(), &w.aux.skipHint); ok {
-			sh.skipCovered(w, ref.p, op)
+			w.skipCovered(ref.p, op)
 			return true
 		}
 	}
@@ -647,7 +657,7 @@ func (w *scanWorker) processSubnet(ctx context.Context, sh *scanShard, ref subne
 	for inPass := 0; ; inPass++ {
 		admitted, probe := st.breaker.acquire(ctx)
 		if !admitted {
-			w.defer_(sh, ref)
+			w.defer_(ref)
 			return false
 		}
 		st.limiter.wait(ctx, &w.aux.grant)
@@ -663,9 +673,9 @@ func (w *scanWorker) processSubnet(ctx context.Context, sh *scanShard, ref subne
 		q.Header.ID = id
 		q.SetECS(ref.p)
 		resp, err := cfg.Exchanger.Exchange(ctx, q)
-		sh.queries++
+		sh.counters[cQueries]++
 		if ref.attempts > 0 {
-			sh.retries++
+			sh.counters[cRetries]++
 		}
 		ref.attempts++
 
@@ -673,7 +683,7 @@ func (w *scanWorker) processSubnet(ctx context.Context, sh *scanShard, ref subne
 		switch out {
 		case outcomeOK:
 			st.breaker.success(probe)
-			sh.record(w, ref.p, resp)
+			w.record(ref.p, resp)
 			// record copies everything it keeps; the pooled response can
 			// go back for the next exchange.
 			dnswire.ReleaseMessage(resp)
@@ -683,12 +693,12 @@ func (w *scanWorker) processSubnet(ctx context.Context, sh *scanShard, ref subne
 				// Cancellation is not a subnet failure: leave the subnet
 				// incomplete so a checkpoint resume redoes it.
 				st.fail(ctx.Err())
-				w.defer_(sh, ref)
+				w.defer_(ref)
 				return false
 			}
 			// Non-retryable transport error: the subnet is lost, the scan
 			// carries on.
-			sh.termErrors++
+			sh.counters[cTermErrors]++
 			return true
 		case outcomeServFail, outcomeRefused:
 			st.breaker.serverFailure(probe)
@@ -702,15 +712,15 @@ func (w *scanWorker) processSubnet(ctx context.Context, sh *scanShard, ref subne
 		// Failure responses (ServFail, Refused, truncated, stale) carry
 		// nothing worth keeping; timeouts have no response at all.
 		dnswire.ReleaseMessage(resp)
-		ledgerFail(sh, ref.p, out)
+		w.ledgerFail(ref.p, out)
 
 		if inPass >= cfg.Retries || !w.spendBudget() || ctx.Err() != nil {
-			w.defer_(sh, ref)
+			w.defer_(ref)
 			return false
 		}
 		if d := cfg.Backoff.delay(key, int(ref.attempts)-1); d > 0 {
 			if st.clock.Sleep(ctx, d) != nil {
-				w.defer_(sh, ref)
+				w.defer_(ref)
 				return false
 			}
 		}
@@ -734,15 +744,29 @@ func (w *scanWorker) spendBudget() bool {
 // decided at finalize time from the still-pending set, which also
 // covers subnets the breaker deferred before any attempt and subnets a
 // later pass completed via a covering scope.
-func (w *scanWorker) defer_(sh *scanShard, ref subnetRef) {
-	sh.deferrals++
+func (w *scanWorker) defer_(ref subnetRef) {
+	w.sh.counters[cDeferrals]++
 	w.deferred = append(w.deferred, ref)
 }
 
-// batchResult is one completed batch on the checkpoint path.
+// batchResult is one batch's journal frame on its way to the
+// collector, with the number of /24s it completes.
 type batchResult struct {
-	mini *scanShard
-	done []int64
+	frame []byte
+	done  int64
+}
+
+// sealBatch encodes what the finished batch added to the worker's shard
+// as one journal frame in buf, and starts the next batch's delta.
+func (w *scanWorker) sealBatch(buf []byte) batchResult {
+	d := w.aux.delta
+	for i, v := range w.sh.counters {
+		d.counters[i] = v - w.aux.journalled[i]
+	}
+	w.aux.journalled = w.sh.counters
+	br := batchResult{frame: d.appendTo(buf[:0]), done: d.doneCount()}
+	d.reset()
+	return br
 }
 
 // universeSize counts the /24s the scan will cover.
@@ -760,7 +784,7 @@ func universeSize(universe []netip.Prefix) int64 {
 //
 // The steady-state path is contention-free: each worker accumulates into
 // a private shard (merged once at the end), consults an epoch-published
-// snapshot of the scope trie without locking, and paces itself on an
+// snapshot of the scope index without locking, and paces itself on an
 // atomic token bucket. Dataset.Addresses, Dataset.Serving, SubnetsTotal
 // and SubnetsSkipped are deterministic — identical for any Concurrency —
 // on a lossless deterministic transport; only QueriesSent may vary, when
@@ -810,27 +834,6 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 
 	total := universeSize(cfg.Universe)
 	ds.Stats.SubnetsTotal = total
-	st.universeTotal = total
-
-	// Checkpoint mode: resume prior progress and accumulate through a
-	// single collector whose consistent view is what gets persisted.
-	if cfg.Checkpoint != nil {
-		if cfg.Checkpoint.Every <= 0 {
-			cfg.Checkpoint.Every = 1 << 15
-		}
-		st.master = newScanShard()
-		st.done = newBitset(total)
-		if cfg.Checkpoint.Resume {
-			if err := st.loadCheckpoint(ds.Domain, total); err != nil {
-				return nil, err
-			}
-			snap := newBitset(total)
-			copy(snap.words, st.done.words)
-			snap.n = st.done.n
-			st.resumed = snap
-		}
-		ds.Stats.ResumedSubnets = st.done.count()
-	}
 
 	shards := make([]*scanShard, cfg.Concurrency)
 	st.auxes = make([]*workerAux, cfg.Concurrency)
@@ -840,6 +843,23 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 			origins4: make(map[uint32]bgp.ASN),
 			origins:  make(map[netip.Addr]bgp.ASN),
 			cursor:   idx.Cursor(),
+		}
+	}
+
+	// Journal mode: replay prior progress into one more shard for the
+	// final merge, and give every worker a batch delta to fill.
+	if cfg.Checkpoint != nil {
+		j, resumed, err := openJournal(cfg.Checkpoint, ds.Domain, total)
+		if err != nil {
+			return nil, err
+		}
+		defer j.f.Close()
+		st.journal, st.resumed = j, resumed.done
+		shards = append(shards, resumed.shard)
+		ds.Stats.ResumedSubnets = resumed.done.count()
+		ds.Stats.CheckpointTornBytes = resumed.torn
+		for _, aux := range st.auxes {
+			aux.delta = new(journalFrame)
 		}
 	}
 
@@ -853,7 +873,7 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 			deferred = st.runPass(ctx, shards, pending, false)
 		}
 		pending = deferred
-		if len(pending) == 0 || pass >= cfg.MaxPasses || ctx.Err() != nil || st.ckptErr != nil {
+		if len(pending) == 0 || pass >= cfg.MaxPasses || ctx.Err() != nil || (st.journal != nil && st.journal.err != nil) {
 			break
 		}
 		// Inter-pass backoff: give outages room to clear before the
@@ -868,12 +888,8 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 		}
 	}
 
-	// Merge: worker shards on the hot path, the collector's master in
-	// checkpoint mode (worker shards are empty there).
+	// Merge the worker shards (and, on a resume, the replayed one).
 	merged := newScanShard()
-	if st.master != nil {
-		merged = st.master
-	}
 	for _, sh := range shards {
 		merged.absorb(sh)
 	}
@@ -882,18 +898,19 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 		st2 := &ServingStats{SubnetsByOperator: ops}
 		ds.Serving[clientAS] = st2
 	}
-	ds.Stats.QueriesSent = merged.queries
-	ds.Stats.SubnetsSkipped = merged.skipped
-	ds.Stats.Retries = merged.retries
-	ds.Stats.Deferrals = merged.deferrals
-	ds.Stats.TimeoutAttempts = merged.tAttempts
-	ds.Stats.ServFailAttempts = merged.sfAttempts
-	ds.Stats.RefusedAttempts = merged.refAttempts
-	ds.Stats.TruncatedAttempts = merged.trAttempts
-	ds.Stats.StaleAttempts = merged.stAttempts
+	c := &merged.counters
+	ds.Stats.QueriesSent = c[cQueries]
+	ds.Stats.SubnetsSkipped = c[cSkipped]
+	ds.Stats.Retries = c[cRetries]
+	ds.Stats.Deferrals = c[cDeferrals]
+	ds.Stats.TimeoutAttempts = c[cTimeoutAttempts]
+	ds.Stats.ServFailAttempts = c[cServFailAttempts]
+	ds.Stats.RefusedAttempts = c[cRefusedAttempts]
+	ds.Stats.TruncatedAttempts = c[cTruncatedAttempts]
+	ds.Stats.StaleAttempts = c[cStaleAttempts]
 	ds.Stats.BreakerTrips = st.breaker.tripCount()
 	ds.Stats.Ledger = merged.ledger
-	ds.Stats.Errors = merged.termErrors
+	ds.Stats.Errors = c[cTermErrors]
 
 	// Recovery is decided here, not during the scan: a subnet is
 	// unrecovered iff it is still pending when the passes end. Everything
@@ -921,10 +938,17 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 		}
 	}
 
-	// Final checkpoint: persist the completed state so a resume of a
-	// finished scan is a no-op read.
-	if cfg.Checkpoint != nil && st.ckptErr == nil {
-		st.ckptErr = st.writeCheckpoint(ds.Domain)
+	// Final group commit — at scan end and on cancellation alike — so
+	// every batch the workers finished is durable, and resuming a
+	// finished scan replays everything and queries nothing.
+	var journalErr error
+	if j := st.journal; j != nil {
+		if j.err == nil {
+			j.err = j.sync()
+		}
+		journalErr = j.err
+		ds.Stats.CheckpointFrames, ds.Stats.CheckpointBytes = j.frames, j.bytes
+		ds.Stats.CheckpointSyncs = j.syncs
 	}
 
 	ds.Stats.Elapsed = cfg.Clock.Now().Sub(start)
@@ -936,8 +960,8 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 		return ds, st.scanErr
 	case ctx.Err() != nil:
 		return ds, ctx.Err()
-	case st.ckptErr != nil:
-		return ds, st.ckptErr
+	case journalErr != nil:
+		return ds, fmt.Errorf("core: checkpoint %s: %w", cfg.Checkpoint.Path, journalErr)
 	}
 	return ds, nil
 }
@@ -946,14 +970,32 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 // the deferred set afterwards — and returns the subnets still pending.
 func (st *scanState) runPass(ctx context.Context, shards []*scanShard, pending []subnetRef, first bool) []subnetRef {
 	cfg := st.cfg
-	ckpt := st.master != nil
 	work := make(chan []subnetRef, 2*cfg.Concurrency)
+
+	// Journal mode: workers hand each batch's frame to the collector,
+	// the journal's only writer, so frames land in receive order — a
+	// worker's own batches stay in order, which is all replay needs.
+	// Frame buffers cycle back through frameFree like batch slices do
+	// through free below; both channels hold two per worker so neither
+	// side waits on the other in the steady state.
+	ckpt := st.journal != nil
 	var results chan batchResult
+	var frameFree chan []byte
 	var collectorDone chan struct{}
 	if ckpt {
 		results = make(chan batchResult, 2*cfg.Concurrency)
+		frameFree = make(chan []byte, 2*cfg.Concurrency)
 		collectorDone = make(chan struct{})
-		go st.collect(results, collectorDone)
+		go func() {
+			defer close(collectorDone)
+			for br := range results {
+				st.journal.append(br.frame, br.done)
+				select {
+				case frameFree <- br.frame:
+				default:
+				}
+			}
+		}()
 	}
 
 	// free recycles drained batch slices back to the producer, so the
@@ -973,23 +1015,22 @@ func (st *scanState) runPass(ctx context.Context, shards []*scanShard, pending [
 		go func() {
 			defer wg.Done()
 			for batch := range work {
-				sh := w.sh
-				var done []int64
-				if ckpt {
-					sh = newScanShard()
-					done = make([]int64, 0, len(batch))
-				}
 				for _, ref := range batch {
 					if ctx.Err() != nil {
 						st.fail(ctx.Err())
 						break
 					}
-					if w.processSubnet(ctx, sh, ref) && ckpt {
-						done = append(done, ref.idx)
+					if w.processSubnet(ctx, ref) && ckpt {
+						w.aux.delta.markDone(ref.idx)
 					}
 				}
 				if ckpt {
-					results <- batchResult{mini: sh, done: done}
+					var buf []byte
+					select {
+					case buf = <-frameFree:
+					default:
+					}
+					results <- w.sealBatch(buf)
 				}
 				select {
 				case free <- batch[:0]:
@@ -1080,24 +1121,6 @@ func (st *scanState) runPass(ctx context.Context, shards []*scanShard, pending [
 	// Deterministic next-pass order regardless of worker interleaving.
 	slices.SortFunc(deferred, func(a, b subnetRef) int { return int(a.idx - b.idx) })
 	return deferred
-}
-
-// collect is the checkpoint collector: the only writer of the master
-// shard and done bitmap, so every flush is a consistent snapshot.
-func (st *scanState) collect(results <-chan batchResult, done chan<- struct{}) {
-	defer close(done)
-	var sinceFlush int64
-	for br := range results {
-		st.master.absorb(br.mini)
-		for _, idx := range br.done {
-			st.done.set(idx)
-		}
-		sinceFlush += int64(len(br.done))
-		if sinceFlush >= st.cfg.Checkpoint.Every && st.ckptErr == nil {
-			st.ckptErr = st.writeCheckpoint(dnswire.CanonicalName(st.cfg.Domain))
-			sinceFlush = 0
-		}
-	}
 }
 
 // AddressesOf returns the discovered addresses originated by as, sorted.
@@ -1242,71 +1265,4 @@ func (b *tokenBucket) release(g *pacerGrant) {
 func (ds *Dataset) String() string {
 	return fmt.Sprintf("dataset{%s: %d addrs, %d client ASes, %d queries}",
 		ds.Domain, len(ds.Addresses), len(ds.Serving), ds.Stats.QueriesSent)
-}
-
-// loadCheckpoint seeds the master state from cfg.Checkpoint.Path if the
-// file exists, validating it belongs to this scan.
-func (st *scanState) loadCheckpoint(domain string, total int64) error {
-	ck, err := LoadCheckpoint(st.cfg.Checkpoint.Path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil // nothing to resume: fresh scan
-	}
-	if err != nil {
-		return err
-	}
-	if ck.Domain != domain {
-		return fmt.Errorf("core: checkpoint %s is for domain %s, scan wants %s",
-			st.cfg.Checkpoint.Path, ck.Domain, domain)
-	}
-	if ck.UniverseTotal != total {
-		return fmt.Errorf("core: checkpoint %s covers a %d-subnet universe, scan has %d",
-			st.cfg.Checkpoint.Path, ck.UniverseTotal, total)
-	}
-	st.master.addrs = ck.Addresses
-	st.master.serving = ck.Serving
-	st.master.ledger = ck.Ledger
-	st.master.queries = ck.Counters["queries"]
-	st.master.skipped = ck.Counters["skipped"]
-	st.master.retries = ck.Counters["retries"]
-	st.master.deferrals = ck.Counters["deferrals"]
-	st.master.termErrors = ck.Counters["termerrors"]
-	st.master.tAttempts = ck.Counters["timeoutattempts"]
-	st.master.sfAttempts = ck.Counters["servfailattempts"]
-	st.master.refAttempts = ck.Counters["refusedattempts"]
-	st.master.trAttempts = ck.Counters["truncatedattempts"]
-	st.master.stAttempts = ck.Counters["staleattempts"]
-	for _, r := range ck.DoneRanges {
-		for i := r[0]; i <= r[1]; i++ {
-			st.done.set(i)
-		}
-	}
-	return nil
-}
-
-// writeCheckpoint atomically persists the collector's current state.
-func (st *scanState) writeCheckpoint(domain string) error {
-	m := st.master
-	ck := &Checkpoint{
-		Domain:        domain,
-		UniverseTotal: st.universeTotal,
-		Addresses:     m.addrs,
-		Serving:       m.serving,
-		Ledger:        m.ledger,
-		Counters: map[string]int64{
-			"queries":           m.queries,
-			"skipped":           m.skipped,
-			"retries":           m.retries,
-			"deferrals":         m.deferrals,
-			"termerrors":        m.termErrors,
-			"timeoutattempts":   m.tAttempts,
-			"servfailattempts":  m.sfAttempts,
-			"refusedattempts":   m.refAttempts,
-			"truncatedattempts": m.trAttempts,
-			"staleattempts":     m.stAttempts,
-		},
-	}
-	st.done.ranges(func(lo, hi int64) {
-		ck.DoneRanges = append(ck.DoneRanges, [2]int64{lo, hi})
-	})
-	return ck.WriteFile(st.cfg.Checkpoint.Path)
 }

@@ -42,11 +42,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseKind parses a kind name as rendered by Kind.String.
-func ParseKind(s string) (Kind, error) {
-	return parseKind(s)
-}
-
 func parseKind(s string) (Kind, error) {
 	for _, k := range []Kind{KindTimeout, KindServFail, KindRefused, KindTruncate, KindStale} {
 		if s == k.String() {

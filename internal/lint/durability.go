@@ -2,7 +2,9 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/types"
+	"os"
 	"strings"
 )
 
@@ -12,14 +14,16 @@ import (
 // temp-file + fsync + rename + directory-fsync sequence, so a crash can
 // never leave a torn file behind a canonical name.
 //
-// In the guarded packages, direct calls to os.WriteFile, os.Create and
-// os.Rename are findings. The one built-in exemption is the quarantine
-// idiom: os.Rename(p, p+".corrupt") moves a damaged artifact *away*
-// from its canonical name, which is exactly as crash-safe as it needs
-// to be. Anything else needs a //lint:allow durability justification.
+// In the guarded packages, direct calls to os.WriteFile, os.Create,
+// os.Rename and any os.OpenFile not provably read-only are findings
+// (an append-only journal goes through atomicio.OpenAppend). The one
+// built-in exemption is the quarantine idiom: os.Rename(p,
+// p+".corrupt") moves a damaged artifact *away* from its canonical
+// name, which is exactly as crash-safe as it needs to be. Anything else
+// needs a //lint:allow durability justification.
 var Durability = &Analyzer{
 	Name: "durability",
-	Doc: "direct os.WriteFile/os.Create/os.Rename in the durable-artifact " +
+	Doc: "direct os.WriteFile/os.Create/os.Rename/write-mode os.OpenFile in the durable-artifact " +
 		"packages must route through internal/atomicio",
 	Run: runDurability,
 }
@@ -39,7 +43,7 @@ var durabilityPkgs = []string{
 
 // durabilityFuncs are the os entry points that place bytes behind a
 // canonical name without the atomic discipline.
-var durabilityFuncs = map[string]bool{"WriteFile": true, "Create": true, "Rename": true}
+var durabilityFuncs = map[string]bool{"WriteFile": true, "Create": true, "Rename": true, "OpenFile": true}
 
 func runDurability(pass *Pass) error {
 	guarded := false
@@ -67,6 +71,9 @@ func runDurability(pass *Pass) error {
 			if fn.Name() == "Rename" && isQuarantineRename(call) {
 				return true
 			}
+			if fn.Name() == "OpenFile" && isReadOnlyOpen(pass.Info, call) {
+				return true
+			}
 			pass.Reportf(call.Pos(),
 				"direct os.%s bypasses the atomic-write discipline: route the artifact through internal/atomicio (temp+fsync+rename)",
 				fn.Name())
@@ -88,4 +95,20 @@ func isQuarantineRename(call *ast.CallExpr) bool {
 	}
 	lit, ok := ast.Unparen(be.Y).(*ast.BasicLit)
 	return ok && strings.HasSuffix(strings.Trim(lit.Value, `"`), ".corrupt")
+}
+
+// isReadOnlyOpen recognizes os.OpenFile whose flag argument is a
+// constant with no write, append, create or truncate bit. A flag the
+// type checker cannot fold is not provably read-only.
+func isReadOnlyOpen(info *types.Info, call *ast.CallExpr) bool {
+	if len(call.Args) != 3 {
+		return false
+	}
+	tv, ok := info.Types[call.Args[1]]
+	if !ok || tv.Value == nil {
+		return false
+	}
+	flag, exact := constant.Int64Val(tv.Value)
+	const writeBits = os.O_WRONLY | os.O_RDWR | os.O_APPEND | os.O_CREATE | os.O_TRUNC
+	return exact && int(flag)&writeBits == 0
 }

@@ -26,6 +26,22 @@ func renameDirect(tmp, path string) error {
 	return os.Rename(tmp, path) // want `direct os.Rename bypasses the atomic-write discipline`
 }
 
+// appendDirect grows a journal without the fsync discipline
+// atomicio.OpenAppend wraps around it.
+func appendDirect(path string) (*os.File, error) {
+	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644) // want `direct os.OpenFile bypasses the atomic-write discipline`
+}
+
+// openWithFlag cannot be proven read-only: gated.
+func openWithFlag(path string, flag int) (*os.File, error) {
+	return os.OpenFile(path, flag, 0o644) // want `direct os.OpenFile bypasses the atomic-write discipline`
+}
+
+// openReadOnly is a long-hand os.Open: not gated.
+func openReadOnly(path string) (*os.File, error) {
+	return os.OpenFile(path, os.O_RDONLY, 0)
+}
+
 // quarantine moves a damaged artifact aside: the sanctioned idiom.
 func quarantine(path string) {
 	_ = os.Rename(path, path+".corrupt")

@@ -2,10 +2,12 @@ package relayd
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"github.com/relay-networks/privaterelay/internal/masque"
+	"github.com/relay-networks/privaterelay/internal/netsim"
 )
 
 func TestRegistryDeterministicText(t *testing.T) {
@@ -117,6 +119,70 @@ func TestCollectPoolsExportsHitRate(t *testing.T) {
 	} {
 		if !strings.Contains(buf.String(), series) {
 			t.Fatalf("missing %s in:\n%s", series, buf.String())
+		}
+	}
+}
+
+// checkpointSeries extracts the relayd_checkpoint_* lines of a scrape.
+func checkpointSeries(t *testing.T, reg *Registry) string {
+	t.Helper()
+	var text bytes.Buffer
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	for _, line := range strings.SplitAfter(text.String(), "\n") {
+		if strings.HasPrefix(line, "relayd_checkpoint_") {
+			out.WriteString(line)
+		}
+	}
+	return out.String()
+}
+
+// TestCheckpointCountersPreRegisteredAndStable: the scan-journal series
+// exist at zero before any scan has run, so the series set on /metrics
+// never depends on progress, and two single-worker catch-ups on the
+// virtual clock export byte-identical values.
+func TestCheckpointCountersPreRegisteredAndStable(t *testing.T) {
+	run := func() (fresh, caughtUp string) {
+		cfg := testServiceConfig(t.TempDir())
+		cfg.Pipeline.Months = netsim.ScanMonths[:1]
+		cfg.Pipeline.Concurrency = 1
+		svc, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		fresh = checkpointSeries(t, svc.Registry())
+		stepUntilCaughtUp(t, svc, context.Background())
+		return fresh, checkpointSeries(t, svc.Registry())
+	}
+	fresh, first := run()
+	const want = `relayd_checkpoint_bytes_total{domain="mask-h2.icloud.com."} 0
+relayd_checkpoint_bytes_total{domain="mask.icloud.com."} 0
+relayd_checkpoint_frames_total{domain="mask-h2.icloud.com."} 0
+relayd_checkpoint_frames_total{domain="mask.icloud.com."} 0
+relayd_checkpoint_syncs_total{domain="mask-h2.icloud.com."} 0
+relayd_checkpoint_syncs_total{domain="mask.icloud.com."} 0
+relayd_checkpoint_torn_tail_total{domain="mask-h2.icloud.com."} 0
+relayd_checkpoint_torn_tail_total{domain="mask.icloud.com."} 0
+`
+	if fresh != want {
+		t.Fatalf("fresh service exports:\n%s\nwant:\n%s", fresh, want)
+	}
+	if _, second := run(); first != second {
+		t.Fatalf("two identical catch-ups export different journal counters:\n%s\nvs\n%s", first, second)
+	}
+	// One January scan per domain over the 25 340-subnet universe: 396
+	// batch frames; the 395 full ones each trigger a group commit at
+	// relayd's cadence of 64, plus the header's commit and the final one.
+	for _, series := range []string{
+		`relayd_checkpoint_frames_total{domain="mask.icloud.com."} 396`,
+		`relayd_checkpoint_syncs_total{domain="mask.icloud.com."} 397`,
+		`relayd_checkpoint_torn_tail_total{domain="mask.icloud.com."} 0`,
+	} {
+		if !strings.Contains(first, series+"\n") {
+			t.Fatalf("after catch-up, want %s in:\n%s", series, first)
 		}
 	}
 }

@@ -99,6 +99,15 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("relayd: fault profile: %w", err)
 	}
+	if cfg.Registry != nil {
+		// Registered at zero so the series set on /metrics does not
+		// depend on whether a scan has finished (or ever tore) yet.
+		for _, domain := range cfg.Domains {
+			for _, name := range checkpointCounters {
+				cfg.Registry.Counter(name, "domain", domain)
+			}
+		}
+	}
 	return &Pipeline{
 		cfg:     cfg,
 		world:   netsim.NewWorld(netsim.Params{Seed: cfg.Seed, Scale: cfg.Scale}),
@@ -254,13 +263,26 @@ func (p *Pipeline) scanConfig(month bgp.Month, domain, ckpt string) core.ScanCon
 	return cfg
 }
 
+// checkpointCounters are the scan-journal series, in the order
+// recordScanStats fills them: frames and bytes appended, group commits,
+// and bytes of torn tail dropped on resume.
+var checkpointCounters = [...]string{
+	"relayd_checkpoint_frames_total",
+	"relayd_checkpoint_bytes_total",
+	"relayd_checkpoint_syncs_total",
+	"relayd_checkpoint_torn_tail_total",
+}
+
 // recordScanStats lands one finished scan's counters in the registry:
-// the exchange rate, the fault mix by kind, breaker trips and the
-// retry/resume economy.
+// the exchange rate, the fault mix by kind, breaker trips, the
+// retry/resume economy and the journal's write volume.
 func (p *Pipeline) recordScanStats(domain string, st core.ScanStats) {
 	reg := p.cfg.Registry
 	if reg == nil {
 		return
+	}
+	for i, n := range [...]int64{st.CheckpointFrames, st.CheckpointBytes, st.CheckpointSyncs, st.CheckpointTornBytes} {
+		reg.Counter(checkpointCounters[i], "domain", domain).Add(n)
 	}
 	reg.Counter("relayd_scan_queries_total", "domain", domain).Add(st.QueriesSent)
 	reg.Counter("relayd_scan_retries_total", "domain", domain).Add(st.Retries)

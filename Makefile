@@ -36,7 +36,7 @@ race:
 # report noise, so these files carry a `//go:build !race` tag and get
 # their own non-race invocation (CI runs this in the chaos job).
 alloc:
-	$(GO) test -run 'ZeroAlloc|AllocBudget' ./internal/dnsserver/ ./internal/dnswire/ ./internal/core/ ./internal/masque/
+	$(GO) test -run 'ZeroAlloc|AllocBudget' ./internal/dnsserver/ ./internal/dnswire/ ./internal/core/ ./internal/masque/ ./internal/geo/
 
 # Chaos suite under the race detector: scans through the fault plane
 # converge to the fault-free dataset, killed scans resume bit-identically,
@@ -57,7 +57,7 @@ FUZZ_TARGETS = \
 	internal/colstore:FuzzDecodeBinary internal/core:FuzzReadJournal \
 	internal/masque:FuzzReadFrame internal/masque:FuzzUnseal \
 	internal/masque:FuzzParseReject internal/masque:FuzzParseReservationInfo \
-	internal/masque:FuzzParseDatagramPreamble
+	internal/masque:FuzzParseDatagramPreamble internal/egress:FuzzParseCSV
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 5s -parallel 2 ./$${t%%:*}/ || exit 1; \

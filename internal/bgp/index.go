@@ -1,102 +1,24 @@
 package bgp
 
 import (
-	"encoding/binary"
 	"net/netip"
-	"slices"
 
 	"github.com/relay-networks/privaterelay/internal/iputil"
 )
 
-// ipKey is an address as a raw 128-bit integer (IPv4 occupies the low 32
-// bits of lo), so interval comparisons are two machine-word compares
-// instead of netip.Addr method calls.
-type ipKey struct{ hi, lo uint64 }
-
-// compare orders keys numerically.
-func (k ipKey) compare(o ipKey) int {
-	switch {
-	case k.hi != o.hi:
-		if k.hi < o.hi {
-			return -1
-		}
-		return 1
-	case k.lo != o.lo:
-		if k.lo < o.lo {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-// next returns the key one address higher. Callers must not pass the
-// all-ones key.
-func (k ipKey) next() ipKey {
-	k.lo++
-	if k.lo == 0 {
-		k.hi++
-	}
-	return k
-}
-
-// addrKey flattens a canonical address into its integer key.
-func addrKey(a netip.Addr) ipKey {
-	if a.Is4() {
-		b := a.As4()
-		return ipKey{0, uint64(binary.BigEndian.Uint32(b[:]))}
-	}
-	b := a.As16()
-	return ipKey{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
-}
-
-// prefixEnd returns the key of the last address inside p for a family
-// with famBits address bits.
-func prefixEnd(p netip.Prefix, famBits int) ipKey {
-	k := addrKey(p.Addr())
-	host := uint(famBits - p.Bits())
-	switch {
-	case host == 0:
-	case host >= 128:
-		k = ipKey{^uint64(0), ^uint64(0)}
-	case host >= 64:
-		k.lo = ^uint64(0)
-		if host > 64 {
-			k.hi |= 1<<(host-64) - 1
-		}
-	default:
-		k.lo |= 1<<host - 1
-	}
-	return k
-}
-
-// routeVal is the routing decision from its boundary key (inclusive) up
-// to the next boundary: the most-specific announcement covering the
-// span, or a gap between announcements (ok = false). annID is the
-// announcement's dense identifier within this index (see Cursor.
-// CoveringRoute); several intervals share an annID when a covering
-// prefix is split around more-specific ones.
-type routeVal struct {
-	prefix netip.Prefix
-	origin ASN
-	annID  int32
-	ok     bool
-}
-
 // Index is a routing table flattened for the attribution hot loop: the
-// trie's announcements are swept into disjoint boundary intervals, sorted
-// by start key, one array per family. A lookup is a binary search over
-// plain integers — no pointer chasing, no lock — which is what the egress
+// trie's announcements swept into an iputil.Flat — what the egress
 // attribution join wants when it resolves hundreds of thousands of
-// prefixes against a table that never changes mid-run. The boundary keys
-// live in their own densely packed array (four 16-byte keys per cache
-// line) so the search never drags the fat payload entries through the
-// cache; the matching payloads sit at the same position in vals. Lookup
-// results are identical to the trie's longest-prefix match. A nil Index
-// answers every lookup with "not found".
+// prefixes against a table that never changes mid-run. Lookup results
+// are identical to the trie's longest-prefix match. A nil Index answers
+// every lookup with "not found".
+//
+// Each announcement's dense ID (see Cursor.CoveringRoute) is its position
+// in the trie walk, IPv4 before IPv6; the walk visits prefixes in
+// (address, length) order, so equal tables always number their routes
+// identically.
 type Index struct {
-	v4Keys, v6Keys []ipKey
-	v4Vals, v6Vals []routeVal
+	flat iputil.Flat[ASN]
 }
 
 // Index flattens the snapshot's routes into interval form.
@@ -127,88 +49,12 @@ func (t *Table) Index() *Index {
 }
 
 func buildIndex(tr *iputil.Trie[ASN]) *Index {
-	var v4, v6 []Announcement
+	var spans []iputil.Span[ASN]
 	tr.Walk(func(p netip.Prefix, as ASN) bool {
-		if p.Addr().Is4() {
-			v4 = append(v4, Announcement{Prefix: p, Origin: as})
-		} else {
-			v6 = append(v6, Announcement{Prefix: p, Origin: as})
-		}
+		spans = append(spans, iputil.Span[ASN]{Prefix: p, Val: as})
 		return true
 	})
-	ix := &Index{}
-	ix.v4Keys, ix.v4Vals = sweep(v4, 32, 0)
-	ix.v6Keys, ix.v6Vals = sweep(v6, 128, int32(len(v4)))
-	return ix
-}
-
-// sweep turns nested/disjoint announcements into boundary intervals. The
-// prefixes are sorted by (start, length): at equal start the shorter
-// prefix comes first, so a more-specific emitted at the same key replaces
-// it — exactly the trie's most-specific-wins semantics. A stack of open
-// prefixes restores the enclosing announcement when a nested one ends.
-// Announcement IDs are baseID plus the position in the sorted order, so
-// equal tables always number their routes identically.
-func sweep(anns []Announcement, famBits int, baseID int32) ([]ipKey, []routeVal) {
-	slices.SortFunc(anns, func(a, b Announcement) int {
-		if c := addrKey(a.Prefix.Addr()).compare(addrKey(b.Prefix.Addr())); c != 0 {
-			return c
-		}
-		return a.Prefix.Bits() - b.Prefix.Bits()
-	})
-	maxKey := prefixEnd(netip.PrefixFrom(netip.IPv6Unspecified(), 0), 128)
-	if famBits == 32 {
-		maxKey = ipKey{0, 1<<32 - 1}
-	}
-	type open struct {
-		ann Announcement
-		end ipKey
-		id  int32
-	}
-	keys := make([]ipKey, 0, 2*len(anns)+1)
-	vals := make([]routeVal, 0, 2*len(anns)+1)
-	emit := func(k ipKey, a Announcement, id int32, ok bool) {
-		v := routeVal{ok: ok}
-		if ok {
-			v.prefix, v.origin, v.annID = a.Prefix, a.Origin, id
-		}
-		if n := len(keys); n > 0 && keys[n-1] == k {
-			vals[n-1] = v
-			return
-		}
-		keys = append(keys, k)
-		vals = append(vals, v)
-	}
-	// closeTop pops the innermost open prefix and emits what the space
-	// just past its end resolves to. An end at the family's last address
-	// has no successor key; the interval simply runs out.
-	var stack []open
-	closeTop := func() {
-		top := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if top.end == maxKey {
-			return
-		}
-		if len(stack) > 0 {
-			outer := stack[len(stack)-1]
-			emit(top.end.next(), outer.ann, outer.id, true)
-		} else {
-			emit(top.end.next(), Announcement{}, 0, false)
-		}
-	}
-	for i, a := range anns {
-		id := baseID + int32(i)
-		s := addrKey(a.Prefix.Addr())
-		for len(stack) > 0 && stack[len(stack)-1].end.compare(s) < 0 {
-			closeTop()
-		}
-		emit(s, a, id, true)
-		stack = append(stack, open{ann: a, end: prefixEnd(a.Prefix, famBits), id: id})
-	}
-	for len(stack) > 0 {
-		closeTop()
-	}
-	return keys, vals
+	return &Index{flat: iputil.Flatten(spans)}
 }
 
 // Route returns the matched prefix and origin for addr, identical to the
@@ -226,86 +72,18 @@ func (ix *Index) Route(addr netip.Addr) (netip.Prefix, ASN, bool) {
 
 // route is the lookup core; addr must already be canonical and valid.
 func (ix *Index) route(addr netip.Addr) (netip.Prefix, ASN, bool) {
-	keys, vals := ix.v6Keys, ix.v6Vals
-	if addr.Is4() {
-		keys, vals = ix.v4Keys, ix.v4Vals
-	}
-	k := addrKey(addr)
-	// Rightmost boundary with key <= k.
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		e := keys[mid]
-		if e.hi < k.hi || (e.hi == k.hi && e.lo <= k.lo) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
+	i := ix.flat.Lookup(addr)
+	if i < 0 {
 		return netip.Prefix{}, 0, false
 	}
-	v := &vals[lo-1]
-	if !v.ok {
-		return netip.Prefix{}, 0, false
-	}
-	return v.prefix, v.origin, true
+	r := ix.flat.At(i)
+	return r.Prefix, r.Val, true
 }
 
 // Origin returns the origin AS of the most-specific prefix covering addr.
 func (ix *Index) Origin(addr netip.Addr) (ASN, bool) {
 	_, as, ok := ix.Route(addr)
 	return as, ok
-}
-
-// lookupLE returns the rightmost position in keys whose key is <= k, or
-// -1 when every key is greater. hint seeds the search: when successive
-// queries are nearby (the egress list is ~93% address-ascending), a
-// short exponential gallop from the previous answer replaces the full
-// binary search. Any hint produces the same answer.
-func lookupLE(keys []ipKey, k ipKey, hint int) int {
-	n := len(keys)
-	if n == 0 {
-		return -1
-	}
-	if hint < 0 {
-		hint = 0
-	} else if hint >= n {
-		hint = n - 1
-	}
-	le := func(i int) bool {
-		e := keys[i]
-		return e.hi < k.hi || (e.hi == k.hi && e.lo <= k.lo)
-	}
-	var lo, hi int
-	if le(hint) {
-		lo, hi = hint, n
-		for step := 1; lo+step < n; step <<= 1 {
-			if !le(lo + step) {
-				hi = lo + step
-				break
-			}
-			lo += step
-		}
-	} else {
-		lo, hi = -1, hint
-		for step := 1; hi-step >= 0; step <<= 1 {
-			if le(hi - step) {
-				lo = hi - step
-				break
-			}
-			hi -= step
-		}
-	}
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if le(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Cursor is a stateful lookup handle over an Index for callers whose
@@ -327,11 +105,8 @@ func (ix *Index) Cursor() Cursor { return Cursor{ix: ix} }
 // identical to Index.CoveringPrefix. The masked network key is computed
 // with two word operations instead of netip's canonical re-masking.
 func (c *Cursor) CoveringPrefix(p netip.Prefix) (netip.Prefix, ASN, bool) {
-	v := c.lookup(p)
-	if v == nil || !v.ok {
-		return netip.Prefix{}, 0, false
-	}
-	return v.prefix, v.origin, true
+	pfx, origin, _, ok := c.CoveringRoute(p)
+	return pfx, origin, ok
 }
 
 // CoveringRoute is CoveringPrefix plus the matched announcement's dense
@@ -340,60 +115,32 @@ func (c *Cursor) CoveringPrefix(p netip.Prefix) (netip.Prefix, ASN, bool) {
 // same announcement returns the same ID, so downstream aggregations can
 // count distinct BGP prefixes with a bitset instead of hashing prefixes.
 func (c *Cursor) CoveringRoute(p netip.Prefix) (pfx netip.Prefix, origin ASN, id int32, ok bool) {
-	v := c.lookup(p)
-	if v == nil || !v.ok {
-		return netip.Prefix{}, 0, 0, false
-	}
-	return v.prefix, v.origin, v.annID, true
-}
-
-// lookup finds the interval covering p's masked network address, or nil
-// when p is outside the key space entirely.
-func (c *Cursor) lookup(p netip.Prefix) *routeVal {
 	if c.ix == nil {
-		return nil
+		return netip.Prefix{}, 0, 0, false
 	}
 	addr := p.Addr()
 	if addr.Is4In6() {
 		addr = addr.Unmap()
 	}
 	if !addr.IsValid() {
-		return nil
+		return netip.Prefix{}, 0, 0, false
 	}
-	k := addrKey(addr)
+	hint, famBits := &c.pos6, 128
 	if addr.Is4() {
 		if p.Bits() > 32 {
 			// A 4-in-6 prefix whose length exceeds the unmapped
 			// family's: canonicalization makes it invalid.
-			return nil
+			return netip.Prefix{}, 0, 0, false
 		}
-		if host := uint(32 - p.Bits()); host > 0 {
-			k.lo &^= 1<<host - 1
-		}
-		pos := lookupLE(c.ix.v4Keys, k, c.pos4)
-		if pos < 0 {
-			c.pos4 = 0
-			return nil
-		}
-		c.pos4 = pos
-		return &c.ix.v4Vals[pos]
+		hint, famBits = &c.pos4, 32
 	}
-	switch host := uint(128 - p.Bits()); {
-	case host >= 128:
-		k = ipKey{}
-	case host >= 64:
-		k.lo = 0
-		k.hi &^= 1<<(host-64) - 1
-	case host > 0:
-		k.lo &^= 1<<host - 1
+	k := iputil.KeyOf(addr).Masked(famBits - p.Bits())
+	i := c.ix.flat.Family(addr).Seek(k, hint)
+	if i < 0 {
+		return netip.Prefix{}, 0, 0, false
 	}
-	pos := lookupLE(c.ix.v6Keys, k, c.pos6)
-	if pos < 0 {
-		c.pos6 = 0
-		return nil
-	}
-	c.pos6 = pos
-	return &c.ix.v6Vals[pos]
+	r := c.ix.flat.At(i)
+	return r.Prefix, r.Val, i, true
 }
 
 // CoveringPrefix returns the announced BGP prefix containing p, mirroring
@@ -415,5 +162,5 @@ func (ix *Index) Len() int {
 	if ix == nil {
 		return 0
 	}
-	return len(ix.v4Keys) + len(ix.v6Keys)
+	return ix.flat.Len()
 }

@@ -127,7 +127,7 @@ func ParseCSV(r io.Reader) (*List, error) {
 		})
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("egress: line %d: %w", line+1, err)
 	}
 	return &out, nil
 }
@@ -243,12 +243,17 @@ func AttributeInto(dst []Attributed, l *List, table *bgp.Table, workers int) []A
 
 // GeoDB builds a MaxMind-style geolocation database from the list,
 // reproducing the paper's observation that commercial geo databases
-// adopted Apple's egress mapping verbatim.
+// adopted Apple's egress mapping verbatim: each entry's own country,
+// region and city, at the coordinates Location gives it.
 func (l *List) GeoDB() *geo.DB {
 	db := geo.NewDB()
 	for _, e := range l.Entries {
-		loc := e.Location()
-		loc.Region, loc.City = e.Region, e.City
+		loc := geo.Location{CountryCode: e.CC, Region: e.Region, City: e.City}
+		if idx, ok := cityIndex(e.City); ok {
+			loc.Lat, loc.Lon = geo.CityCoords(e.CC, idx)
+		} else {
+			loc.Lat, loc.Lon = geo.Centroid(e.CC)
+		}
 		db.Insert(e.Prefix, loc)
 	}
 	return db

@@ -349,6 +349,25 @@ func TestGeoDBAdoptsAppleMapping(t *testing.T) {
 	}
 }
 
+// TestGeoDBMatchesEntryLocation pins GeoDB's name-free construction to
+// the formulation it replaced: every generated entry resolves to its
+// own Location() with Region and City overwritten by the entry's.
+func TestGeoDBMatchesEntryLocation(t *testing.T) {
+	_, l := testList(t)
+	db := l.GeoDB()
+	if db.Len() != len(l.Entries) {
+		t.Fatalf("db holds %d prefixes, list %d entries", db.Len(), len(l.Entries))
+	}
+	for _, e := range l.Entries {
+		want := e.Location()
+		want.Region, want.City = e.Region, e.City
+		p, got, ok := db.Network(e.Prefix.Addr())
+		if !ok || p != e.Prefix || got != want {
+			t.Fatalf("%v: db = %v %+v %v, want %+v", e.Prefix, p, got, ok, want)
+		}
+	}
+}
+
 func TestAttributeUnroutedEntry(t *testing.T) {
 	w, _ := testList(t)
 	l := &List{Entries: []Entry{{Prefix: netip.MustParsePrefix("203.0.113.0/28"), CC: "US"}}}

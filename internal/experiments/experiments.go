@@ -75,6 +75,7 @@ type Env struct {
 func NewEnv(seed uint64, scale float64) *Env {
 	w := netsim.NewWorld(netsim.Params{Seed: seed, Scale: scale})
 	list := egress.Generate(w, seed)
+	dep := relay.NewDeployment(w, list)
 	return &Env{
 		Seed:            seed,
 		Scale:           scale,
@@ -82,8 +83,8 @@ func NewEnv(seed uint64, scale float64) *Env {
 		PipelineWorkers: 8,
 		World:           w,
 		List:            list,
-		Attributed:      egress.AttributeN(list, w.Table, 8),
-		Dep:             relay.NewDeployment(w, list),
+		Attributed:      dep.Attributed(),
+		Dep:             dep,
 		scans:           make(map[string]*core.Dataset),
 	}
 }
@@ -555,7 +556,7 @@ func (e *Env) QoE(samples int) *QoEResult {
 // Apple's mapping for most subnets. Returns the country-level agreement
 // share over the sampled entries.
 func (e *Env) GeoDBAdoption(sample int) float64 {
-	db := e.List.GeoDB()
+	db := e.Dep.GeoDB()
 	if sample <= 0 || sample > len(e.List.Entries) {
 		sample = len(e.List.Entries)
 	}
@@ -606,14 +607,16 @@ func (e *Env) FullReport(ctx context.Context) (string, error) {
 	sb.WriteString(analysis.RenderTable4(e.Table4()))
 
 	sb.WriteString("\n== Figure 2: egress subnet geolocation (IPv4) ==\n")
-	for name, b := range e.Figure2() {
-		sb.WriteString(analysis.RenderGeoBounds(name, b))
+	fig2 := e.Figure2()
+	for _, name := range sortedNames(fig2) {
+		sb.WriteString(analysis.RenderGeoBounds(name, fig2[name]))
 	}
 
 	sb.WriteString("\n== Figure 4: location CDFs ==\n")
 	for _, fam := range []netsim.Family{netsim.FamilyV4, netsim.FamilyV6} {
-		for name, cdf := range e.Figure4(analysis.ByCity, fam) {
-			sb.WriteString(analysis.RenderCDF(fmt.Sprintf("%s cities %s", name, fam), cdf))
+		fig4 := e.Figure4(analysis.ByCity, fam)
+		for _, name := range sortedNames(fig4) {
+			sb.WriteString(analysis.RenderCDF(fmt.Sprintf("%s cities %s", name, fam), fig4[name]))
 		}
 	}
 
@@ -674,4 +677,15 @@ func firstOrNone(pairs []trace.LastHopPair) string {
 	}
 	p := pairs[0]
 	return fmt.Sprintf("ingress %v + egress %v behind %s", p.Ingress, p.Egress, p.Router)
+}
+
+// sortedNames returns m's keys in ascending order, so report sections
+// built from maps print identically on every run.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }

@@ -220,6 +220,25 @@ func TestGeoDBAdoption(t *testing.T) {
 	}
 }
 
+// TestEnvBuildsOneGeoDB: an Env builds its geolocation database and its
+// attribution join once, in the deployment. GeoDBAdoption and RelayScan
+// read that database rather than deriving a fresh one from the list, so
+// an adoption pass allocates nothing like a 240k-entry build.
+func TestEnvBuildsOneGeoDB(t *testing.T) {
+	e := testEnv(t)
+	if len(e.Attributed) == 0 || &e.Attributed[0] != &e.Dep.Attributed()[0] {
+		t.Fatal("Env.Attributed is not the deployment's join")
+	}
+	db := e.Dep.GeoDB()
+	e.GeoDBAdoption(100)
+	if allocs := testing.AllocsPerRun(3, func() { e.GeoDBAdoption(5000) }); allocs > 100 {
+		t.Fatalf("GeoDBAdoption allocs = %v: it is building its own database", allocs)
+	}
+	if e.Dep.GeoDB() != db {
+		t.Fatal("deployment geo database replaced")
+	}
+}
+
 func TestExportFigures(t *testing.T) {
 	e := testEnv(t)
 	dir := t.TempDir()

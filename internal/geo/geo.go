@@ -11,6 +11,7 @@ package geo
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 	"sync"
 
 	"github.com/relay-networks/privaterelay/internal/iputil"
@@ -41,21 +42,36 @@ func (l Location) Geohash(precision int) string {
 // CityName returns the deterministic name of the i-th synthetic city of a
 // country. Real city names are irrelevant to the analysis; what matters is
 // a stable identity per (country, index).
-func CityName(cc string, i int) string {
-	return fmt.Sprintf("%s-city-%03d", cc, i)
-}
+func CityName(cc string, i int) string { return catalogName(cc, "-city-", i, 3) }
 
 // RegionName returns the deterministic region containing city index i.
 // Cities are grouped eight per region.
-func RegionName(cc string, i int) string {
-	return fmt.Sprintf("%s-region-%02d", cc, i/8)
+func RegionName(cc string, i int) string { return catalogName(cc, "-region-", i/8, 2) }
+
+// catalogName formats cc, kind and i, with i zero-padded exactly as fmt's
+// %0<width>d does, in one allocation.
+func catalogName(cc, kind string, i, width int) string {
+	var buf [32]byte
+	b := append(append(buf[:0], cc...), kind...)
+	if i < 0 {
+		b, i, width = append(b, '-'), -i, width-1
+	}
+	for p := 10; width > 1; p, width = p*10, width-1 {
+		if i < p {
+			b = append(b, '0')
+		}
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
-// CityLocation returns the full Location of the i-th city of cc, jittered
-// deterministically around the country centroid.
-func CityLocation(cc string, i int) Location {
-	lat, lon := Centroid(cc)
-	h := iputil.HashString(fmt.Sprintf("city:%s:%d", cc, i))
+// CityCoords returns the coordinates of the i-th city of cc, jittered
+// deterministically around the country centroid; they are the Lat/Lon of
+// CityLocation(cc, i), without formatting the names.
+func CityCoords(cc string, i int) (lat, lon float64) {
+	lat, lon = Centroid(cc)
+	var buf [32]byte
+	key := strconv.AppendInt(append(append(append(buf[:0], "city:"...), cc...), ':'), int64(i), 10)
+	h := iputil.HashString(string(key)) // a non-escaping conversion: no copy on the heap
 	// Jitter within ±3.5° lat, ±6° lon — keeps points inside a country-
 	// sized blob while separating cities on a map.
 	lat += -3.5 + float64(h%7000)/1000.0
@@ -72,6 +88,13 @@ func CityLocation(cc string, i int) Location {
 	for lon < -180 {
 		lon += 360
 	}
+	return lat, lon
+}
+
+// CityLocation returns the full Location of the i-th city of cc, jittered
+// deterministically around the country centroid.
+func CityLocation(cc string, i int) Location {
+	lat, lon := CityCoords(cc, i)
 	return Location{
 		CountryCode: cc,
 		Region:      RegionName(cc, i),
@@ -81,28 +104,52 @@ func CityLocation(cc string, i int) Location {
 	}
 }
 
-// DB is a longest-prefix-match geolocation database.
-// The zero value is not usable; call NewDB.
+// DB is a longest-prefix-match geolocation database: the first lookup
+// after an Insert flattens the entries with iputil.Flatten, as bgp.Index
+// does. The zero value is not usable; call NewDB.
 type DB struct {
-	mu   sync.RWMutex
-	trie iputil.Trie[Location]
+	mu      sync.RWMutex
+	entries []iputil.Span[Location]
+	idx     *iputil.Flat[Location]
 }
 
 // NewDB returns an empty geolocation database.
 func NewDB() *DB { return &DB{} }
 
 // Insert maps prefix p to loc, replacing any previous entry for p.
+// Invalid prefixes are ignored.
 func (db *DB) Insert(p netip.Prefix, loc Location) {
+	p = iputil.CanonicalPrefix(p)
+	if !p.IsValid() {
+		return
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.trie.Insert(p, loc)
+	db.entries = append(db.entries, iputil.Span[Location]{Prefix: p, Val: loc})
+	db.idx = nil
+}
+
+// index returns the flattened entries, building them on first use. Later
+// Inserts append past the snapshot's length, so it stays valid.
+func (db *DB) index() *iputil.Flat[Location] {
+	db.mu.RLock()
+	ix := db.idx
+	db.mu.RUnlock()
+	if ix != nil {
+		return ix
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.idx == nil {
+		f := iputil.Flatten(db.entries)
+		db.idx = &f
+	}
+	return db.idx
 }
 
 // Lookup geolocates addr via longest-prefix match.
 func (db *DB) Lookup(addr netip.Addr) (Location, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	_, loc, ok := db.trie.Lookup(addr)
+	_, loc, ok := db.Network(addr)
 	return loc, ok
 }
 
@@ -114,14 +161,20 @@ func (db *DB) LookupPrefix(p netip.Prefix) (Location, bool) {
 // Network returns the matched database prefix for addr alongside its
 // location — callers use it to attribute an address to its listed subnet.
 func (db *DB) Network(addr netip.Addr) (netip.Prefix, Location, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.trie.Lookup(addr)
+	addr = iputil.Canonical(addr)
+	if !addr.IsValid() {
+		return netip.Prefix{}, Location{}, false
+	}
+	ix := db.index()
+	i := ix.Lookup(addr)
+	if i < 0 {
+		return netip.Prefix{}, Location{}, false
+	}
+	e := ix.At(i)
+	return e.Prefix, e.Val, true
 }
 
-// Len returns the number of entries.
+// Len returns the number of distinct prefixes.
 func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.trie.Len()
+	return db.index().Prefixes()
 }

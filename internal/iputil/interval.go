@@ -1,0 +1,252 @@
+package iputil
+
+import (
+	"cmp"
+	"encoding/binary"
+	"net/netip"
+	"slices"
+)
+
+// Key is an address as a raw 128-bit integer (IPv4 occupies the low 32
+// bits of Lo), so interval comparisons are two machine-word compares
+// instead of netip.Addr method calls.
+type Key struct{ Hi, Lo uint64 }
+
+// le reports k <= o.
+func (k Key) le(o Key) bool { return k.Hi < o.Hi || (k.Hi == o.Hi && k.Lo <= o.Lo) }
+
+// next returns the key one address higher. Callers must not pass the
+// all-ones key.
+func (k Key) next() Key {
+	k.Lo++
+	if k.Lo == 0 {
+		k.Hi++
+	}
+	return k
+}
+
+// KeyOf flattens a canonical address into its integer key.
+func KeyOf(a netip.Addr) Key {
+	if a.Is4() {
+		b := a.As4()
+		return Key{0, uint64(binary.BigEndian.Uint32(b[:]))}
+	}
+	b := a.As16()
+	return Key{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+}
+
+// Masked returns k with its low host bits cleared: the network key of a
+// prefix with host = family bits - prefix length.
+func (k Key) Masked(host int) Key {
+	return Key{k.Hi &^ lowMask(host-64), k.Lo &^ lowMask(host)}
+}
+
+// prefixEnd returns the key of the last address inside p for a family
+// with famBits address bits.
+func prefixEnd(p netip.Prefix, famBits int) Key {
+	k, host := KeyOf(p.Addr()), famBits-p.Bits()
+	return Key{k.Hi | lowMask(host-64), k.Lo | lowMask(host)}
+}
+
+// lowMask returns a word with its low n bits set, n clamped to [0, 64].
+func lowMask(n int) uint64 {
+	if n >= 64 {
+		return ^uint64(0)
+	}
+	if n <= 0 {
+		return 0
+	}
+	return 1<<n - 1
+}
+
+// Span is one prefix and its payload: the unit Flatten sweeps.
+type Span[V any] struct {
+	Prefix netip.Prefix
+	Val    V
+}
+
+// Flat is a set of spans of both families flattened for longest-prefix
+// lookup: each family's prefixes are swept into disjoint boundary
+// intervals sorted by start key, so a lookup is a binary search over
+// plain integers — no pointer chasing, no lock — with results identical
+// to a trie's. Lookups return the matched span's index in the slice
+// Flatten was given. The zero value is empty.
+type Flat[V any] struct {
+	spans  []Span[V]
+	v4, v6 Intervals
+}
+
+// Intervals is one family's boundary intervals. The boundary keys live
+// in their own densely packed array (four 16-byte keys per cache line)
+// so the search never drags payloads through the cache; owner holds, at
+// the same position, the span index of the most-specific prefix covering
+// the interval, or -1 for a gap.
+type Intervals struct {
+	keys     []Key
+	owner    []int32
+	distinct int
+}
+
+// Flatten sweeps spans (every prefix canonical, as CanonicalPrefix
+// returns) into a Flat. spans is retained, not copied or reordered.
+// A prefix listed more than once resolves to its last span, as a trie
+// re-insert would.
+func Flatten[V any](spans []Span[V]) Flat[V] {
+	return Flat[V]{spans: spans, v4: sweep(spans, 32), v6: sweep(spans, 128)}
+}
+
+// sweep flattens the spans of one family (famBits 32 or 128). They are
+// sorted by (start, length): at equal start the shorter prefix comes
+// first, so a more-specific emitted at the same key replaces it —
+// exactly the trie's most-specific-wins semantics. A stack of open
+// prefixes restores the enclosing one when a nested prefix ends.
+func sweep[V any](spans []Span[V], famBits int) Intervals {
+	type ent struct {
+		start Key
+		bits  int32
+		i     int32
+	}
+	order := make([]ent, 0, len(spans))
+	for i, s := range spans {
+		if s.Prefix.Addr().Is4() == (famBits == 32) {
+			order = append(order, ent{KeyOf(s.Prefix.Addr()), int32(s.Prefix.Bits()), int32(i)})
+		}
+	}
+	slices.SortFunc(order, func(a, b ent) int {
+		return cmp.Or(cmp.Compare(a.start.Hi, b.start.Hi), cmp.Compare(a.start.Lo, b.start.Lo),
+			cmp.Compare(a.bits, b.bits), cmp.Compare(a.i, b.i))
+	})
+	maxKey := Key{lowMask(famBits - 64), lowMask(famBits)}
+	iv := Intervals{
+		keys:  make([]Key, 0, 2*len(order)+1),
+		owner: make([]int32, 0, 2*len(order)+1),
+	}
+	emit := func(k Key, owner int32) {
+		if n := len(iv.keys); n > 0 && iv.keys[n-1] == k {
+			iv.owner[n-1] = owner
+			return
+		}
+		iv.keys = append(iv.keys, k)
+		iv.owner = append(iv.owner, owner)
+	}
+	type open struct {
+		end Key
+		i   int32
+	}
+	// closeTop pops the innermost open prefix and emits what the space
+	// just past its end resolves to. An end at the family's last address
+	// has no successor key; the interval simply runs out.
+	var stack []open
+	closeTop := func() {
+		top := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if top.end == maxKey {
+			return
+		}
+		outer := int32(-1)
+		if len(stack) > 0 {
+			outer = stack[len(stack)-1].i
+		}
+		emit(top.end.next(), outer)
+	}
+	for j, e := range order {
+		if j+1 < len(order) && order[j+1].start == e.start && order[j+1].bits == e.bits {
+			continue // a later span for the same prefix replaces this one
+		}
+		iv.distinct++
+		for len(stack) > 0 && !e.start.le(stack[len(stack)-1].end) {
+			closeTop()
+		}
+		emit(e.start, e.i)
+		stack = append(stack, open{end: prefixEnd(spans[e.i].Prefix, famBits), i: e.i})
+	}
+	for len(stack) > 0 {
+		closeTop()
+	}
+	return iv
+}
+
+// Lookup returns the index into the flattened spans of the most-specific
+// prefix containing k, or -1 when none does.
+func (iv *Intervals) Lookup(k Key) int32 {
+	return iv.ownerAt(iv.bisect(k, -1, len(iv.keys)))
+}
+
+// Seek is Lookup for callers whose successive queries are nearby (the
+// egress list is ~93% address-ascending): *hint holds the previous
+// boundary position, and a short exponential gallop from it brackets the
+// answer before bisecting. Seek stores the new position back into *hint.
+// Any hint produces the same answer.
+func (iv *Intervals) Seek(k Key, hint *int) int32 {
+	n := len(iv.keys)
+	if n == 0 {
+		return -1
+	}
+	h := min(max(*hint, 0), n-1)
+	lo, hi := h, n
+	if iv.keys[h].le(k) {
+		for step := 1; lo+step < n; step <<= 1 {
+			if !iv.keys[lo+step].le(k) {
+				hi = lo + step
+				break
+			}
+			lo += step
+		}
+	} else {
+		lo, hi = -1, h
+		for step := 1; hi-step >= 0; step <<= 1 {
+			if iv.keys[hi-step].le(k) {
+				lo = hi - step
+				break
+			}
+			hi -= step
+		}
+	}
+	pos := iv.bisect(k, lo, hi)
+	*hint = max(pos, 0)
+	return iv.ownerAt(pos)
+}
+
+// bisect returns the rightmost boundary position in [lo, hi) whose key
+// is <= k, given keys[lo] <= k (or lo == -1) and k < keys[hi] (or
+// hi == len(keys)); -1 when every key is greater.
+func (iv *Intervals) bisect(k Key, lo, hi int) int {
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if iv.keys[mid].le(k) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// ownerAt maps a boundary position (or -1) to its span index (or -1).
+func (iv *Intervals) ownerAt(pos int) int32 {
+	if pos < 0 {
+		return -1
+	}
+	return iv.owner[pos]
+}
+
+// Family returns the intervals of addr's family; addr must be canonical.
+func (f *Flat[V]) Family(addr netip.Addr) *Intervals {
+	if addr.Is4() {
+		return &f.v4
+	}
+	return &f.v6
+}
+
+// Lookup returns the span index of the most-specific prefix containing
+// addr, or -1 when none does; addr must be canonical and valid.
+func (f *Flat[V]) Lookup(addr netip.Addr) int32 { return f.Family(addr).Lookup(KeyOf(addr)) }
+
+// At returns the span at index i (one Lookup or Seek returned).
+func (f *Flat[V]) At(i int32) *Span[V] { return &f.spans[i] }
+
+// Len returns the number of interval boundaries.
+func (f *Flat[V]) Len() int { return len(f.v4.keys) + len(f.v6.keys) }
+
+// Prefixes returns the number of distinct prefixes flattened.
+func (f *Flat[V]) Prefixes() int { return f.v4.distinct + f.v6.distinct }

@@ -32,6 +32,7 @@ var deterministicPkgs = []string{
 	"internal/faults",
 	"internal/masque",
 	"internal/relayd",
+	"internal/experiments",
 }
 
 // wallClockFuncs are the time package functions that read the wall

@@ -25,8 +25,9 @@ type Deployment struct {
 	List  *egress.List
 
 	// byOpCC indexes IPv4 egress entries per (operator, country).
-	byOpCC map[opCC][]egress.Entry
-	geoDB  *geo.DB
+	byOpCC     map[opCC][]egress.Entry
+	geoDB      *geo.DB
+	attributed []egress.Attributed
 }
 
 type opCC struct {
@@ -41,8 +42,10 @@ func NewDeployment(w *netsim.World, list *egress.List) *Deployment {
 		List:   list,
 		byOpCC: make(map[opCC][]egress.Entry),
 		geoDB:  list.GeoDB(),
+
+		attributed: egress.Attribute(list, w.Table),
 	}
-	for _, a := range egress.Attribute(list, w.Table) {
+	for _, a := range d.attributed {
 		if a.AS == 0 || !a.Prefix.Addr().Is4() {
 			continue
 		}
@@ -60,6 +63,11 @@ func NewDeployment(w *netsim.World, list *egress.List) *Deployment {
 
 // GeoDB returns the MaxMind-style database derived from the egress list.
 func (d *Deployment) GeoDB() *geo.DB { return d.geoDB }
+
+// Attributed returns the egress list joined with the world's routing
+// table, computed once when the deployment was built. Callers must not
+// modify it.
+func (d *Deployment) Attributed() []egress.Attributed { return d.attributed }
 
 // ClientCountry returns the country the service would assign to a client
 // address: deterministic per client AS, biased toward the big markets.

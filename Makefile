@@ -4,7 +4,7 @@ GO ?= go
 # directory to get a fresh run without clobbering the committed files.
 BENCH_DIR ?= .
 
-.PHONY: check vet lint build test race alloc bench bench-build bench-json bench-gate chaos fuzz-smoke relay-bench relayd-smoke
+.PHONY: check vet lint build test race alloc bench bench-build bench-json bench-gate chaos fuzz-smoke relayd-smoke
 
 # BENCH_GATE=1 appends the benchmark regression gate (a full fresh
 # bench-json run — minutes, not seconds), so plain `make check` stays
@@ -57,7 +57,8 @@ FUZZ_TARGETS = \
 	internal/colstore:FuzzDecodeBinary internal/core:FuzzReadJournal \
 	internal/masque:FuzzReadFrame internal/masque:FuzzUnseal \
 	internal/masque:FuzzParseReject internal/masque:FuzzParseReservationInfo \
-	internal/masque:FuzzParseDatagramPreamble internal/egress:FuzzParseCSV
+	internal/masque:FuzzParseDatagramPreamble internal/egress:FuzzParseCSV \
+	internal/faults:FuzzParse
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 5s -parallel 2 ./$${t%%:*}/ || exit 1; \
@@ -96,26 +97,16 @@ bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkPersistCanonicalRead$$|BenchmarkPersistSidecarLoad$$|BenchmarkDiffMap$$|BenchmarkDiffStreaming$$' -benchtime 10x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkPersistSidecarEncode$$' -benchtime 500x . ; } | $(GO) run ./cmd/benchjson > $(BENCH_DIR)/BENCH_persist.json
 	@cat $(BENCH_DIR)/BENCH_persist.json
-	$(MAKE) BENCH_DIR=$(BENCH_DIR) relay-bench
-
-# Serving-plane load run: cmd/relayload establishes 1M concurrent
-# in-process tunnel sessions (exiting nonzero below that), relays the
-# steady-state frame workload and times typed rejections; benchjson
-# turns its output into BENCH_relay.json.
-relay-bench:
-	$(GO) run ./cmd/relayload | $(GO) run ./cmd/benchjson > $(BENCH_DIR)/BENCH_relay.json
-	@cat $(BENCH_DIR)/BENCH_relay.json
 
 # Benchmark regression gate: a fresh bench-json run into a temp
 # directory, diffed against the committed baselines. cmd/benchdiff
 # exits 1 on any regression beyond the threshold, which fails the
 # chained recipe (and so the CI bench-gate job). Noisy benchmarks get
 # per-benchmark thresholds instead of threatening CI: the
-# single-iteration scan bench swings ±15% run to run, relayload's
-# wall-clock phases breathe with runner scheduling (the tiny-ns
-# rejection p99 most of all), and the persist benches (10 iterations
-# of multi-ms disk-and-parse work) gate at 50% — wide enough for a
-# loaded runner, tight enough to catch the ~12×/~30× wins regressing.
+# single-iteration scan bench swings ±15% run to run, and the persist
+# benches (10 iterations of multi-ms disk-and-parse work) gate at 50% —
+# wide enough for a loaded runner, tight enough to catch the ~12×/~30×
+# wins regressing.
 bench-gate:
 	@dir=$$(mktemp -d) && \
 	$(MAKE) BENCH_DIR=$$dir bench-json && \
@@ -124,8 +115,4 @@ bench-gate:
 		-threshold-for 'BenchmarkScanThroughput.*=35' \
 		BENCH_exchange.json $$dir/BENCH_exchange.json && \
 	$(GO) run ./cmd/benchdiff -threshold 50 \
-		BENCH_persist.json $$dir/BENCH_persist.json && \
-	$(GO) run ./cmd/benchdiff -threshold 35 \
-		-threshold-for 'BenchmarkRelayRejectP99=200' \
-		-threshold-for 'BenchmarkRelaySessionSetup=50' \
-		BENCH_relay.json $$dir/BENCH_relay.json
+		BENCH_persist.json $$dir/BENCH_persist.json

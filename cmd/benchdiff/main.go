@@ -1,6 +1,6 @@
 // Command benchdiff gates the benchmark trajectory: it compares a fresh
 // benchjson run against a committed baseline (BENCH_exchange.json,
-// BENCH_pipeline.json, BENCH_relay.json) and exits non-zero when any
+// BENCH_pipeline.json, BENCH_persist.json) and exits non-zero when any
 // shared benchmark regressed beyond its threshold — throughput
 // (items/sec) down, or ns/op up, by more than the allowed percent. CI
 // runs it in the bench-gate job; locally it hides behind

@@ -13,6 +13,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/faults"
 	"github.com/relay-networks/privaterelay/internal/iputil"
 	"github.com/relay-networks/privaterelay/internal/netsim"
+	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
 var errBrokenPath = errors.New("synthetic transport fault")
@@ -67,7 +68,7 @@ func TestCampaignToleratesInjectedFaults(t *testing.T) {
 	profile := &faults.Profile{Seed: 7, Timeout: 0.15, ServFail: 0.10}
 	var injectors []*faults.Injector
 	pop := faultyPopulation(t, func(e dnsserver.Exchanger) dnsserver.Exchanger {
-		inj := faults.NewInjector(e, profile, faults.NewVirtualClock(), nil)
+		inj := faults.NewInjector(e, profile, vclock.NewVirtualClock(), nil)
 		injectors = append(injectors, inj)
 		return inj
 	})

@@ -16,9 +16,9 @@ import (
 	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/dnswire"
-	"github.com/relay-networks/privaterelay/internal/faults"
 	"github.com/relay-networks/privaterelay/internal/iputil"
 	"github.com/relay-networks/privaterelay/internal/netsim"
+	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
 // TestProcessSubnetAllocBudget pins the steady-state cost of one
@@ -35,7 +35,7 @@ func TestProcessSubnetAllocBudget(t *testing.T) {
 	// short-circuit repeats of the same subnet before any query; the
 	// ablation path exercises the full query loop every iteration.
 	cfg.RespectScope = false
-	cfg.Clock = faults.WallClock{}
+	cfg.Clock = vclock.WallClock{}
 
 	idx := cfg.Attribution.Index()
 	st := &scanState{
@@ -83,7 +83,7 @@ func TestScanLoopCheckpointedAllocBudget(t *testing.T) {
 	w := testWorld(t)
 	cfg := scanConfig(w, netsim.MonthApr, dnsserver.MaskDomain)
 	cfg.RespectScope = false // query every subnet on every run, as in TestProcessSubnetAllocBudget
-	cfg.Clock = faults.WallClock{}
+	cfg.Clock = vclock.WallClock{}
 
 	idx := cfg.Attribution.Index()
 	j, _, err := openJournal(&CheckpointConfig{Path: filepath.Join(t.TempDir(), "scan.ckpt"), Every: workBatchSize},

@@ -15,6 +15,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/dnswire"
 	"github.com/relay-networks/privaterelay/internal/faults"
 	"github.com/relay-networks/privaterelay/internal/netsim"
+	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
 // The chaos suite: the full ECS scan pushed through the fault-injection
@@ -61,8 +62,8 @@ var (
 
 // resilientConfig wires a scan config through a fresh injector on a
 // virtual clock, with the full resilience stack enabled.
-func resilientConfig(w *netsim.World, in scanInput, profile *faults.Profile, workers int) (ScanConfig, *faults.Injector, *faults.VirtualClock) {
-	clock := faults.NewVirtualClock()
+func resilientConfig(w *netsim.World, in scanInput, profile *faults.Profile, workers int) (ScanConfig, *faults.Injector, *vclock.VirtualClock) {
+	clock := vclock.NewVirtualClock()
 	cfg := scanConfig(w, in.month, in.domain)
 	cfg.Concurrency = workers
 	cfg.Retries = 4
@@ -384,7 +385,7 @@ func TestBackoffDelayShape(t *testing.T) {
 // TestCircuitBreakerLifecycle drives closed → open → half-open → closed
 // on a virtual clock.
 func TestCircuitBreakerLifecycle(t *testing.T) {
-	clock := faults.NewVirtualClock()
+	clock := vclock.NewVirtualClock()
 	cb := newCircuitBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Second}, clock)
 	ctx := context.Background()
 

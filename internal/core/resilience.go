@@ -8,12 +8,13 @@ import (
 
 	"github.com/relay-networks/privaterelay/internal/faults"
 	"github.com/relay-networks/privaterelay/internal/iputil"
+	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
 // The resilience layer under core.Scan: exponential backoff with
 // decorrelated jitter, a shared circuit breaker for sustained
 // SERVFAIL/REFUSED episodes, and the per-subnet failure ledger. All
-// waiting goes through a faults.Clock, so chaos tests drive the whole
+// waiting goes through a vclock.Clock, so chaos tests drive the whole
 // stack on a virtual clock with zero wall sleeps.
 
 // BackoffConfig shapes the retry backoff. The delay before retry k is
@@ -75,7 +76,7 @@ const (
 // breaker.
 type circuitBreaker struct {
 	cfg   BreakerConfig
-	clock faults.Clock
+	clock vclock.Clock
 
 	state    atomic.Int32
 	deadline atomic.Int64 // UnixNano when the open state may half-open
@@ -84,7 +85,7 @@ type circuitBreaker struct {
 	trips    atomic.Int64
 }
 
-func newCircuitBreaker(cfg BreakerConfig, clock faults.Clock) *circuitBreaker {
+func newCircuitBreaker(cfg BreakerConfig, clock vclock.Clock) *circuitBreaker {
 	if cfg.Threshold <= 0 {
 		return nil
 	}

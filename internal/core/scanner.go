@@ -35,6 +35,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/dnswire"
 	"github.com/relay-networks/privaterelay/internal/faults"
 	"github.com/relay-networks/privaterelay/internal/iputil"
+	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
 // CheckpointConfig enables the scan journal so a killed scan restarts
@@ -100,8 +101,8 @@ type ScanConfig struct {
 	// pre-resilience single sweep).
 	MaxPasses int
 	// Clock drives backoff, breaker cooldowns and inter-pass waits
-	// (default wall clock; tests use a faults.VirtualClock).
-	Clock faults.Clock
+	// (default wall clock; tests use a vclock.VirtualClock).
+	Clock vclock.Clock
 	// Checkpoint journals progress for kill/resume (nil disables).
 	// Workers record the same way either way; with a journal each batch
 	// is additionally encoded as a delta frame.
@@ -570,7 +571,7 @@ func classify(resp *dnswire.Message, err error, wantID uint16) attemptOutcome {
 type scanState struct {
 	cfg     *ScanConfig
 	idx     *bgp.Index // flattened attribution snapshot (nil-safe)
-	clock   faults.Clock
+	clock   vclock.Clock
 	skip    skipIndex
 	global  atomic.Pointer[bgp.ASN] // set once by the first scope-0 answer
 	limiter *tokenBucket
@@ -809,7 +810,7 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 		cfg.MaxPasses = 1
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = faults.WallClock{}
+		cfg.Clock = vclock.WallClock{}
 	}
 	start := cfg.Clock.Now()
 	ds := &Dataset{
@@ -1190,14 +1191,14 @@ func sortAddrs(addrs []netip.Addr) {
 type tokenBucket struct {
 	interval int64 // nanoseconds per query; 0 disables pacing
 	batch    int64 // send slots claimed per CAS
-	clock    faults.Clock
+	clock    vclock.Clock
 	next     atomic.Int64
 }
 
 // defaultPacerBatch is the tranche size when ScanConfig.PacerBatch is 0.
 const defaultPacerBatch = 16
 
-func newTokenBucket(qps float64, batch int, clock faults.Clock) *tokenBucket {
+func newTokenBucket(qps float64, batch int, clock vclock.Clock) *tokenBucket {
 	if qps <= 0 {
 		return &tokenBucket{clock: clock}
 	}

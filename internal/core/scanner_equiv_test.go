@@ -12,6 +12,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/faults"
 	"github.com/relay-networks/privaterelay/internal/netsim"
+	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
 // TestScanEquivalentAcrossConcurrency pins the determinism contract of
@@ -130,7 +131,7 @@ func TestTokenBucketPacing(t *testing.T) {
 	const qps, permits = 2000.0, 40
 	ctx := context.Background()
 	for _, batch := range []int{1, 16} {
-		tb := newTokenBucket(qps, batch, faults.WallClock{})
+		tb := newTokenBucket(qps, batch, vclock.WallClock{})
 		start := time.Now()
 		var wg sync.WaitGroup
 		for i := 0; i < 4; i++ {
@@ -151,7 +152,7 @@ func TestTokenBucketPacing(t *testing.T) {
 		}
 	}
 
-	unlimited := newTokenBucket(0, 1, faults.WallClock{})
+	unlimited := newTokenBucket(0, 1, vclock.WallClock{})
 	var g pacerGrant
 	done := time.Now()
 	for i := 0; i < 1000; i++ {

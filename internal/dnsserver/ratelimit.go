@@ -28,9 +28,8 @@ type bucket struct {
 }
 
 // NewRateLimiter returns a limiter granting rate queries/second with the
-// given burst per source key. The clock (faults.Clock and vclock.Clock
-// are the same type) lets chaos tests drive refills on a VirtualClock;
-// nil uses the wall clock.
+// given burst per source key. The clock lets chaos tests drive refills
+// on a VirtualClock; nil uses the wall clock.
 func NewRateLimiter(rate, burst float64, clock vclock.Clock) *RateLimiter {
 	if clock == nil {
 		clock = vclock.WallClock{}

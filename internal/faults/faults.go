@@ -9,9 +9,10 @@
 // query key, transaction ID): the k-th attempt for a given subnet meets
 // the same fate in every run at every worker count, so chaos runs are
 // replayable and the orchestration layers can be tested for bit-exact
-// convergence. Bursts and blackouts are windows on the injector's Clock;
-// with a VirtualClock they expire as retry backoff "sleeps" accumulate,
-// so even outage recovery needs no wall time in tests.
+// convergence. Bursts and blackouts are windows on the injector's
+// vclock.Clock; with a virtual clock they expire as retry backoff
+// "sleeps" accumulate, so even outage recovery needs no wall time in
+// tests.
 package faults
 
 import (
@@ -24,6 +25,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/dnswire"
 	"github.com/relay-networks/privaterelay/internal/iputil"
+	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
 // Stats counts injected faults, atomically. The resilience layers'
@@ -67,7 +69,7 @@ func (s *Stats) Of(k Kind) int64 {
 type Injector struct {
 	inner   dnsserver.Exchanger
 	profile Profile
-	clock   Clock
+	clock   vclock.Clock
 	epoch   time.Time
 	// origin attributes an ECS client subnet to its AS for blackouts;
 	// nil disables blackout matching.
@@ -80,9 +82,9 @@ type Injector struct {
 // NewInjector builds the injector. A nil profile passes everything
 // through; a nil clock uses the wall clock; origin may be nil when the
 // profile has no blackouts.
-func NewInjector(inner dnsserver.Exchanger, profile *Profile, clock Clock, origin func(netip.Addr) (bgp.ASN, bool)) *Injector {
+func NewInjector(inner dnsserver.Exchanger, profile *Profile, clock vclock.Clock, origin func(netip.Addr) (bgp.ASN, bool)) *Injector {
 	if clock == nil {
-		clock = WallClock{}
+		clock = vclock.WallClock{}
 	}
 	inj := &Injector{inner: inner, clock: clock, epoch: clock.Now(), origin: origin}
 	if profile != nil {

@@ -10,6 +10,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/dnswire"
+	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
 // okHandler answers every query with one A record.
@@ -54,7 +55,7 @@ func fate(resp *dnswire.Message, err error, wantID uint16) string {
 func TestInjectorDeterministicPerAttempt(t *testing.T) {
 	profile := &Profile{Seed: 42, Timeout: 0.2, ServFail: 0.1, Refused: 0.05, Truncate: 0.05, Stale: 0.05}
 	run := func() []string {
-		inj := NewInjector(memInner(), profile, NewVirtualClock(), nil)
+		inj := NewInjector(memInner(), profile, vclock.NewVirtualClock(), nil)
 		var fates []string
 		for sub := 0; sub < 64; sub++ {
 			subnet := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(sub), 0}), 24)
@@ -86,7 +87,7 @@ func TestInjectorDeterministicPerAttempt(t *testing.T) {
 
 func TestInjectorStatsReconcile(t *testing.T) {
 	profile := &Profile{Seed: 9, Timeout: 0.2, ServFail: 0.15, Refused: 0.1, Truncate: 0.1, Stale: 0.1}
-	inj := NewInjector(memInner(), profile, NewVirtualClock(), nil)
+	inj := NewInjector(memInner(), profile, vclock.NewVirtualClock(), nil)
 	const n = 4096
 	observed := map[string]int64{}
 	for i := 0; i < n; i++ {
@@ -117,7 +118,7 @@ func TestInjectorStatsReconcile(t *testing.T) {
 }
 
 func TestBurstWindowOnVirtualClock(t *testing.T) {
-	clock := NewVirtualClock()
+	clock := vclock.NewVirtualClock()
 	profile := &Profile{Seed: 3, Bursts: []Burst{{Kind: KindServFail, Start: time.Second, Len: 2 * time.Second}}}
 	inj := NewInjector(memInner(), profile, clock, nil)
 	ctx := context.Background()
@@ -140,7 +141,7 @@ func TestBurstWindowOnVirtualClock(t *testing.T) {
 }
 
 func TestBlackoutByClientAS(t *testing.T) {
-	clock := NewVirtualClock()
+	clock := vclock.NewVirtualClock()
 	origin := func(a netip.Addr) (bgp.ASN, bool) {
 		if a.As4()[0] == 10 {
 			return 65010, true
@@ -166,7 +167,7 @@ func TestBlackoutByClientAS(t *testing.T) {
 }
 
 func TestLatencyInjectionAdvancesVirtualClock(t *testing.T) {
-	clock := NewVirtualClock()
+	clock := vclock.NewVirtualClock()
 	profile := &Profile{Seed: 5, LatencyRate: 0.999, Latency: 10 * time.Millisecond}
 	inj := NewInjector(memInner(), profile, clock, nil)
 	for i := 0; i < 20; i++ {
@@ -228,7 +229,7 @@ func TestParsePresetsAndErrors(t *testing.T) {
 	if Presets["harsh"].Seed != 1 {
 		t.Fatal("extending a preset mutated the shared copy")
 	}
-	for _, bad := range []string{"nope=1", "timeout=1.5", "burst=zap:1s+1s", "latency=0.5", "blackout=1:2"} {
+	for _, bad := range []string{"nope=1", "timeout=1.5", "timeout=NaN", "burst=zap:1s+1s", "latency=0.5", "blackout=1:2"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}

@@ -232,7 +232,7 @@ func parseRate(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if r < 0 || r >= 1 {
+	if !(r >= 0 && r < 1) { // NaN fails both comparisons
 		return 0, fmt.Errorf("rate %g outside [0, 1)", r)
 	}
 	return r, nil

@@ -8,9 +8,9 @@ import (
 
 // Determinism guards the bit-identical-dataset contract: inside the
 // deterministic packages every timestamp must come from the injected
-// clock (faults.Clock / vclock.Clock), randomness must come from a
-// seeded source, and map iteration order must never reach a returned
-// slice or a writer unsorted.
+// vclock.Clock, randomness must come from a seeded source, and map
+// iteration order must never reach a returned slice or a writer
+// unsorted.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock reads, global randomness and order-leaking map ranges " +
@@ -75,7 +75,7 @@ func runDeterminism(pass *Pass) error {
 			case "time":
 				if wallClockFuncs[fn.Name()] {
 					pass.Reportf(call.Pos(),
-						"time.%s in deterministic package %s: route through the injected faults.Clock",
+						"time.%s in deterministic package %s: route through the injected vclock.Clock",
 						fn.Name(), pass.Pkg.Name())
 				}
 				if timerFuncs[fn.Name()] {

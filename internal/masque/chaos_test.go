@@ -10,7 +10,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
-// Chaos coverage for the serving plane's control surface: drain,
+// Chaos coverage for the relay plane's control surface: drain,
 // reload and every typed rejection must be deterministic — the same
 // scripted workload produces byte-identical per-account rejection
 // histories on every run, even with all accounts hammering the plane
@@ -42,7 +42,7 @@ func runPlaneScript(t *testing.T, accounts int) planeScriptResult {
 		Burst:        2 * 1024,
 		MaxSessions:  2,
 	}, clock)
-	p := NewPlane(PlaneConfig{Shards: 8, IngressWorkers: 1, EgressWorkers: 1, Reservations: rs})
+	p := NewPlane(PlaneConfig{Reservations: rs})
 	defer p.Shutdown()
 
 	payload := make([]byte, 1024)

@@ -42,8 +42,7 @@ type Client struct {
 	wmu sync.Mutex
 	enc FrameEncoder
 
-	reservation    ReservationInfo
-	hasReservation bool
+	reservation ReservationInfo
 }
 
 // Client errors.
@@ -53,9 +52,9 @@ var (
 	ErrConnectFailed = errors.New("masque: egress could not reach target")
 )
 
-// Dial establishes the tunnel: TCP to the ingress, AUTH, then AUTH_OK —
-// or, against a reservation-gated ingress, RESERVE_OK carrying the
-// granted limits, or a typed REJECT surfaced as *RejectionError.
+// Dial establishes the tunnel: TCP to the ingress, AUTH, then
+// RESERVE_OK carrying the granted limits — or a typed REJECT surfaced
+// as *RejectionError.
 func (c *Client) Dial() error {
 	d := c.Dialer
 	if d == nil {
@@ -79,15 +78,12 @@ func (c *Client) Dial() error {
 		return fmt.Errorf("masque: waiting for auth reply: %w", err)
 	}
 	var info ReservationInfo
-	var hasInfo bool
 	switch f.Type {
-	case FrameAuthOK:
 	case FrameReserveOK:
 		if info, err = ParseReservationInfo(f.Payload); err != nil {
 			conn.Close()
 			return err
 		}
-		hasInfo = true
 	case FrameReject:
 		conn.Close()
 		code, msg, perr := ParseReject(f.Payload)
@@ -105,7 +101,6 @@ func (c *Client) Dial() error {
 	c.nextID = 1
 	c.demux = demux
 	c.reservation = info
-	c.hasReservation = hasInfo
 	c.mu.Unlock()
 	c.wmu.Lock()
 	c.enc.Reset(conn)
@@ -118,12 +113,12 @@ func (c *Client) Dial() error {
 	return nil
 }
 
-// Reservation returns the limits the ingress granted at Dial time, and
-// whether the tunnel is reservation-gated at all.
-func (c *Client) Reservation() (ReservationInfo, bool) {
+// Reservation returns the limits the ingress granted at Dial time (all
+// zero from an ingress that admits without limits).
+func (c *Client) Reservation() ReservationInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.reservation, c.hasReservation
+	return c.reservation
 }
 
 // Close tears the tunnel down; all streams fail with ErrTunnelClosed.

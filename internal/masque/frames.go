@@ -31,10 +31,10 @@ import (
 type FrameType uint8
 
 // Frame types. FrameConnectUDP and FrameDatagram live in udp.go;
-// FrameReserveOK and FrameReject in reservations.go.
+// FrameReserveOK (the admission grant) and FrameReject in
+// reservations.go.
 const (
 	FrameAuth      FrameType = 1 // client → ingress: token + egress address
-	FrameAuthOK    FrameType = 2 // ingress → client
 	FrameAuthErr   FrameType = 3 // ingress → client
 	FrameConnect   FrameType = 4 // client → egress (sealed): target
 	FrameConnectOK FrameType = 5 // egress → client: chosen egress address
@@ -48,8 +48,6 @@ func (t FrameType) String() string {
 	switch t {
 	case FrameAuth:
 		return "AUTH"
-	case FrameAuthOK:
-		return "AUTH_OK"
 	case FrameAuthErr:
 		return "AUTH_ERR"
 	case FrameConnect:
@@ -76,8 +74,8 @@ func (t FrameType) String() string {
 }
 
 // Frame is one protocol unit. StreamID multiplexes tunnel streams; frames
-// before stream establishment use stream 0. On the in-process serving
-// plane StreamID carries the plane-wide session ID instead.
+// before stream establishment use stream 0. On the in-process Plane
+// StreamID carries the plane-wide session ID instead.
 type Frame struct {
 	Type     FrameType
 	StreamID uint32
@@ -89,9 +87,6 @@ type Frame struct {
 	// pooled marks frames from AcquireFrame so ReleaseFrame never
 	// recycles foreign frames (same provenance trick as dnswire).
 	pooled bool
-	// sess caches the ingress hop's session lookup while a frame rides
-	// the plane's ingress→egress queue.
-	sess *PlaneSession
 }
 
 // maxFramePayload bounds frame sizes to keep a misbehaving peer from

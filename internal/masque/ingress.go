@@ -55,9 +55,11 @@ type Ingress struct {
 	// nil uses the wall clock. Injecting a VirtualClock makes the
 	// connection log and pacing reproducible in tests.
 	Clock vclock.Clock
-	// Reservations, when set, gates admission per account: AUTH answers
-	// become FrameReserveOK/FrameReject, tunnel bytes are charged
-	// against the account's data cap and paced by its bandwidth bucket.
+	// Reservations gates admission per account: AUTH is answered with
+	// FrameReserveOK or a typed FrameReject, and tunnel bytes are
+	// charged against the account's data cap and paced by its bandwidth
+	// bucket. Nil admits every account under one unlimited registry,
+	// which Serve builds on the ingress clock.
 	Reservations *Reservations
 	// Workers fixes the tunnel worker-pool size (0 means
 	// defaultServeWorkers). The ingress serves at most Workers
@@ -73,11 +75,14 @@ type Ingress struct {
 
 // Serve accepts on ln until ln is closed, handing tunnels to a fixed
 // worker pool (goroutine-per-connection does not survive the session
-// counts the serving plane targets). It returns the first accept error
+// counts the relay targets). It returns the first accept error
 // (net.ErrClosed after Close).
 func (ing *Ingress) Serve(ln net.Listener) error {
 	ing.mu.Lock()
 	ing.ln = ln
+	if ing.Reservations == nil {
+		ing.Reservations = NewReservations(Limits{}, ing.Clock)
+	}
 	ing.mu.Unlock()
 	return servePool(ln, workersPoolSize(ing.Workers), &ing.wg, ing.handle)
 }
@@ -177,23 +182,20 @@ func (ing *Ingress) handle(client net.Conn) {
 
 	// Reservation admission: the validated token names the account; the
 	// registry answers with a session grant or a typed rejection.
-	var res *Reservation
-	if rs := ing.Reservations; rs != nil {
-		account, err := TokenAccount(token)
-		if err != nil {
-			ing.countReject(RejectMalformed)
-			_ = WriteFrame(client, &Frame{Type: FrameReject, Payload: AppendReject(nil, RejectMalformed, "unreadable account")})
-			return
-		}
-		r, code := rs.Admit(account)
-		if code != RejectNone {
-			ing.countReject(code)
-			_ = WriteFrame(client, &Frame{Type: FrameReject, Payload: AppendReject(nil, code, "")})
-			return
-		}
-		res = r
-		defer rs.EndSession(res)
+	account, err := TokenAccount(token)
+	if err != nil {
+		ing.countReject(RejectMalformed)
+		_ = WriteFrame(client, &Frame{Type: FrameReject, Payload: AppendReject(nil, RejectMalformed, "unreadable account")})
+		return
 	}
+	rs := ing.Reservations
+	res, code := rs.Admit(account)
+	if code != RejectNone {
+		ing.countReject(code)
+		_ = WriteFrame(client, &Frame{Type: FrameReject, Payload: AppendReject(nil, code, "")})
+		return
+	}
+	defer rs.EndSession(res)
 
 	d := ing.Dialer
 	if d == nil {
@@ -214,12 +216,8 @@ func (ing *Ingress) handle(client net.Conn) {
 	})
 	ing.mu.Unlock()
 
-	if res != nil {
-		info := res.Info()
-		if err := WriteFrame(client, &Frame{Type: FrameReserveOK, Payload: AppendReservationInfo(nil, &info)}); err != nil {
-			return
-		}
-	} else if err := WriteFrame(client, &Frame{Type: FrameAuthOK}); err != nil {
+	info := res.Info()
+	if err := WriteFrame(client, &Frame{Type: FrameReserveOK, Payload: AppendReservationInfo(nil, &info)}); err != nil {
 		return
 	}
 
@@ -233,7 +231,7 @@ func (ing *Ingress) handle(client net.Conn) {
 		_ = closeWrite(client)
 		done <- code
 	}()
-	code := ing.pipe(egress, br, res)
+	code = ing.pipe(egress, br, res)
 	_ = closeWrite(egress)
 	if code == RejectNone {
 		code = <-done
@@ -259,10 +257,8 @@ func (ing *Ingress) pipe(dst io.Writer, src io.Reader, res *Reservation) RejectC
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
-			if res != nil {
-				if code := ing.charge(res, int64(n)); code != RejectNone {
-					return code
-				}
+			if code := ing.charge(res, int64(n)); code != RejectNone {
+				return code
 			}
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return RejectNone
@@ -274,14 +270,11 @@ func (ing *Ingress) pipe(dst io.Writer, src io.Reader, res *Reservation) RejectC
 	}
 }
 
-// charge debits n bytes from the reservation: hard data cap first,
-// then bandwidth pacing.
+// charge debits n bytes from the reservation — expiry and hard data
+// cap first — then paces them through the bandwidth bucket.
 func (ing *Ingress) charge(res *Reservation, n int64) RejectCode {
 	rs := ing.Reservations
-	if res.expiry != 0 && res.expired(rs.NowNS()) {
-		return RejectExpired
-	}
-	if code := res.DebitData(n); code != RejectNone {
+	if code := res.debit(n, rs); code != RejectNone {
 		return code
 	}
 	if res.limits.BandwidthBps > 0 {

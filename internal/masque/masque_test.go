@@ -31,9 +31,9 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, &Frame{Type: FrameAuthOK})
+	WriteFrame(&buf, &Frame{Type: FrameClose, StreamID: 3})
 	out, err := ReadFrame(&buf)
-	if err != nil || out.Type != FrameAuthOK || len(out.Payload) != 0 {
+	if err != nil || out.Type != FrameClose || out.StreamID != 3 || len(out.Payload) != 0 {
 		t.Fatalf("%v %+v", err, out)
 	}
 }

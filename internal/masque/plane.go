@@ -1,87 +1,33 @@
 package masque
 
-import (
-	"errors"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// The serving plane. The wire-facing Ingress/Egress pair carries the
-// protocol semantics (§2's two hops, sealed CONNECTs, rotation); the
-// Plane is the throughput engine underneath: sessions are entries in a
-// sharded table, frames ride pooled buffers through fixed worker
-// pools, and per-account reservations gate every hop. Like
-// MemTransport on the DNS side, the plane collapses the transport so
-// a single process can exercise relay behaviour at populations —
-// millions of concurrent sessions — that socket pairs cannot reach.
-//
-// Two relay paths:
-//
-//   - Relay() is the synchronous ingress→egress hop, used by callers
-//     that own their frame and want the answer inline. It is the
-//     0 allocs/op path the alloc-regression test pins.
-//   - Submit() transfers a pooled frame into the ingress queue; the
-//     ingress worker pool charges reservations and forwards to the
-//     egress pool, which delivers and releases the frame.
+// The in-process hop. The socket Ingress → Egress pair is the relay's
+// only data path (§2's two hops, sealed CONNECTs, rotation). The Plane
+// is that path's admission and per-frame charge with the transport
+// removed: sessions are entries in a sharded table, each holding a
+// reservation from the same registry type the ingress admits through,
+// and Relay runs the ingress→egress hop for one frame synchronously.
+// It is the 0 allocs/op path the alloc-regression test pins, and the
+// one the benchmark times as the relay's per-frame cost without
+// sockets in the way.
 
-// ErrPlaneClosed is returned when opening sessions on a closed plane.
-var ErrPlaneClosed = errors.New("masque: serving plane closed")
-
-// PlaneConfig sizes a serving plane.
+// PlaneConfig configures a plane.
 type PlaneConfig struct {
-	// Shards is the session-table shard count (power of two; 0 means
-	// defaultShards).
-	Shards int
-	// IngressWorkers and EgressWorkers size the fixed worker pools for
-	// the async Submit path; 0 means GOMAXPROCS.
-	IngressWorkers int
-	EgressWorkers  int
-	// QueueDepth is the per-hop frame queue capacity; 0 means 1024.
-	QueueDepth int
-	// Reservations is the admission registry; nil admits everything.
+	// Reservations is the admission registry; nil admits every account
+	// under one unlimited registry, as an Ingress without one does.
 	Reservations *Reservations
-	// Deliver, when set, observes every frame leaving the egress hop
-	// (the frame is owned by the plane; do not retain it).
-	Deliver func(s *PlaneSession, f *Frame)
 }
 
-func (c *PlaneConfig) ingressWorkers() int { return workersOr(c.IngressWorkers) }
-func (c *PlaneConfig) egressWorkers() int  { return workersOr(c.EgressWorkers) }
-
-func workersOr(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (c *PlaneConfig) queueDepth() int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	return 1024
-}
-
-// PlaneSession is one tunnel session on the serving plane: an entry in
-// the sharded session table plus its reservation handle and traffic
-// counters. All fields are atomics — the frame path touches sessions
-// locklessly.
+// PlaneSession is one session on the plane: an entry in the sharded
+// session table plus its reservation handle.
 type PlaneSession struct {
-	id     uint32
-	res    *Reservation
-	frames atomic.Int64
-	bytes  atomic.Int64
+	id  uint32
+	res *Reservation
 }
 
 // ID returns the plane-wide session ID (carried in Frame.StreamID).
 func (s *PlaneSession) ID() uint32 { return s.id }
-
-// Frames returns how many frames the session has relayed.
-func (s *PlaneSession) Frames() int64 { return s.frames.Load() }
-
-// Bytes returns how many payload bytes the session has relayed.
-func (s *PlaneSession) Bytes() int64 { return s.bytes.Load() }
 
 // PlaneStats is a point-in-time snapshot of plane counters.
 type PlaneStats struct {
@@ -96,40 +42,25 @@ type PlaneStats struct {
 // starting at RejectNone.
 const rejectCodeCount = int(RejectDraining) + 1
 
-// Plane is the relay serving plane. Build with NewPlane.
+// Plane is the in-process relay hop. Build with NewPlane.
 type Plane struct {
-	cfg      PlaneConfig
+	rs       *Reservations
 	sessions *Sharded[uint32, *PlaneSession]
 	nextID   atomic.Uint32
 
 	frames   atomic.Int64
 	bytes    atomic.Int64
 	rejected [rejectCodeCount]atomic.Int64
-
-	ingressQ  chan *Frame
-	egressQ   chan *Frame
-	ingressWG sync.WaitGroup
-	egressWG  sync.WaitGroup
-	closed    atomic.Bool
+	closed   atomic.Bool
 }
 
-// NewPlane builds a serving plane and starts its worker pools.
+// NewPlane builds a plane.
 func NewPlane(cfg PlaneConfig) *Plane {
-	p := &Plane{
-		cfg:      cfg,
-		sessions: NewSharded[uint32, *PlaneSession](cfg.Shards, HashUint32),
-		ingressQ: make(chan *Frame, cfg.queueDepth()),
-		egressQ:  make(chan *Frame, cfg.queueDepth()),
+	rs := cfg.Reservations
+	if rs == nil {
+		rs = NewReservations(Limits{}, nil)
 	}
-	for i := 0; i < cfg.ingressWorkers(); i++ {
-		p.ingressWG.Add(1)
-		go p.ingressWorker()
-	}
-	for i := 0; i < cfg.egressWorkers(); i++ {
-		p.egressWG.Add(1)
-		go p.egressWorker()
-	}
-	return p
+	return &Plane{rs: rs, sessions: NewSharded[uint32, *PlaneSession](0, HashUint32)}
 }
 
 // Open admits a session for account. On RejectNone the session is live
@@ -140,14 +71,10 @@ func (p *Plane) Open(account string) (*PlaneSession, RejectCode) {
 		p.countReject(RejectDraining)
 		return nil, RejectDraining
 	}
-	var res *Reservation
-	if rs := p.cfg.Reservations; rs != nil {
-		r, code := rs.Admit(account)
-		if code != RejectNone {
-			p.countReject(code)
-			return nil, code
-		}
-		res = r
+	res, code := p.rs.Admit(account)
+	if code != RejectNone {
+		p.countReject(code)
+		return nil, code
 	}
 	s := &PlaneSession{id: p.nextID.Add(1), res: res}
 	p.sessions.Store(s.id, s)
@@ -161,101 +88,39 @@ func (p *Plane) Close(s *PlaneSession) {
 		return
 	}
 	p.sessions.Delete(s.id)
-	if s.res != nil && p.cfg.Reservations != nil {
-		p.cfg.Reservations.EndSession(s.res)
-	}
+	p.rs.EndSession(s.res)
 }
 
-// Session looks up a live session by ID.
-func (p *Plane) Session(id uint32) (*PlaneSession, bool) {
-	return p.sessions.Load(id)
-}
-
-// Relay performs the full ingress→egress hop for f synchronously:
-// session lookup (cached on the frame), reservation charges, delivery.
+// Relay performs the ingress→egress hop for f synchronously: session
+// lookup, the reservation's expiry and data-cap charge, then bandwidth
+// conformance — rejected here, where the socket ingress paces instead.
 // The caller keeps ownership of f. This is the steady-state frame path
 // and performs zero allocations.
 func (p *Plane) Relay(f *Frame) RejectCode {
-	code := p.ingressHop(f)
+	code := p.charge(f)
 	if code != RejectNone {
 		p.countReject(code)
 		return code
 	}
-	p.egressHop(f)
+	p.frames.Add(1)
+	p.bytes.Add(int64(len(f.Payload)))
 	return RejectNone
 }
 
-// Submit transfers ownership of a pooled frame to the plane's async
-// pipeline; the plane releases it after the egress hop (or on
-// rejection). Submit must not be called after Shutdown.
-func (p *Plane) Submit(f *Frame) {
-	p.ingressQ <- f
-}
-
-// ingressHop validates the frame against its session's reservation:
-// data cap first (bytes are the scarcer resource), then bandwidth.
-func (p *Plane) ingressHop(f *Frame) RejectCode {
-	s := f.sess
-	if s == nil || s.id != f.StreamID {
-		var ok bool
-		s, ok = p.sessions.Load(f.StreamID)
-		if !ok {
-			return RejectNoReservation
-		}
-		f.sess = s
-	}
-	r := s.res
-	if r == nil {
-		return RejectNone
+// charge validates f against its session's reservation.
+func (p *Plane) charge(f *Frame) RejectCode {
+	s, ok := p.sessions.Load(f.StreamID)
+	if !ok {
+		return RejectNoReservation
 	}
 	n := int64(len(f.Payload))
-	rs := p.cfg.Reservations
-	if r.expiry != 0 && r.expired(rs.NowNS()) {
-		return RejectExpired
-	}
-	if code := r.DebitData(n); code != RejectNone {
+	if code := s.res.debit(n, p.rs); code != RejectNone {
 		return code
 	}
-	if r.limits.BandwidthBps > 0 {
-		if code := r.AllowBandwidth(n, rs.NowNS()); code != RejectNone {
-			return code
-		}
+	if s.res.limits.BandwidthBps > 0 {
+		return s.res.AllowBandwidth(n, p.rs.NowNS())
 	}
 	return RejectNone
-}
-
-// egressHop delivers the frame and settles counters.
-func (p *Plane) egressHop(f *Frame) {
-	s := f.sess
-	n := int64(len(f.Payload))
-	s.frames.Add(1)
-	s.bytes.Add(n)
-	p.frames.Add(1)
-	p.bytes.Add(n)
-	if p.cfg.Deliver != nil {
-		p.cfg.Deliver(s, f)
-	}
-}
-
-func (p *Plane) ingressWorker() {
-	defer p.ingressWG.Done()
-	for f := range p.ingressQ {
-		code := p.ingressHop(f)
-		if code != RejectNone {
-			p.countReject(code)
-			ReleaseFrame(f)
-			continue
-		}
-		p.egressQ <- f
-	}
-}
-
-func (p *Plane) egressWorker() {
-	defer p.egressWG.Done()
-	for f := range p.egressQ {
-		p.egressHop(f)
-		ReleaseFrame(f)
-	}
 }
 
 func (p *Plane) countReject(code RejectCode) {
@@ -265,42 +130,19 @@ func (p *Plane) countReject(code RejectCode) {
 }
 
 // Drain stops admitting sessions (typed RejectDraining) while live
-// sessions keep relaying; Resume re-opens admission; Reload swaps the
-// reservation policy for future admissions. All three are no-ops
-// without a reservation registry.
-func (p *Plane) Drain() {
-	if rs := p.cfg.Reservations; rs != nil {
-		rs.Drain()
-	}
-}
+// sessions keep relaying.
+func (p *Plane) Drain() { p.rs.Drain() }
 
 // Resume re-opens admission after Drain.
-func (p *Plane) Resume() {
-	if rs := p.cfg.Reservations; rs != nil {
-		rs.Resume()
-	}
-}
+func (p *Plane) Resume() { p.rs.Resume() }
 
-// Reload atomically replaces the reservation policy.
-func (p *Plane) Reload(limits Limits) {
-	if rs := p.cfg.Reservations; rs != nil {
-		rs.Reload(limits)
-	}
-}
+// Reload atomically replaces the reservation policy for future
+// admissions.
+func (p *Plane) Reload(limits Limits) { p.rs.Reload(limits) }
 
-// Shutdown stops the worker pools after the queues empty. Callers must
-// stop Submitting first; Relay and Open fail closed afterwards.
-func (p *Plane) Shutdown() {
-	if p.closed.Swap(true) {
-		return
-	}
-	// The egress queue can only be closed once every ingress worker has
-	// stopped forwarding into it, so the hops shut down in order.
-	close(p.ingressQ)
-	p.ingressWG.Wait()
-	close(p.egressQ)
-	p.egressWG.Wait()
-}
+// Shutdown closes the plane: later Opens fail with RejectDraining.
+// Live sessions keep relaying until their owners Close them.
+func (p *Plane) Shutdown() { p.closed.Store(true) }
 
 // Stats snapshots the plane counters.
 func (p *Plane) Stats() PlaneStats {

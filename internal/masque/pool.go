@@ -1,21 +1,18 @@
 package masque
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// Frame pooling for the relay serving plane. The steady-state frame
-// path — tunnel read, reservation debit, egress delivery — runs in
-// pooled frames whose payload storage is retained across uses, so
-// relaying a frame costs zero allocations once the pools are warm.
+// Frame pooling for the relay. The steady-state frame path — tunnel
+// read, demux, egress pump — runs in pooled frames whose payload
+// storage is retained across uses, so a frame costs zero allocations
+// once the pools are warm.
 //
 // Ownership rules mirror dnswire's message pool (relaylint poolcheck
 // enforces the same acquire/release discipline for both):
 //
 //   - A frame returned by AcquireFrame is owned by exactly one
-//     goroutine at a time. Handing it to Plane.Submit (or any channel)
-//     transfers ownership to the receiver.
+//     goroutine at a time. Handing it over a channel transfers
+//     ownership to the receiver.
 //   - ReleaseFrame recycles only frames that came from AcquireFrame;
 //     anything else — a stack-built &Frame{...}, a frame from
 //     ReadFrame — is a safe no-op.
@@ -27,30 +24,12 @@ import (
 // release so one hostile burst cannot pin megabytes in the pool.
 const maxPooledPayload = 64 * 1024
 
-// framePoolAcquires / framePoolMisses feed the pool-hit-rate metric
-// relayd exports: a miss is an acquire served by allocating a fresh
-// Frame. Plain atomic adds keep the 0 allocs/op frame path intact.
-var (
-	framePoolAcquires atomic.Int64
-	framePoolMisses   atomic.Int64
-)
-
-var framePool = sync.Pool{New: func() any {
-	framePoolMisses.Add(1)
-	return new(Frame)
-}}
-
-// FramePoolStats reports lifetime acquire and miss counts for the
-// frame pool. The hit rate is (acquires-misses)/acquires.
-func FramePoolStats() (acquires, misses int64) {
-	return framePoolAcquires.Load(), framePoolMisses.Load()
-}
+var framePool = sync.Pool{New: func() any { return new(Frame) }}
 
 // AcquireFrame returns a pooled frame. Its Type, StreamID and Payload
 // are zero; payload storage from a previous life is retained and
 // reused by SetPayload / FrameReader.ReadInto.
 func AcquireFrame() *Frame {
-	framePoolAcquires.Add(1)
 	f := framePool.Get().(*Frame)
 	f.pooled = true
 	return f

@@ -14,7 +14,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
-// Per-account reservations for the relay serving plane. Apple caps
+// Per-account reservations for the relay. Apple caps
 // Private Relay abuse with per-account token quotas (§2); a relay
 // operator additionally needs admission control at serving time:
 // how long an account's admission lasts, how many bytes it may move,
@@ -25,9 +25,9 @@ import (
 
 // Reservation frame types (continuing udp.go's numbering).
 const (
-	// FrameReserveOK replaces FrameAuthOK when the ingress runs with
-	// reservations: payload is an encoded ReservationInfo telling the
-	// client its limits.
+	// FrameReserveOK is the ingress's only admission grant: payload is
+	// an encoded ReservationInfo telling the client its limits (all
+	// zero under an unlimited registry).
 	FrameReserveOK FrameType = 11
 	// FrameReject carries a typed rejection: code(1) + human message.
 	FrameReject FrameType = 12
@@ -40,14 +40,14 @@ type RejectCode uint8
 
 // Rejection codes.
 const (
-	RejectNone         RejectCode = 0  // not a rejection (zero value)
-	RejectMalformed    RejectCode = 1  // unparseable frame or payload
+	RejectNone          RejectCode = 0 // not a rejection (zero value)
+	RejectMalformed     RejectCode = 1 // unparseable frame or payload
 	RejectNoReservation RejectCode = 2 // no reservation admitted for account
-	RejectExpired      RejectCode = 3  // reservation duration elapsed
-	RejectSessionLimit RejectCode = 4  // concurrent-session cap reached
-	RejectDataCap      RejectCode = 5  // data-cap bytes exhausted
-	RejectBandwidth    RejectCode = 6  // bandwidth token bucket empty
-	RejectDraining     RejectCode = 7  // relay draining for reload/shutdown
+	RejectExpired       RejectCode = 3 // reservation duration elapsed
+	RejectSessionLimit  RejectCode = 4 // concurrent-session cap reached
+	RejectDataCap       RejectCode = 5 // data-cap bytes exhausted
+	RejectBandwidth     RejectCode = 6 // bandwidth token bucket empty
+	RejectDraining      RejectCode = 7 // relay draining for reload/shutdown
 )
 
 // String names the rejection in the RESOURCE_LIMIT_EXCEEDED style of
@@ -212,6 +212,16 @@ func (r *Reservation) expired(nowNS int64) bool {
 	return r.expiry != 0 && nowNS >= r.expiry
 }
 
+// debit is the charge both relay hops share: an expired reservation
+// carries nothing, then the hard data cap. Bandwidth stays with the
+// caller — the socket ingress paces overruns, the plane rejects them.
+func (r *Reservation) debit(n int64, rs *Reservations) RejectCode {
+	if r.expiry != 0 && r.expired(rs.NowNS()) {
+		return RejectExpired
+	}
+	return r.DebitData(n)
+}
+
 // DebitData charges n tunnel bytes against the data cap. RejectNone
 // admits the bytes; RejectDataCap means the cap is exhausted (the
 // charge that crossed the line is refunded so counters stay sane).
@@ -281,8 +291,7 @@ func (r *Reservation) release() {
 
 // Reservations is the relay's admission registry: a sharded table of
 // live reservations plus the (atomically reloadable) policy and the
-// drain switch. One registry is shared by an ingress and its serving
-// plane.
+// drain switch.
 type Reservations struct {
 	clock    vclock.Clock
 	limits   atomic.Pointer[Limits]

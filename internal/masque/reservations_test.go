@@ -15,7 +15,8 @@ import (
 // the client must surface both faithfully.
 
 // reservationSetup builds a loopback ingress/egress pair with the
-// given admission policy and returns the issued token plus addresses.
+// given admission registry (nil: the ingress's own unlimited one) and
+// returns the issued token plus addresses.
 func reservationSetup(t *testing.T, rs *Reservations) (ing *Ingress, ingAddr, egAddr, tok string, stop func()) {
 	t.Helper()
 	egLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -60,15 +61,28 @@ func TestReservationHandshakeAnnouncesLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	info, ok := cl.Reservation()
-	if !ok {
-		t.Fatal("reservation-enabled ingress answered with legacy AUTH_OK")
-	}
+	info := cl.Reservation()
 	if info.DataCap != limits.DataCap || info.BandwidthBps != limits.BandwidthBps || info.MaxSessions != limits.MaxSessions {
 		t.Fatalf("announced limits %+v do not match policy %+v", info, limits)
 	}
 	if info.ExpiryUnixNano == 0 {
 		t.Fatal("duration-limited reservation announced no expiry")
+	}
+}
+
+// TestUnlimitedIngressGrantsReservation: an ingress built without a
+// registry still admits through RESERVE_OK, announcing no limits.
+func TestUnlimitedIngressGrantsReservation(t *testing.T) {
+	_, ingAddr, egAddr, tok, stop := reservationSetup(t, nil)
+	defer stop()
+
+	cl := reservationClient(ingAddr, egAddr, tok)
+	if err := cl.Dial(); err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if info := cl.Reservation(); info != (ReservationInfo{}) {
+		t.Fatalf("unlimited ingress announced %+v, want all-zero limits", info)
 	}
 }
 

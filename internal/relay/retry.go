@@ -5,8 +5,8 @@ import (
 	"errors"
 	"time"
 
-	"github.com/relay-networks/privaterelay/internal/faults"
 	"github.com/relay-networks/privaterelay/internal/iputil"
+	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
 // Connector establishes relay tunnels; *Device is the production
@@ -25,8 +25,8 @@ type ConnectRetry struct {
 	// to 50ms; negative disables backoff sleeps.
 	Backoff time.Duration
 	// Clock drives the backoff sleeps (nil: wall clock; tests pass a
-	// faults.VirtualClock).
-	Clock faults.Clock
+	// vclock.VirtualClock).
+	Clock vclock.Clock
 }
 
 // ConnectWithRetry dials through c, retrying transient establishment
@@ -44,7 +44,7 @@ func ConnectWithRetry(ctx context.Context, c Connector, r ConnectRetry) (*Tunnel
 	}
 	clock := r.Clock
 	if clock == nil {
-		clock = faults.WallClock{}
+		clock = vclock.WallClock{}
 	}
 	var lastErr error
 	for a := 0; a < attempts; a++ {

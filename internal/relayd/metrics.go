@@ -12,14 +12,12 @@ import (
 	"sync/atomic"
 
 	"github.com/relay-networks/privaterelay/internal/dnswire"
-	"github.com/relay-networks/privaterelay/internal/masque"
 )
 
 // The metrics plane: a dependency-free counter/gauge registry with
 // Prometheus-text exposition. The ROADMAP names the counters an
 // operator of this platform needs — exchange rates, fault mix by kind,
-// breaker state transitions, pool hit rates — and PR 7 left
-// masque.Plane.Stats() waiting for exactly this surface. Exposition is
+// breaker state transitions, pool hit rates. Exposition is
 // deterministic: series render sorted by name then label set, so two
 // scrapes of identical state are byte-identical (the same discipline
 // every dataset writer in this repo follows).
@@ -169,41 +167,15 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return nil
 }
 
-// CollectPlane refreshes the masque serving-plane series from a live
-// Plane: session/frame/byte totals plus one rejection counter per
-// RejectCode — every code is exported, including the zero ones, so
-// dashboards see the full enum surface (the PR 7 follow-up).
-func (r *Registry) CollectPlane(p *masque.Plane) {
-	if p == nil {
-		return
-	}
-	st := p.Stats()
-	r.Gauge("masque_sessions").Set(float64(st.Sessions))
-	r.Gauge("masque_frames_relayed_total").Set(float64(st.FramesRelayed))
-	r.Gauge("masque_bytes_relayed_total").Set(float64(st.BytesRelayed))
-	for c := masque.RejectNone; c <= masque.RejectDraining; c++ {
-		r.Gauge("masque_rejected_total", "code", c.String()).Set(float64(st.Rejected[c]))
-	}
-}
-
-// CollectPools refreshes the pool-hit-rate series for the two hot-path
-// object pools (dnswire messages, masque frames).
+// CollectPools refreshes the pool-hit-rate series for the scan's
+// pooled dnswire messages.
 func (r *Registry) CollectPools() {
-	msgAcq, msgMiss := dnswire.MessagePoolStats()
-	frameAcq, frameMiss := masque.FramePoolStats()
-	for _, p := range []struct {
-		name             string
-		acquires, misses int64
-	}{
-		{"dnswire_message", msgAcq, msgMiss},
-		{"masque_frame", frameAcq, frameMiss},
-	} {
-		r.Gauge("pool_acquires_total", "pool", p.name).Set(float64(p.acquires))
-		r.Gauge("pool_misses_total", "pool", p.name).Set(float64(p.misses))
-		rate := 0.0
-		if p.acquires > 0 {
-			rate = float64(p.acquires-p.misses) / float64(p.acquires)
-		}
-		r.Gauge("pool_hit_rate", "pool", p.name).Set(rate)
+	acquires, misses := dnswire.MessagePoolStats()
+	r.Gauge("pool_acquires_total", "pool", "dnswire_message").Set(float64(acquires))
+	r.Gauge("pool_misses_total", "pool", "dnswire_message").Set(float64(misses))
+	rate := 0.0
+	if acquires > 0 {
+		rate = float64(acquires-misses) / float64(acquires)
 	}
+	r.Gauge("pool_hit_rate", "pool", "dnswire_message").Set(rate)
 }

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/relay-networks/privaterelay/internal/masque"
+	"github.com/relay-networks/privaterelay/internal/dnswire"
 	"github.com/relay-networks/privaterelay/internal/netsim"
 )
 
@@ -58,53 +58,10 @@ func TestRegistryHandleIdentity(t *testing.T) {
 	reg.Gauge("x_total", "k", "v")
 }
 
-// TestCollectPlaneCoversAllRejectCodes: every RejectCode — including
-// codes with zero rejections — appears on the exported surface.
-func TestCollectPlaneCoversAllRejectCodes(t *testing.T) {
-	plane := masque.NewPlane(masque.PlaneConfig{})
-	defer plane.Shutdown()
-	sess, code := plane.Open("t")
-	if code != masque.RejectNone {
-		t.Fatalf("open rejected: %s", code)
-	}
-	defer plane.Close(sess)
-	f := masque.AcquireFrame()
-	defer masque.ReleaseFrame(f)
-	f.Type = masque.FrameData
-	f.SetPayload([]byte("x"))
-	f.StreamID = sess.ID()
-	if code := plane.Relay(f); code != masque.RejectNone {
-		t.Fatalf("relay rejected: %s", code)
-	}
-	f.StreamID = 0
-	if code := plane.Relay(f); code != masque.RejectNoReservation {
-		t.Fatalf("ghost stream: %s, want NO_RESERVATION", code)
-	}
-
-	reg := NewRegistry()
-	reg.CollectPlane(plane)
-	var buf bytes.Buffer
-	if err := reg.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for c := masque.RejectNone; c <= masque.RejectDraining; c++ {
-		if !strings.Contains(out, `masque_rejected_total{code="`+c.String()+`"}`) {
-			t.Fatalf("missing reject code %s in:\n%s", c, out)
-		}
-	}
-	if !strings.Contains(out, `masque_rejected_total{code="NO_RESERVATION"} 1`) {
-		t.Fatalf("NO_RESERVATION count not exported:\n%s", out)
-	}
-	if !strings.Contains(out, "masque_frames_relayed_total 1") {
-		t.Fatalf("frame count not exported:\n%s", out)
-	}
-}
-
 func TestCollectPoolsExportsHitRate(t *testing.T) {
-	// Warm both pools so acquires is nonzero whatever ran before.
-	m := masque.AcquireFrame()
-	masque.ReleaseFrame(m)
+	// Warm the pool so acquires is nonzero whatever ran before.
+	m := dnswire.AcquireMessage()
+	dnswire.ReleaseMessage(m)
 	reg := NewRegistry()
 	reg.CollectPools()
 	var buf bytes.Buffer
@@ -113,9 +70,8 @@ func TestCollectPoolsExportsHitRate(t *testing.T) {
 	}
 	for _, series := range []string{
 		`pool_hit_rate{pool="dnswire_message"}`,
-		`pool_hit_rate{pool="masque_frame"}`,
-		`pool_acquires_total{pool="masque_frame"}`,
-		`pool_misses_total{pool="masque_frame"}`,
+		`pool_acquires_total{pool="dnswire_message"}`,
+		`pool_misses_total{pool="dnswire_message"}`,
 	} {
 		if !strings.Contains(buf.String(), series) {
 			t.Fatalf("missing %s in:\n%s", series, buf.String())

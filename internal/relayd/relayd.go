@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/relay-networks/privaterelay/internal/masque"
 	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
@@ -24,23 +23,18 @@ type ServiceConfig struct {
 	// Interval is the pause between cycles, slept on the pipeline clock
 	// (default 1h; instantaneous on a virtual clock).
 	Interval time.Duration
-	// CanaryFrames is how many frames the serving-plane canary relays
-	// each cycle to keep the masque metrics live (default 32; negative
-	// disables the canary).
-	CanaryFrames int
 	// Supervisor is the failure-policy template every campaign
 	// supervisor starts from (Name and Seed are filled per campaign).
 	Supervisor SupervisorConfig
 }
 
-// Service is a running relayd: the pipeline, its supervisors, the
-// serving-plane canary and the cycle state the HTTP plane reports.
+// Service is a running relayd: the pipeline, its supervisors and the
+// cycle state the HTTP plane reports.
 type Service struct {
 	cfg   ServiceConfig
 	pipe  *Pipeline
 	reg   *Registry
 	clock vclock.Clock
-	plane *masque.Plane
 
 	supScan  *Supervisor
 	supDiff  *Supervisor
@@ -60,9 +54,6 @@ func New(cfg ServiceConfig) (*Service, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Hour
 	}
-	if cfg.CanaryFrames == 0 {
-		cfg.CanaryFrames = 32
-	}
 	pipe, err := NewPipeline(cfg.Pipeline)
 	if err != nil {
 		return nil, err
@@ -73,13 +64,6 @@ func New(cfg ServiceConfig) (*Service, error) {
 		reg:   cfg.Pipeline.Registry,
 		clock: pipe.cfg.Clock,
 	}
-	s.plane = masque.NewPlane(masque.PlaneConfig{
-		Reservations: masque.NewReservations(masque.Limits{
-			Duration:    24 * time.Hour,
-			DataCap:     1 << 40,
-			MaxSessions: 64,
-		}, s.clock),
-	})
 	sup := func(name string, seedOffset uint64) *Supervisor {
 		c := cfg.Supervisor
 		c.Name = name
@@ -94,10 +78,6 @@ func New(cfg ServiceConfig) (*Service, error) {
 
 // Registry returns the service's metrics registry.
 func (s *Service) Registry() *Registry { return s.reg }
-
-// Plane returns the serving plane (the canary's target and the metrics
-// source).
-func (s *Service) Plane() *masque.Plane { return s.plane }
 
 // Cycles reports how many Step calls have completed.
 func (s *Service) Cycles() int64 { return s.cycles.Load() }
@@ -117,10 +97,10 @@ func (s *Service) CaughtUp() bool {
 
 // Step runs one service cycle: advance the scan plan by at most one
 // month, bring the diff generations and the report up to date, run the
-// Atlas campaign for the newest month, and exercise the serving-plane
-// canary. Campaign failures surface as the returned error after the
-// supervisor has spent its attempts; the cycle still counts, so the
-// HTTP plane stays live while a campaign is in backoff or quarantine.
+// Atlas campaign for the newest month. Campaign failures surface as the
+// returned error after the supervisor has spent its attempts; the cycle
+// still counts, so the HTTP plane stays live while a campaign is in
+// backoff or quarantine.
 func (s *Service) Step(ctx context.Context) error {
 	var firstErr error
 	idx, caughtUp := s.pipe.NextMonth()
@@ -171,49 +151,12 @@ func (s *Service) Step(ctx context.Context) error {
 		}
 	}
 
-	s.runCanary()
 	s.cycles.Add(1)
 	if s.reg != nil {
 		s.reg.Counter("relayd_cycles_total").Add(1)
 	}
 	s.ready.Store(true)
 	return firstErr
-}
-
-// runCanary relays a burst of frames through the serving plane — one
-// live session, CanaryFrames data frames, plus one deliberate
-// no-reservation rejection — so the masque counters on /metrics move
-// on a service that has no external tunnel traffic yet.
-func (s *Service) runCanary() {
-	n := s.cfg.CanaryFrames
-	if n < 0 || s.draining.Load() {
-		return
-	}
-	sess, code := s.plane.Open("relayd-canary")
-	if code != masque.RejectNone {
-		if s.reg != nil {
-			s.reg.Counter("relayd_canary_rejected_total", "code", code.String()).Add(1)
-		}
-		return
-	}
-	defer s.plane.Close(sess)
-	f := masque.AcquireFrame()
-	defer masque.ReleaseFrame(f)
-	f.Type = masque.FrameData
-	f.SetPayload([]byte("relayd canary frame"))
-	f.StreamID = sess.ID()
-	for i := 0; i < n; i++ {
-		if code := s.plane.Relay(f); code != masque.RejectNone {
-			if s.reg != nil {
-				s.reg.Counter("relayd_canary_rejected_total", "code", code.String()).Add(1)
-			}
-			break
-		}
-	}
-	// A frame for a stream nobody opened: the typed rejection keeps the
-	// NO_RESERVATION counter meaningful on an otherwise healthy plane.
-	f.StreamID = 0
-	s.plane.Relay(f)
 }
 
 // Run drives Step in a loop on the pipeline clock until ctx is
@@ -240,27 +183,25 @@ func (s *Service) Run(ctx context.Context, maxCycles int) error {
 	return nil
 }
 
-// BeginDrain flips readiness off and stops admitting plane sessions;
-// in-flight work keeps running so checkpoints land before exit.
+// BeginDrain flips readiness off; in-flight work keeps running so
+// checkpoints land before exit.
 func (s *Service) BeginDrain() {
 	if s.draining.Swap(true) {
 		return
 	}
-	s.plane.Drain()
 	if s.reg != nil {
 		s.reg.Counter("relayd_drain_total").Add(1)
 	}
 }
 
-// Close shuts the serving plane down. Call after campaigns stop.
-func (s *Service) Close() {
-	s.plane.Shutdown()
-}
+// Close releases the service after campaigns stop. Every cycle leaves
+// its state on disk and holds nothing open between cycles, so there is
+// nothing to release; callers pair it with New regardless.
+func (s *Service) Close() {}
 
-// Collect refreshes every scrape-time series: the serving plane, the
-// object pools and the cycle/readiness gauges.
+// Collect refreshes every scrape-time series: the message pool and the
+// cycle/readiness gauges.
 func (s *Service) Collect() {
-	s.reg.CollectPlane(s.plane)
 	s.reg.CollectPools()
 	s.reg.Gauge("relayd_ready").Set(boolGauge(s.Ready()))
 	s.reg.Gauge("relayd_caught_up").Set(boolGauge(s.CaughtUp()))

@@ -105,7 +105,7 @@ func TestServiceLifecycle(t *testing.T) {
 	}
 
 	// The acceptance surface: exchange rate, fault mix, breaker state,
-	// pool hit rates and the serving-plane counters, all on one scrape.
+	// pool hit rates and the scan journal's counters, all on one scrape.
 	metrics := getBody(t, ts.URL+"/metrics")
 	for _, series := range []string{
 		`relayd_scan_exchange_rate{domain="` + dnsserver.MaskDomain + `"}`,
@@ -114,9 +114,7 @@ func TestServiceLifecycle(t *testing.T) {
 		`relayd_quarantine_total{campaign="scan"}`,
 		`relayd_supervisor_state{campaign="scan"}`,
 		`pool_hit_rate{pool="dnswire_message"}`,
-		`pool_hit_rate{pool="masque_frame"}`,
-		`masque_rejected_total{code="NO_RESERVATION"}`,
-		`masque_frames_relayed_total`,
+		`relayd_checkpoint_frames_total{domain="` + dnsserver.MaskDomain + `"}`,
 		`relayd_atlas_probes_total{outcome="answered"}`,
 		`relayd_cycles_total`,
 		`relayd_ready 1`,
@@ -127,7 +125,7 @@ func TestServiceLifecycle(t *testing.T) {
 		}
 	}
 
-	// Graceful drain: readiness flips, the plane refuses sessions.
+	// Graceful drain: readiness flips while liveness holds.
 	svc.BeginDrain()
 	if code := getCode(t, ts.URL+"/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz during drain = %d, want 503", code)

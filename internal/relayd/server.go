@@ -15,8 +15,8 @@ import (
 //	/readyz   — readiness: 200 once the first cycle completed, 503
 //	            before that and from BeginDrain onward (load balancers
 //	            stop routing, the process finishes its work).
-//	/metrics  — Prometheus text; every scrape refreshes the plane,
-//	            pool and readiness series before rendering.
+//	/metrics  — Prometheus text; every scrape refreshes the pool and
+//	            readiness series before rendering.
 //	/reports/ — the pipeline's rendered reports (e.g. table1.txt).
 
 // Handler builds the service's HTTP mux.

@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/relay-networks/privaterelay/internal/faults"
 	"github.com/relay-networks/privaterelay/internal/relay"
+	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
 // flakyConnector fails every failEvery-th Connect attempt, wrapping the
@@ -45,7 +45,7 @@ func TestRunRetriesFlakyTunnelEstablishment(t *testing.T) {
 	obs, err := Run(context.Background(), Config{
 		Device: dev, Web: ws, Echo: es, Rounds: 20, Interval: 30 * time.Second,
 		Connector: fc,
-		Connect:   relay.ConnectRetry{Attempts: 3, Clock: faults.NewVirtualClock()},
+		Connect:   relay.ConnectRetry{Attempts: 3, Clock: vclock.NewVirtualClock()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestRunDistinguishesFullFailure(t *testing.T) {
 	obs, err := Run(context.Background(), Config{
 		Device: dev, Web: ws, Echo: es, Rounds: 5, Interval: 30 * time.Second,
 		Connector: dc,
-		Connect:   relay.ConnectRetry{Attempts: 2, Clock: faults.NewVirtualClock()},
+		Connect:   relay.ConnectRetry{Attempts: 2, Clock: vclock.NewVirtualClock()},
 	})
 	if !errors.Is(err, ErrAllRoundsFailed) {
 		t.Fatalf("err = %v, want ErrAllRoundsFailed", err)
@@ -107,7 +107,7 @@ func TestConnectWithRetryStopsOnBlocked(t *testing.T) {
 		return blocked(ctx)
 	})
 	_, err := relay.ConnectWithRetry(context.Background(), counting,
-		relay.ConnectRetry{Attempts: 5, Clock: faults.NewVirtualClock()})
+		relay.ConnectRetry{Attempts: 5, Clock: vclock.NewVirtualClock()})
 	if !errors.Is(err, relay.ErrServiceBlocked) {
 		t.Fatalf("err = %v, want ErrServiceBlocked", err)
 	}

@@ -1,9 +1,8 @@
 // Package vclock is the leaf time abstraction shared by every layer
 // that must be drivable in virtual time: the fault plane, the scan
 // orchestrator, the authoritative rate limiter and the MASQUE ingress.
-// It sits below internal/faults (which re-exports these types as
-// faults.Clock et al. for its callers) precisely so packages that
-// faults itself depends on — dnsserver, masque — can accept an
+// It is a leaf so that every layer, including the packages
+// internal/faults itself depends on (dnsserver, masque), can accept an
 // injectable clock without an import cycle.
 //
 // Production code runs on the wall clock; tests run on a virtual clock

@@ -53,8 +53,7 @@ for series in \
     relayd_breaker_open_total \
     relayd_supervisor_state \
     pool_hit_rate \
-    masque_frames_relayed_total \
-    masque_rejected_total; do
+    relayd_checkpoint_frames_total; do
     grep -q "$series" "$METRICS" || {
         echo "relayd-smoke: /metrics missing $series" >&2
         cat "$METRICS" >&2

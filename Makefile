@@ -55,6 +55,7 @@ chaos:
 FUZZ_TARGETS = \
 	internal/dnswire:FuzzDecode internal/dnswire:FuzzDecodeName \
 	internal/colstore:FuzzDecodeBinary internal/core:FuzzReadJournal \
+	internal/core:FuzzReadCanonical \
 	internal/masque:FuzzReadFrame internal/masque:FuzzUnseal \
 	internal/masque:FuzzParseReject internal/masque:FuzzParseReservationInfo \
 	internal/masque:FuzzParseDatagramPreamble internal/egress:FuzzParseCSV \
@@ -94,7 +95,7 @@ bench-json:
 	  $(GO) test -run '^$$' -bench 'BenchmarkAuthServerHandle$$|BenchmarkExchangeMemTransport$$|BenchmarkExchangeUDP$$' -benchtime 2000x -benchmem ./internal/dnsserver/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkScanThroughput$$' -benchtime 1x -benchmem . ; } | $(GO) run ./cmd/benchjson > $(BENCH_DIR)/BENCH_exchange.json
 	@cat $(BENCH_DIR)/BENCH_exchange.json
-	{ $(GO) test -run '^$$' -bench 'BenchmarkPersistCanonicalRead$$|BenchmarkPersistSidecarLoad$$|BenchmarkDiffMap$$|BenchmarkDiffStreaming$$' -benchtime 10x . ; \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkPersistCanonicalRead$$|BenchmarkPersistSidecarLoad$$|BenchmarkDiffStreaming$$' -benchtime 10x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkPersistSidecarEncode$$' -benchtime 500x . ; } | $(GO) run ./cmd/benchjson > $(BENCH_DIR)/BENCH_persist.json
 	@cat $(BENCH_DIR)/BENCH_persist.json
 

@@ -187,7 +187,7 @@ func BenchmarkS1ECSScanApril(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(ds.Addresses)), "ingress_addrs")
+	b.ReportMetric(float64(ds.Addrs()), "ingress_addrs")
 	b.ReportMetric(float64(ds.Stats.QueriesSent), "queries")
 }
 
@@ -393,7 +393,7 @@ func BenchmarkAblationScopeSkip(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(ds.Stats.QueriesSent), "queries")
-			b.ReportMetric(float64(len(ds.Addresses)), "addrs_found")
+			b.ReportMetric(float64(ds.Addrs()), "addrs_found")
 		})
 	}
 }

@@ -17,13 +17,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/netip"
 	"os"
+	"slices"
 
-	"github.com/relay-networks/privaterelay/internal/atomicio"
 	"github.com/relay-networks/privaterelay/internal/bgp"
+	"github.com/relay-networks/privaterelay/internal/colstore"
 	"github.com/relay-networks/privaterelay/internal/core"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/faults"
@@ -42,8 +42,8 @@ func main() {
 		listAll = flag.Bool("list", false, "print every discovered address")
 		conc    = flag.Int("concurrency", 16, "parallel query workers (results are concurrency-independent)")
 		qps     = flag.Float64("qps", 0, "client-side query rate limit (0 = unlimited)")
-		outPath = flag.String("out", "", "save the dataset to this file")
-		diffOld = flag.String("diff", "", "diff the new dataset against a previously saved one")
+		outPath = flag.String("out", "", "save the dataset to this file as canonical text, with a .col sidecar beside it")
+		diffOld = flag.String("diff", "", "diff the new dataset against a previously saved canonical one")
 
 		retries      = flag.Int("retries", 1, "per-subnet in-pass query attempts")
 		maxPasses    = flag.Int("max-passes", 1, "scan passes over failed subnets (raise with -fault-profile)")
@@ -111,7 +111,7 @@ func main() {
 		log.Fatalf("scan: %v", err)
 	}
 
-	fmt.Printf("scan %s %s: %d ingress addresses in %v\n", m, *domain, len(ds.Addresses), ds.Stats.Elapsed)
+	fmt.Printf("scan %s %s: %d ingress addresses in %v\n", m, *domain, ds.Addrs(), ds.Stats.Elapsed)
 	fmt.Printf("queries=%d skipped=%d timeouts=%d (universe %d /24s)\n",
 		ds.Stats.QueriesSent, ds.Stats.SubnetsSkipped, ds.Stats.Timeouts, ds.Stats.SubnetsTotal)
 	if ds.Stats.ResumedSubnets > 0 {
@@ -128,8 +128,14 @@ func main() {
 			inj.Stats.Total(), inj.Stats.Timeouts.Load(), inj.Stats.ServFails.Load(),
 			inj.Stats.Refused.Load(), inj.Stats.Truncated.Load(), inj.Stats.Stale.Load())
 	}
-	for as, n := range ds.OperatorCounts() {
-		fmt.Printf("  %-10s %5d addresses\n", netsim.ASName(as), n)
+	counts := ds.OperatorCounts()
+	ases := make([]bgp.ASN, 0, len(counts))
+	for as := range counts {
+		ases = append(ases, as)
+	}
+	slices.Sort(ases)
+	for _, as := range ases {
+		fmt.Printf("  %-10s %5d addresses\n", netsim.ASName(as), counts[as])
 	}
 	if *listAll {
 		for _, as := range []bgp.ASN{netsim.ASApple, netsim.ASAkamaiPR} {
@@ -139,26 +145,24 @@ func main() {
 		}
 	}
 	if *outPath != "" {
-		if err := atomicio.WriteFile(*outPath, func(w io.Writer) error {
-			return ds.Save(w)
-		}); err != nil {
+		if err := core.SaveCanonicalFile(*outPath, ds); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "dataset saved to %s\n", *outPath)
+		fmt.Fprintf(os.Stderr, "dataset saved to %s (+ %s)\n", *outPath, core.SidecarPath(*outPath))
 	}
 	if *diffOld != "" {
 		f, err := os.Open(*diffOld)
 		if err != nil {
 			log.Fatal(err)
 		}
-		old, err := core.ReadDataset(f)
+		old, err := core.ReadCanonical(f)
 		f.Close()
 		if err != nil {
 			log.Fatalf("read %s: %v", *diffOld, err)
 		}
-		added, removed := core.Diff(old, ds)
+		n := colstore.DiffCounts(old, &ds.Dataset)
 		fmt.Printf("vs %s (%s, %d addrs): +%d added, -%d removed, growth %.1f%%\n",
-			*diffOld, old.Domain, len(old.Addresses), len(added), len(removed),
-			core.GrowthPercent(old, ds))
+			*diffOld, old.Domain, old.Addrs(), n[colstore.Appeared], n[colstore.Vanished],
+			core.GrowthPercent(old, &ds.Dataset))
 	}
 }

@@ -52,10 +52,10 @@ func main() {
 		}
 	}
 
-	classifier := core.NewClassifier(defaultDS, egressSubnets)
-	classifier.AddIngress(fallbackDS)
+	classifier := core.NewClassifier(&defaultDS.Dataset, egressSubnets)
+	classifier.AddIngress(&fallbackDS.Dataset)
 	fmt.Printf("classifier: %d ingress addresses, %d egress subnets\n\n",
-		len(defaultDS.Addresses)+len(fallbackDS.Addresses), len(egressSubnets))
+		defaultDS.Addrs()+fallbackDS.Addrs(), len(egressSubnets))
 
 	// Synthetic flow log: a mix of relay and ordinary traffic.
 	client := world.ClientASes[2].Prefixes[0].Addr().Next()

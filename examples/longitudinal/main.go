@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
+	"github.com/relay-networks/privaterelay/internal/colstore"
 	"github.com/relay-networks/privaterelay/internal/core"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/netsim"
@@ -27,7 +28,7 @@ func main() {
 	defer os.RemoveAll(dir)
 	fmt.Printf("persisting datasets under %s\n\n", dir)
 
-	runScan := func(month bgp.Month, domain string) *core.Dataset {
+	runScan := func(month bgp.Month, domain string) *colstore.Dataset {
 		srv := dnsserver.NewAuthServer(world, month, nil)
 		ds, err := core.Scan(context.Background(), core.ScanConfig{
 			Exchanger:    &dnsserver.MemTransport{Handler: srv, Source: netip.MustParseAddr("198.51.100.53")},
@@ -44,25 +45,20 @@ func main() {
 			plane = "fallback"
 		}
 		path := filepath.Join(dir, fmt.Sprintf("%s-%s.csv", month, plane))
-		f, err := os.Create(path)
-		if err != nil {
+		if err := core.SaveCanonicalFile(path, ds); err != nil {
 			log.Fatal(err)
 		}
-		if err := ds.Save(f); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
-		return ds
+		return &ds.Dataset
 	}
 
 	fmt.Println("default plane (mask.icloud.com):")
-	var prev *core.Dataset
+	var prev *colstore.Dataset
 	for _, m := range netsim.ScanMonths {
 		ds := runScan(m, dnsserver.MaskDomain)
-		line := fmt.Sprintf("  %s: %4d addresses", m, len(ds.Addresses))
+		line := fmt.Sprintf("  %s: %4d addresses", m, ds.Addrs())
 		if prev != nil {
-			added, removed := core.Diff(prev, ds)
-			line += fmt.Sprintf("  (+%d / -%d, %+.1f%%)", len(added), len(removed), core.GrowthPercent(prev, ds))
+			n := colstore.DiffCounts(prev, ds)
+			line += fmt.Sprintf("  (+%d / -%d, %+.1f%%)", n[colstore.Appeared], n[colstore.Vanished], core.GrowthPercent(prev, ds))
 		}
 		fmt.Println(line)
 		prev = ds
@@ -71,20 +67,15 @@ func main() {
 	fmt.Println("\nfallback plane (mask-h2.icloud.com):")
 	feb := runScan(netsim.MonthFeb, dnsserver.MaskH2Domain)
 	apr := runScan(netsim.MonthApr, dnsserver.MaskH2Domain)
-	fmt.Printf("  2022-02: %d addresses\n", len(feb.Addresses))
+	fmt.Printf("  2022-02: %d addresses\n", feb.Addrs())
 	fmt.Printf("  2022-04: %d addresses (%+.0f%% — the paper reports +293%%)\n",
-		len(apr.Addresses), core.GrowthPercent(feb, apr))
+		apr.Addrs(), core.GrowthPercent(feb, apr))
 
 	// Reload one persisted dataset to show the round trip.
 	path := filepath.Join(dir, "2022-04-default.csv")
-	f, err := os.Open(path)
+	loaded, _, err := core.LoadColumns(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	loaded, err := core.ReadDataset(f)
-	f.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nreloaded %s: %d addresses (%s)\n", filepath.Base(path), len(loaded.Addresses), loaded.Domain)
+	fmt.Printf("\nreloaded %s: %d addresses (%s)\n", filepath.Base(path), loaded.Addrs(), loaded.Domain)
 }

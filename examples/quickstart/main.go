@@ -9,7 +9,9 @@ import (
 	"io"
 	"log"
 	"net/netip"
+	"slices"
 
+	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/core"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/egress"
@@ -41,9 +43,15 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("ECS scan: %d ingress addresses (%d queries, %d skipped via scope)\n",
-		len(dataset.Addresses), dataset.Stats.QueriesSent, dataset.Stats.SubnetsSkipped)
-	for as, n := range dataset.OperatorCounts() {
-		fmt.Printf("  %-9s %d\n", netsim.ASName(as), n)
+		dataset.Addrs(), dataset.Stats.QueriesSent, dataset.Stats.SubnetsSkipped)
+	counts := dataset.OperatorCounts()
+	ases := make([]bgp.ASN, 0, len(counts))
+	for as := range counts {
+		ases = append(ases, as)
+	}
+	slices.Sort(ases)
+	for _, as := range ases {
+		fmt.Printf("  %-9s %d\n", netsim.ASName(as), counts[as])
 	}
 
 	// 3. Bring up the relay itself and tunnel one request through it.

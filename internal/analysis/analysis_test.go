@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
+	"github.com/relay-networks/privaterelay/internal/colstore"
 	"github.com/relay-networks/privaterelay/internal/core"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/egress"
@@ -33,7 +34,7 @@ func fixtures(t testing.TB) (*netsim.World, []egress.Attributed) {
 	return aWorld, aAttributed
 }
 
-func scanDataset(t testing.TB, w *netsim.World, month bgp.Month, domain string) *core.Dataset {
+func scanDataset(t testing.TB, w *netsim.World, month bgp.Month, domain string) *colstore.Dataset {
 	t.Helper()
 	srv := dnsserver.NewAuthServer(w, month, nil)
 	ds, err := core.Scan(context.Background(), core.ScanConfig{
@@ -46,13 +47,13 @@ func scanDataset(t testing.TB, w *netsim.World, month bgp.Month, domain string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds
+	return &ds.Dataset
 }
 
 func TestTable1MatchesPaperShape(t *testing.T) {
 	w, _ := fixtures(t)
-	def := map[bgp.Month]*core.Dataset{}
-	fb := map[bgp.Month]*core.Dataset{}
+	def := map[bgp.Month]*colstore.Dataset{}
+	fb := map[bgp.Month]*colstore.Dataset{}
 	for _, m := range netsim.ScanMonths {
 		def[m] = scanDataset(t, w, m, dnsserver.MaskDomain)
 		if m != netsim.MonthJan { // January fallback scan absent

@@ -22,7 +22,6 @@ import (
 	"github.com/relay-networks/privaterelay/internal/aspop"
 	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/colstore"
-	"github.com/relay-networks/privaterelay/internal/core"
 	"github.com/relay-networks/privaterelay/internal/egress"
 	"github.com/relay-networks/privaterelay/internal/netsim"
 )
@@ -89,30 +88,7 @@ func (r Table1Row) SharePct() (float64, float64) {
 
 // Table1 builds the ingress-evolution table from per-month datasets.
 // fallback may omit months (nil dataset → scan absent).
-func Table1(months []bgp.Month, def, fallback map[bgp.Month]*core.Dataset) []Table1Row {
-	rows := make([]Table1Row, 0, len(months))
-	for _, m := range months {
-		row := Table1Row{Month: m}
-		if ds := def[m]; ds != nil {
-			c := ds.OperatorCounts()
-			row.DefaultApple = c[netsim.ASApple]
-			row.DefaultAkamai = c[netsim.ASAkamaiPR]
-		}
-		if ds := fallback[m]; ds != nil {
-			row.FallbackPresent = true
-			c := ds.OperatorCounts()
-			row.FallbackApple = c[netsim.ASApple]
-			row.FallbackAkamai = c[netsim.ASAkamaiPR]
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// Table1Columns is Table1 over columnar datasets — what relayd feeds it
-// from loaded sidecars, skipping the map rebuild entirely. Row contents
-// are identical to Table1 over the equivalent map datasets.
-func Table1Columns(months []bgp.Month, def, fallback map[bgp.Month]*colstore.Dataset) []Table1Row {
+func Table1(months []bgp.Month, def, fallback map[bgp.Month]*colstore.Dataset) []Table1Row {
 	rows := make([]Table1Row, 0, len(months))
 	for _, m := range months {
 		row := Table1Row{Month: m}
@@ -140,17 +116,34 @@ type Table2Row struct {
 	Subnets int64
 }
 
+// forEachClient walks the client-sorted serving columns one client AS at
+// a time — a client's operators are adjacent rows — passing the /24s
+// AkamaiPR and Apple serve it.
+func forEachClient(cs *colstore.Dataset, fn func(client bgp.ASN, akamai, apple int64)) {
+	for i := 0; i < len(cs.SrvClient); {
+		client := cs.SrvClient[i]
+		var ak, ap int64
+		for ; i < len(cs.SrvClient) && cs.SrvClient[i] == client; i++ {
+			switch cs.SrvOp[i] {
+			case netsim.ASAkamaiPR:
+				ak = cs.SrvCount[i]
+			case netsim.ASApple:
+				ap = cs.SrvCount[i]
+			}
+		}
+		fn(client, ak, ap)
+	}
+}
+
 // Table2 joins the April scan's serving statistics with the AS
 // population dataset, grouping client ASes by which operators serve them.
-func Table2(ds *core.Dataset, pop *aspop.Dataset) []Table2Row {
+func Table2(cs *colstore.Dataset, pop *aspop.Dataset) []Table2Row {
 	rows := map[string]*Table2Row{
 		"AkamaiPR": {Group: "AkamaiPR"},
 		"Apple":    {Group: "Apple"},
 		"Both":     {Group: "Both"},
 	}
-	for clientAS, st := range ds.Serving {
-		ak := st.SubnetsByOperator[netsim.ASAkamaiPR]
-		ap := st.SubnetsByOperator[netsim.ASApple]
+	forEachClient(cs, func(clientAS bgp.ASN, ak, ap int64) {
 		var key string
 		switch {
 		case ak > 0 && ap > 0:
@@ -160,28 +153,26 @@ func Table2(ds *core.Dataset, pop *aspop.Dataset) []Table2Row {
 		case ap > 0:
 			key = "Apple"
 		default:
-			continue
+			return
 		}
 		r := rows[key]
 		r.ASes++
 		r.Subnets += ak + ap
 		r.ASPop += pop.Population(clientAS)
-	}
+	})
 	return []Table2Row{*rows["AkamaiPR"], *rows["Apple"], *rows["Both"]}
 }
 
 // AppleShareInBoth returns Apple's share (percent) of served subnets
 // within "both"-group ASes — the Table 2 footnote.
-func AppleShareInBoth(ds *core.Dataset) float64 {
+func AppleShareInBoth(cs *colstore.Dataset) float64 {
 	var apple, total int64
-	for _, st := range ds.Serving {
-		ak := st.SubnetsByOperator[netsim.ASAkamaiPR]
-		ap := st.SubnetsByOperator[netsim.ASApple]
+	forEachClient(cs, func(_ bgp.ASN, ak, ap int64) {
 		if ak > 0 && ap > 0 {
 			apple += ap
 			total += ak + ap
 		}
-	}
+	})
 	if total == 0 {
 		return 0
 	}

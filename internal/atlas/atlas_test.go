@@ -96,17 +96,17 @@ func TestAValidationAgainstECS(t *testing.T) {
 	}
 	found = clean
 
-	if len(found) >= len(ecs.Addresses) {
-		t.Fatalf("Atlas found %d ≥ ECS %d; clustering should limit coverage", len(found), len(ecs.Addresses))
+	if len(found) >= ecs.Addrs() {
+		t.Fatalf("Atlas found %d ≥ ECS %d; clustering should limit coverage", len(found), ecs.Addrs())
 	}
-	if len(found) < len(ecs.Addresses)/2 {
-		t.Fatalf("Atlas found only %d of %d; too sparse", len(found), len(ecs.Addresses))
+	if len(found) < ecs.Addrs()/2 {
+		t.Fatalf("Atlas found only %d of %d; too sparse", len(found), ecs.Addrs())
 	}
 	// All but a small handful of Atlas addresses appear in the ECS scan
 	// (the paper saw exactly one extra, from fleet churn between scans).
 	extra := 0
 	for _, a := range found {
-		if _, ok := ecs.Addresses[a]; !ok {
+		if _, ok := ecs.Lookup(a); !ok {
 			extra++
 		}
 	}

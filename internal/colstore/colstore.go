@@ -104,9 +104,43 @@ func (d *Dataset) ForEachAddr(fn func(addr netip.Addr, as bgp.ASN) bool) {
 	}
 }
 
-// OperatorCounts returns the number of address rows per origin AS — the
-// columnar analogue of core's map-walking OperatorCounts, one linear
-// sweep over the ASN columns.
+// AddressesOf returns the addresses originated by as, in canonical
+// order — a filter over the walk, with no sort.
+func (d *Dataset) AddressesOf(as bgp.ASN) []netip.Addr {
+	var out []netip.Addr
+	d.ForEachAddr(func(addr netip.Addr, origin bgp.ASN) bool {
+		if origin == as {
+			out = append(out, addr)
+		}
+		return true
+	})
+	return out
+}
+
+// AppendAddr appends one address row to its family's columns. A builder
+// that appends out of canonical order calls Normalize once at the end.
+func (d *Dataset) AppendAddr(addr netip.Addr, as bgp.ASN) {
+	if addr.Is4() {
+		d.V4Addr = append(d.V4Addr, V4Key(addr))
+		d.V4ASN = append(d.V4ASN, as)
+		return
+	}
+	hi, lo := V6Key(addr)
+	d.V6Hi = append(d.V6Hi, hi)
+	d.V6Lo = append(d.V6Lo, lo)
+	d.V6ASN = append(d.V6ASN, as)
+}
+
+// AppendServing appends one serving row: count /24s of client served by
+// operator. The same Normalize rule as AppendAddr applies.
+func (d *Dataset) AppendServing(client, operator bgp.ASN, count int64) {
+	d.SrvClient = append(d.SrvClient, client)
+	d.SrvOp = append(d.SrvOp, operator)
+	d.SrvCount = append(d.SrvCount, count)
+}
+
+// OperatorCounts returns the number of address rows per origin AS, one
+// linear sweep over the ASN columns.
 func (d *Dataset) OperatorCounts() map[bgp.ASN]int {
 	out := make(map[bgp.ASN]int)
 	for _, as := range d.V4ASN {
@@ -119,9 +153,9 @@ func (d *Dataset) OperatorCounts() map[bgp.ASN]int {
 }
 
 // Normalize sorts every section into canonical order and fails on
-// duplicate keys. Builders that appended rows out of order call it once
-// at the end; datasets decoded from the binary codec or converted from
-// a (necessarily duplicate-free) map arrive normalized already.
+// duplicate keys. Builders that appended rows out of order (the scan's
+// final merge) call it once at the end; datasets decoded from the binary
+// codec or the canonical text arrive normalized already.
 func (d *Dataset) Normalize() error {
 	if err := sortParallel(len(d.V4Addr), func(i, j int) int {
 		if d.V4Addr[i] != d.V4Addr[j] {

@@ -5,9 +5,7 @@ package colstore
 // netip.Addr.Compare's order), the month-over-month change set is a
 // single two-pointer merge per family: no maps to build, no hash
 // lookups per row, no post-sort of the output, and the emitted changes
-// arrive already in canonical order. This replaces the map-walking
-// ComputeDiff on relayd's recompute path, which was the slowest
-// recurring cost in the service and grew with history length.
+// arrive already in canonical order. relayd's ComputeDiff is this merge.
 
 import (
 	"net/netip"
@@ -64,6 +62,15 @@ func Diff(old, new *Dataset, fn func(Change) bool) {
 		return
 	}
 	diffV6(old, new, fn)
+}
+
+// DiffCounts tallies Diff's change set, indexed by ChangeKind.
+func DiffCounts(old, new *Dataset) (counts [MovedAS + 1]int) {
+	Diff(old, new, func(c Change) bool {
+		counts[c.Kind]++
+		return true
+	})
+	return counts
 }
 
 func diffV4(old, new *Dataset, fn func(Change) bool) bool {

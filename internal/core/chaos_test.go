@@ -81,7 +81,7 @@ func resilientConfig(w *netsim.World, in scanInput, profile *faults.Profile, wor
 func canonicalBytes(t *testing.T, ds *Dataset) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := ds.WriteCanonical(&buf); err != nil {
+	if err := WriteCanonical(&buf, &ds.Dataset); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

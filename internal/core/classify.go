@@ -40,24 +40,21 @@ func (c TrafficClass) String() string {
 }
 
 // Classifier detects relay traffic from the two public datasets.
-// Ingress membership is answered from two planes: a map for datasets
-// merged address-by-address, and zero or more borrowed sorted column
-// sets (colstore.Dataset) probed by binary search — the latter cost no
-// copy at all, so a classifier over a loaded sidecar is free to build.
+// Ingress membership is answered from borrowed sorted column sets probed
+// by binary search, so a classifier over a scan or a loaded sidecar
+// costs no copy to build; the columns must stay immutable for the
+// classifier's lifetime.
 type Classifier struct {
-	ingress map[netip.Addr]bgp.ASN
-	cols    []*colstore.Dataset
+	ingress []*colstore.Dataset
 	egress  iputil.Trie[bgp.ASN]
 }
 
-// NewClassifier builds a classifier from an ingress dataset and the
-// egress subnet list (prefix → operator AS).
-func NewClassifier(ingress *Dataset, egressSubnets map[netip.Prefix]bgp.ASN) *Classifier {
-	c := &Classifier{ingress: make(map[netip.Addr]bgp.ASN)}
+// NewClassifier builds a classifier from an ingress dataset (nil for
+// none yet) and the egress subnet list (prefix → operator AS).
+func NewClassifier(ingress *colstore.Dataset, egressSubnets map[netip.Prefix]bgp.ASN) *Classifier {
+	c := &Classifier{}
 	if ingress != nil {
-		for addr, as := range ingress.Addresses {
-			c.ingress[addr] = as
-		}
+		c.ingress = append(c.ingress, ingress)
 	}
 	for pfx, as := range egressSubnets {
 		c.egress.Insert(pfx, as)
@@ -65,41 +62,18 @@ func NewClassifier(ingress *Dataset, egressSubnets map[netip.Prefix]bgp.ASN) *Cl
 	return c
 }
 
-// NewClassifierColumns builds a classifier that borrows an ingress
-// column set — no per-address copying; the columns must stay immutable
-// for the classifier's lifetime.
-func NewClassifierColumns(ingress *colstore.Dataset, egressSubnets map[netip.Prefix]bgp.ASN) *Classifier {
-	c := NewClassifier(nil, egressSubnets)
-	if ingress != nil {
-		c.cols = append(c.cols, ingress)
-	}
-	return c
+// AddIngress borrows an additional ingress dataset (e.g. the fallback
+// plane's or a newer scan). On overlapping addresses the newest addition
+// wins.
+func (c *Classifier) AddIngress(cs *colstore.Dataset) {
+	c.ingress = append(c.ingress, cs)
 }
 
-// AddIngress merges additional ingress addresses (e.g. the fallback
-// plane's dataset or a newer scan).
-func (c *Classifier) AddIngress(ds *Dataset) {
-	for addr, as := range ds.Addresses {
-		c.ingress[addr] = as
-	}
-}
-
-// AddIngressColumns borrows an additional ingress column set. Later
-// additions win over earlier ones on overlapping addresses, matching
-// AddIngress's overwrite semantics; the map plane always wins last.
-func (c *Classifier) AddIngressColumns(cs *colstore.Dataset) {
-	c.cols = append(c.cols, cs)
-}
-
-// lookupIngress resolves an already-canonicalized address across both
-// ingress planes: the merged map first (it holds the newest explicit
-// merges), then borrowed columns newest-first.
+// lookupIngress resolves an already-canonicalized address across the
+// borrowed column sets, newest first.
 func (c *Classifier) lookupIngress(addr netip.Addr) (bgp.ASN, bool) {
-	if as, ok := c.ingress[addr]; ok {
-		return as, true
-	}
-	for i := len(c.cols) - 1; i >= 0; i-- {
-		if as, ok := c.cols[i].Lookup(addr); ok {
+	for i := len(c.ingress) - 1; i >= 0; i-- {
+		if as, ok := c.ingress[i].Lookup(addr); ok {
 			return as, true
 		}
 	}

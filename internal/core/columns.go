@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/netip"
 	"os"
 
 	"github.com/relay-networks/privaterelay/internal/atomicio"
-	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/colstore"
 )
 
@@ -22,56 +20,16 @@ import (
 // sidecar instead of re-parsing text, which is where relayd's recompute
 // cycles went.
 
-// Columns converts the dataset into its sorted-columnar form.
-func (ds *Dataset) Columns() (*colstore.Dataset, error) {
-	cs := &colstore.Dataset{Domain: ds.Domain}
-	for addr, as := range ds.Addresses {
-		if addr.Is4() {
-			cs.V4Addr = append(cs.V4Addr, colstore.V4Key(addr))
-			cs.V4ASN = append(cs.V4ASN, as)
-		} else {
-			hi, lo := colstore.V6Key(addr)
-			cs.V6Hi = append(cs.V6Hi, hi)
-			cs.V6Lo = append(cs.V6Lo, lo)
-			cs.V6ASN = append(cs.V6ASN, as)
-		}
-	}
-	for client, st := range ds.Serving {
-		for op, count := range st.SubnetsByOperator {
-			cs.SrvClient = append(cs.SrvClient, client)
-			cs.SrvOp = append(cs.SrvOp, op)
-			cs.SrvCount = append(cs.SrvCount, count)
-		}
-	}
-	if err := cs.Normalize(); err != nil {
-		return nil, fmt.Errorf("core: columns of %s: %w", ds.Domain, err)
-	}
-	return cs, nil
-}
+// Columns returns the dataset's sorted columns.
+func (ds *Dataset) Columns() (*colstore.Dataset, error) { return &ds.Dataset, nil }
 
-// FromColumns rebuilds a map-backed Dataset from its columnar form.
-// Scanner counters are not part of the columnar surface (matching
-// ReadCanonical) and come back zero.
-func FromColumns(cs *colstore.Dataset) *Dataset {
-	ds := &Dataset{
-		Domain:    cs.Domain,
-		Addresses: make(map[netip.Addr]bgp.ASN, cs.Addrs()),
-		Serving:   make(map[bgp.ASN]*ServingStats),
+// GrowthPercent returns the relative address-count growth from a to b
+// (the §4.1 month-over-month figure).
+func GrowthPercent(a, b *colstore.Dataset) float64 {
+	if a.Addrs() == 0 {
+		return 0
 	}
-	cs.ForEachAddr(func(addr netip.Addr, as bgp.ASN) bool {
-		ds.Addresses[addr] = as
-		return true
-	})
-	for i := range cs.SrvClient {
-		client := cs.SrvClient[i]
-		st, ok := ds.Serving[client]
-		if !ok {
-			st = &ServingStats{SubnetsByOperator: make(map[bgp.ASN]int64)}
-			ds.Serving[client] = st
-		}
-		st.SubnetsByOperator[cs.SrvOp[i]] = cs.SrvCount[i]
-	}
-	return ds
+	return (float64(b.Addrs()) - float64(a.Addrs())) / float64(a.Addrs()) * 100
 }
 
 // SidecarPath locates the binary sidecar of the canonical text at path.
@@ -84,7 +42,7 @@ func SidecarPath(path string) string { return path + ".col" }
 // is as crash-safe as the text alone.
 func SaveCanonicalFile(path string, ds *Dataset) error {
 	var buf bytes.Buffer
-	if err := ds.WriteCanonical(&buf); err != nil {
+	if err := WriteCanonical(&buf, &ds.Dataset); err != nil {
 		return err
 	}
 	text := buf.Bytes()
@@ -94,11 +52,7 @@ func SaveCanonicalFile(path string, ds *Dataset) error {
 	}); err != nil {
 		return err
 	}
-	cs, err := ds.Columns()
-	if err != nil {
-		return err
-	}
-	return writeSidecar(SidecarPath(path), cs, colstore.Fingerprint(text))
+	return writeSidecar(SidecarPath(path), &ds.Dataset, colstore.Fingerprint(text))
 }
 
 func writeSidecar(path string, cs *colstore.Dataset, src colstore.SourceInfo) error {
@@ -181,13 +135,9 @@ func LoadColumns(path string) (*colstore.Dataset, SidecarStatus, error) {
 		}
 	}
 
-	ds, err := ReadCanonical(bytes.NewReader(text))
+	cs, err := ReadCanonical(bytes.NewReader(text))
 	if err != nil {
 		return nil, status, fmt.Errorf("core: canonical %s: %w", path, err)
-	}
-	cs, err := ds.Columns()
-	if err != nil {
-		return nil, status, err
 	}
 	if err := writeSidecar(scPath, cs, src); err != nil {
 		return nil, status, err

@@ -13,36 +13,80 @@ import (
 	"github.com/relay-networks/privaterelay/internal/colstore"
 )
 
-// seededMapDataset builds a map-backed dataset with both address
-// families and serving stats, deterministic per seed.
-func seededMapDataset(seed uint64, addrs int) *Dataset {
-	rng := rand.New(rand.NewPCG(seed, 0xc0de))
-	ds := &Dataset{
-		Domain:    "mask.icloud.com.",
-		Addresses: make(map[netip.Addr]bgp.ASN),
-		Serving:   make(map[bgp.ASN]*ServingStats),
+// datasetOf lays map-stated contents out as a normalized Dataset — how
+// tests describe a dataset without running a scan.
+func datasetOf(t testing.TB, domain string, addrs map[netip.Addr]bgp.ASN, serving map[bgp.ASN]map[bgp.ASN]int64) *Dataset {
+	t.Helper()
+	ds := &Dataset{Dataset: colstore.Dataset{Domain: domain}}
+	for addr, as := range addrs {
+		ds.AppendAddr(addr, as)
 	}
-	for len(ds.Addresses) < addrs {
+	for client, ops := range serving {
+		for op, n := range ops {
+			ds.AppendServing(client, op, n)
+		}
+	}
+	if err := ds.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// addrMap and servingMap state a dataset's columns as maps, the form
+// order-free assertions compare against.
+func addrMap(cs *colstore.Dataset) map[netip.Addr]bgp.ASN {
+	out := make(map[netip.Addr]bgp.ASN, cs.Addrs())
+	cs.ForEachAddr(func(addr netip.Addr, as bgp.ASN) bool {
+		out[addr] = as
+		return true
+	})
+	return out
+}
+
+func servingMap(cs *colstore.Dataset) map[bgp.ASN]map[bgp.ASN]int64 {
+	out := make(map[bgp.ASN]map[bgp.ASN]int64)
+	for i, client := range cs.SrvClient {
+		if out[client] == nil {
+			out[client] = make(map[bgp.ASN]int64)
+		}
+		out[client][cs.SrvOp[i]] = cs.SrvCount[i]
+	}
+	return out
+}
+
+// seededDataset builds a dataset with both address families and
+// serving stats, deterministic per seed.
+func seededDataset(t testing.TB, seed uint64, addrs int) *Dataset {
+	set, serving := seededMaps(seed, addrs)
+	return datasetOf(t, "mask.icloud.com.", set, serving)
+}
+
+// seededMaps states seededDataset's contents as maps, the oracle form.
+func seededMaps(seed uint64, addrs int) (map[netip.Addr]bgp.ASN, map[bgp.ASN]map[bgp.ASN]int64) {
+	rng := rand.New(rand.NewPCG(seed, 0xc0de))
+	set := make(map[netip.Addr]bgp.ASN)
+	for len(set) < addrs {
 		as := bgp.ASN(rng.Uint32N(70000) + 1)
 		if rng.Uint32N(3) == 0 {
 			var b [16]byte
 			binary.BigEndian.PutUint64(b[:8], rng.Uint64())
 			binary.BigEndian.PutUint64(b[8:], rng.Uint64())
-			ds.Addresses[netip.AddrFrom16(b)] = as
+			set[netip.AddrFrom16(b)] = as
 		} else {
 			var b [4]byte
 			binary.BigEndian.PutUint32(b[:], rng.Uint32())
-			ds.Addresses[netip.AddrFrom4(b)] = as
+			set[netip.AddrFrom4(b)] = as
 		}
 	}
+	serving := make(map[bgp.ASN]map[bgp.ASN]int64)
 	for c := 0; c < 4; c++ {
-		st := &ServingStats{SubnetsByOperator: make(map[bgp.ASN]int64)}
+		ops := make(map[bgp.ASN]int64)
 		for o := 0; o < 3; o++ {
-			st.SubnetsByOperator[bgp.ASN(6185+o)] = int64(rng.Uint32N(500))
+			ops[bgp.ASN(6185+o)] = int64(rng.Uint32N(500))
 		}
-		ds.Serving[bgp.ASN(100+c)] = st
+		serving[bgp.ASN(100+c)] = ops
 	}
-	return ds
+	return set, serving
 }
 
 // TestColumnsRoundTripBytes is the golden-format property: canonical
@@ -50,16 +94,12 @@ func seededMapDataset(seed uint64, addrs int) *Dataset {
 // bytes, for several seeds.
 func TestColumnsRoundTripBytes(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		orig := seededMapDataset(seed, 500)
+		orig := seededDataset(t, seed, 500)
 		text := canonicalBytes(t, orig)
 
-		parsed, err := ReadCanonical(bytes.NewReader(text))
+		cs, err := ReadCanonical(bytes.NewReader(text))
 		if err != nil {
 			t.Fatalf("ReadCanonical: %v", err)
-		}
-		cs, err := parsed.Columns()
-		if err != nil {
-			t.Fatalf("Columns: %v", err)
 		}
 		enc := cs.AppendBinary(nil, colstore.Fingerprint(text))
 		cs2, src, err := colstore.DecodeBinary(enc)
@@ -69,7 +109,7 @@ func TestColumnsRoundTripBytes(t *testing.T) {
 		if src != colstore.Fingerprint(text) {
 			t.Fatal("fingerprint did not round-trip")
 		}
-		back := canonicalBytes(t, FromColumns(cs2))
+		back := canonicalBytes(t, &Dataset{Dataset: *cs2})
 		if !bytes.Equal(back, text) {
 			t.Fatalf("seed %d: canonical text did not survive the columnar round trip", seed)
 		}
@@ -77,13 +117,13 @@ func TestColumnsRoundTripBytes(t *testing.T) {
 }
 
 func TestColumnsOperatorCountsAgree(t *testing.T) {
-	ds := seededMapDataset(7, 300)
-	cs, err := ds.Columns()
-	if err != nil {
-		t.Fatalf("Columns: %v", err)
+	set, serving := seededMaps(7, 300)
+	ds := datasetOf(t, "mask.icloud.com.", set, serving)
+	want := make(map[bgp.ASN]int)
+	for _, as := range set {
+		want[as]++
 	}
-	want := ds.OperatorCounts()
-	got := cs.OperatorCounts()
+	got := ds.OperatorCounts()
 	if len(got) != len(want) {
 		t.Fatalf("columnar OperatorCounts has %d operators, map %d", len(got), len(want))
 	}
@@ -100,7 +140,7 @@ func TestColumnsOperatorCountsAgree(t *testing.T) {
 func TestSidecarChaosLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "2022-01.ds")
-	ds := seededMapDataset(3, 400)
+	ds := seededDataset(t, 3, 400)
 	if err := SaveCanonicalFile(path, ds); err != nil {
 		t.Fatalf("SaveCanonicalFile: %v", err)
 	}
@@ -127,7 +167,7 @@ func TestSidecarChaosLifecycle(t *testing.T) {
 		if err != nil || !bytes.Equal(now, golden) {
 			t.Fatalf("sidecar bytes diverged after %v load (err=%v)", wantStatus, err)
 		}
-		if got := canonicalBytes(t, FromColumns(cs)); !bytes.Equal(got, text) {
+		if got := canonicalBytes(t, &Dataset{Dataset: *cs}); !bytes.Equal(got, text) {
 			t.Fatalf("columns after %v load do not reproduce the canonical text", wantStatus)
 		}
 		return cs
@@ -143,12 +183,8 @@ func TestSidecarChaosLifecycle(t *testing.T) {
 	load(SidecarHit)
 
 	// Stale: valid sidecar fingerprinting different text bytes.
-	other := seededMapDataset(99, 50)
-	cs99, err := other.Columns()
-	if err != nil {
-		t.Fatal(err)
-	}
-	staleEnc := cs99.AppendBinary(nil, colstore.Fingerprint([]byte("other text")))
+	other := seededDataset(t, 99, 50)
+	staleEnc := other.AppendBinary(nil, colstore.Fingerprint([]byte("other text")))
 	if err := os.WriteFile(scPath, staleEnc, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -176,20 +212,15 @@ func TestSidecarChaosLifecycle(t *testing.T) {
 }
 
 func TestClassifierColumnsAgreesWithMap(t *testing.T) {
-	ds := seededMapDataset(5, 300)
-	cs, err := ds.Columns()
-	if err != nil {
-		t.Fatal(err)
-	}
+	set, serving := seededMaps(5, 300)
+	ds := datasetOf(t, "mask.icloud.com.", set, serving)
 	egress := map[netip.Prefix]bgp.ASN{netip.MustParsePrefix("203.0.113.0/24"): 714}
-	byMap := NewClassifier(ds, egress)
-	byCols := NewClassifierColumns(cs, egress)
+	byCols := NewClassifier(&ds.Dataset, egress)
 	probe := netip.MustParseAddr("198.51.100.7")
-	for addr := range ds.Addresses {
-		wc, was := byMap.Classify(probe, addr)
+	for addr, as := range set {
 		gc, gas := byCols.Classify(probe, addr)
-		if wc != gc || was != gas {
-			t.Fatalf("Classify(dst=%v): columns (%v,%v), map (%v,%v)", addr, gc, gas, wc, was)
+		if gc != ClassToIngress || gas != as {
+			t.Fatalf("Classify(dst=%v): columns (%v,%v), map (%v,%v)", addr, gc, gas, ClassToIngress, as)
 		}
 		if !byCols.IsIngress(addr) {
 			t.Fatalf("IsIngress(%v) false via columns", addr)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
+	"github.com/relay-networks/privaterelay/internal/colstore"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/dnswire"
 	"github.com/relay-networks/privaterelay/internal/netsim"
@@ -47,10 +48,10 @@ func TestScanDiscoversFullAprilFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := w.FleetUnion(netsim.MonthApr, netsim.ProtoDefault, netsim.FamilyV4, 0)
-	if len(ds.Addresses) != len(truth) {
-		t.Fatalf("discovered %d addresses, fleet has %d", len(ds.Addresses), len(truth))
+	if ds.Addrs() != len(truth) {
+		t.Fatalf("discovered %d addresses, fleet has %d", ds.Addrs(), len(truth))
 	}
-	for addr, as := range ds.Addresses {
+	for addr, as := range addrMap(&ds.Dataset) {
 		wantAS, ok := truth[addr]
 		if !ok {
 			t.Fatalf("scanner invented address %v", addr)
@@ -88,15 +89,15 @@ func TestScanScopeSkipReducesQueries(t *testing.T) {
 		t.Fatal("no subnets skipped despite short scopes")
 	}
 	// Both scans must discover the identical address set.
-	if len(withSkip.Addresses) != len(withoutSkip.Addresses) {
+	if withSkip.Addrs() != withoutSkip.Addrs() {
 		t.Fatalf("skip changed discovery: %d vs %d addresses",
-			len(withSkip.Addresses), len(withoutSkip.Addresses))
+			withSkip.Addrs(), withoutSkip.Addrs())
 	}
 	// And identical serving /24 totals (the skip accounts covered scopes).
 	tot := func(ds *Dataset) int64 {
 		var n int64
-		for _, st := range ds.Serving {
-			n += st.TotalSubnets()
+		for _, c := range ds.SrvCount {
+			n += c
 		}
 		return n
 	}
@@ -113,9 +114,9 @@ func TestScanServingMatchesTable2Structure(t *testing.T) {
 	}
 	var akOnly, apOnly, both int
 	var akSub, apSub, bothSub, bothAppleSub int64
-	for _, st := range ds.Serving {
-		ak := st.SubnetsByOperator[netsim.ASAkamaiPR]
-		ap := st.SubnetsByOperator[netsim.ASApple]
+	for _, ops := range servingMap(&ds.Dataset) {
+		ak := ops[netsim.ASAkamaiPR]
+		ap := ops[netsim.ASApple]
 		switch {
 		case ak > 0 && ap > 0:
 			both++
@@ -169,7 +170,7 @@ func TestScanFallbackPlaneEvolution(t *testing.T) {
 		t.Fatalf("April fallback = %v, want 336/1062", aprCounts)
 	}
 	// +293 % fallback growth (356 → 1398).
-	growth := GrowthPercent(feb, apr)
+	growth := GrowthPercent(&feb.Dataset, &apr.Dataset)
 	if growth < 280 || growth > 300 {
 		t.Fatalf("fallback growth = %.0f%%, want ≈293%%", growth)
 	}
@@ -187,19 +188,20 @@ func TestScanMonthlyGrowthDefaultPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	// §4.1: QUIC relays grew 34 % (1188 → 1586).
-	growth := GrowthPercent(jan, apr)
+	growth := GrowthPercent(&jan.Dataset, &apr.Dataset)
 	if growth < 30 || growth > 38 {
 		t.Fatalf("default-plane growth = %.1f%%, want ≈34%%", growth)
 	}
-	added, removed := Diff(jan, apr)
-	if len(added) == 0 {
+	n := colstore.DiffCounts(&jan.Dataset, &apr.Dataset)
+	added, removed := n[colstore.Appeared], n[colstore.Vanished]
+	if added == 0 {
 		t.Fatal("no added addresses between Jan and Apr")
 	}
-	if len(removed) == 0 {
+	if removed == 0 {
 		t.Fatal("no churn at all between Jan and Apr")
 	}
-	if len(removed) > len(jan.Addresses)/5 {
-		t.Fatalf("churn too high: %d removed of %d", len(removed), len(jan.Addresses))
+	if removed > jan.Addrs()/5 {
+		t.Fatalf("churn too high: %d removed of %d", removed, jan.Addrs())
 	}
 }
 
@@ -249,11 +251,11 @@ func TestScanRequiresExchanger(t *testing.T) {
 }
 
 func TestAddressesOfSorted(t *testing.T) {
-	ds := &Dataset{Addresses: map[netip.Addr]bgp.ASN{
+	ds := datasetOf(t, "", map[netip.Addr]bgp.ASN{
 		netip.MustParseAddr("17.2.0.1"):  714,
 		netip.MustParseAddr("17.0.0.1"):  714,
 		netip.MustParseAddr("23.32.0.1"): 36183,
-	}}
+	}, nil)
 	got := ds.AddressesOf(714)
 	if len(got) != 2 || !got[0].Less(got[1]) {
 		t.Fatalf("AddressesOf = %v", got)
@@ -270,7 +272,7 @@ func TestClassifier(t *testing.T) {
 		netip.MustParsePrefix("172.224.224.0/27"): netsim.ASAkamaiPR,
 		netip.MustParsePrefix("104.16.7.32/32"):   netsim.ASCloudflare,
 	}
-	cl := NewClassifier(ds, egressSubnets)
+	cl := NewClassifier(&ds.Dataset, egressSubnets)
 
 	client := w.ClientASes[0].Prefixes[0].Addr().Next()
 	ingress := ds.AddressesOf(netsim.ASAkamaiPR)[0]
@@ -299,10 +301,10 @@ func TestClassifier(t *testing.T) {
 }
 
 func TestClassifierAddIngressMerges(t *testing.T) {
-	a := &Dataset{Addresses: map[netip.Addr]bgp.ASN{netip.MustParseAddr("17.0.0.1"): 714}}
-	b := &Dataset{Addresses: map[netip.Addr]bgp.ASN{netip.MustParseAddr("23.32.0.1"): 36183}}
-	cl := NewClassifier(a, nil)
-	cl.AddIngress(b)
+	a := datasetOf(t, "", map[netip.Addr]bgp.ASN{netip.MustParseAddr("17.0.0.1"): 714}, nil)
+	b := datasetOf(t, "", map[netip.Addr]bgp.ASN{netip.MustParseAddr("23.32.0.1"): 36183}, nil)
+	cl := NewClassifier(&a.Dataset, nil)
+	cl.AddIngress(&b.Dataset)
 	if !cl.IsIngress(netip.MustParseAddr("23.32.0.1")) {
 		t.Fatal("merged ingress not recognized")
 	}
@@ -325,7 +327,7 @@ func BenchmarkClassify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cl := NewClassifier(ds, map[netip.Prefix]bgp.ASN{
+	cl := NewClassifier(&ds.Dataset, map[netip.Prefix]bgp.ASN{
 		netip.MustParsePrefix("172.224.224.0/27"): netsim.ASAkamaiPR,
 	})
 	src := netip.MustParseAddr("198.51.100.1")
@@ -343,50 +345,52 @@ func TestDatasetPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ds.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDataset(&buf)
+	got, err := ReadCanonical(bytes.NewReader(canonicalBytes(t, ds)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Domain != ds.Domain {
 		t.Fatalf("domain = %q", got.Domain)
 	}
-	if got.Stats.QueriesSent != ds.Stats.QueriesSent {
-		t.Fatalf("queries = %d, want %d", got.Stats.QueriesSent, ds.Stats.QueriesSent)
+	if got.Addrs() != ds.Addrs() {
+		t.Fatalf("addresses = %d, want %d", got.Addrs(), ds.Addrs())
 	}
-	if len(got.Addresses) != len(ds.Addresses) {
-		t.Fatalf("addresses = %d, want %d", len(got.Addresses), len(ds.Addresses))
-	}
-	for a, as := range ds.Addresses {
-		if got.Addresses[a] != as {
-			t.Fatalf("address %v attributed %v, want %v", a, got.Addresses[a], as)
+	for a, as := range addrMap(&ds.Dataset) {
+		if g, _ := got.Lookup(a); g != as {
+			t.Fatalf("address %v attributed %v, want %v", a, g, as)
 		}
 	}
 	// Diffing across persisted datasets works like in-memory diffing.
-	added, removed := Diff(got, ds)
-	if len(added) != 0 || len(removed) != 0 {
-		t.Fatalf("round-trip diff nonzero: +%d -%d", len(added), len(removed))
+	if n := colstore.DiffCounts(got, &ds.Dataset); n != [3]int{} {
+		t.Fatalf("round-trip diff nonzero: %v", n)
 	}
 }
 
-func TestReadDatasetErrors(t *testing.T) {
-	cases := []string{
-		"not-an-addr,714\n",
-		"17.0.0.1\n",
-		"17.0.0.1,notanumber\n",
+func TestReadCanonicalErrors(t *testing.T) {
+	cases := map[string]string{
+		"A not-an-addr,714\n":                     "line 1",
+		"# canonical x\nA 17.0.0.1\n":             "line 2",
+		"A 17.0.0.1,notanumber\n":                 "line 1",
+		"A 17.0.0.1,4294967296\n":                 "line 1",
+		"A fe80::1%eth0,714\n":                    "zoned",
+		"# domain x\n# queries 9\n17.0.0.1,714\n": "line 3",
+		"A 17.0.0.1,714\nA 17.0.0.1,715\n":        "line 2: address 17.0.0.1: duplicate row",
+		"A 17.0.0.2,714\nA 17.0.0.1,714\n":        "line 2: address 17.0.0.1: row out of canonical order",
+		"A ::1,714\nA 17.0.0.1,714\n":             "out of canonical order",
+		"S 1,2,3\nS 1,2,4\n":                      "line 2: serving 1,2: duplicate row",
+		"S 1,3,3\n\nS 1,2,4\n":                    "line 3: serving 1,2: row out of canonical order",
+		"S 1,2\n":                                 "line 1",
 	}
-	for i, in := range cases {
-		if _, err := ReadDataset(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d accepted", i)
+	for in, want := range cases {
+		_, err := ReadCanonical(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadCanonical(%q) = %v, want an error naming %q", in, err, want)
 		}
 	}
 	// Blank lines and unknown comments are tolerated.
-	ds, err := ReadDataset(strings.NewReader("# future-field x\n\n17.0.0.1,714\n"))
-	if err != nil || len(ds.Addresses) != 1 {
-		t.Fatalf("lenient parse: %v %d", err, len(ds.Addresses))
+	cs, err := ReadCanonical(strings.NewReader("# future-field x\n\nA 17.0.0.1,714\n"))
+	if err != nil || cs.Addrs() != 1 {
+		t.Fatalf("lenient parse: %v %v", err, cs)
 	}
 }
 
@@ -401,10 +405,10 @@ func TestScanAAAAViaECSDoesNotEnumerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds.Addresses) > 8 {
-		t.Fatalf("AAAA ECS scan enumerated %d addresses; the paper shows ECS cannot enumerate IPv6", len(ds.Addresses))
+	if ds.Addrs() > 8 {
+		t.Fatalf("AAAA ECS scan enumerated %d addresses; the paper shows ECS cannot enumerate IPv6", ds.Addrs())
 	}
-	if len(ds.Addresses) == 0 {
+	if ds.Addrs() == 0 {
 		t.Fatal("AAAA scan should still see the vantage's own answer set")
 	}
 }
@@ -415,7 +419,7 @@ func TestFlowReportIngressIsHighlyActiveDestination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := NewClassifier(ds, map[netip.Prefix]bgp.ASN{
+	cl := NewClassifier(&ds.Dataset, map[netip.Prefix]bgp.ASN{
 		netip.MustParsePrefix("172.224.224.0/27"): netsim.ASAkamaiPR,
 	})
 

@@ -2,109 +2,44 @@ package core
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"net/netip"
-	"slices"
 	"strconv"
 	"strings"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
+	"github.com/relay-networks/privaterelay/internal/colstore"
 )
 
 // Dataset persistence: the paper publishes its collected ingress address
-// datasets for other researchers. The format is a line-oriented CSV —
-// `address,asn` rows preceded by `# key value` metadata comments — that
-// diffing tools and spreadsheets both handle.
+// datasets for other researchers. The canonical text is the one text
+// format: a `# canonical <domain>` header, then `A addr,asn` rows and
+// `S client,operator,count` rows, each section in the columns' sorted
+// order, so line-oriented diffing tools compare two months directly.
 
-// Save serializes the dataset.
-func (ds *Dataset) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# domain %s\n", ds.Domain)
-	fmt.Fprintf(bw, "# queries %d\n", ds.Stats.QueriesSent)
-	fmt.Fprintf(bw, "# skipped %d\n", ds.Stats.SubnetsSkipped)
-	fmt.Fprintf(bw, "# timeouts %d\n", ds.Stats.Timeouts)
-	// Stable order: sorted addresses.
-	addrs := make([]netip.Addr, 0, len(ds.Addresses))
-	for a := range ds.Addresses {
-		addrs = append(addrs, a)
-	}
-	sortAddrs(addrs)
-	for _, a := range addrs {
-		fmt.Fprintf(bw, "%s,%d\n", a, uint32(ds.Addresses[a]))
-	}
-	return bw.Flush()
-}
-
-// ReadDataset parses a dataset written by Save. Serving statistics are
-// not persisted (they are derivable only during the scan); the address
-// set and metadata round-trip.
-func ReadDataset(r io.Reader) (*Dataset, error) {
-	sc := bufio.NewScanner(r)
-	ds := &Dataset{
-		Addresses: make(map[netip.Addr]bgp.ASN),
-		Serving:   make(map[bgp.ASN]*ServingStats),
-	}
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, "#") {
-			fields := strings.Fields(strings.TrimPrefix(text, "#"))
-			if len(fields) != 2 {
-				continue
-			}
-			switch fields[0] {
-			case "domain":
-				ds.Domain = fields[1]
-			case "queries":
-				ds.Stats.QueriesSent, _ = strconv.ParseInt(fields[1], 10, 64)
-			case "skipped":
-				ds.Stats.SubnetsSkipped, _ = strconv.ParseInt(fields[1], 10, 64)
-			case "timeouts":
-				ds.Stats.Timeouts, _ = strconv.ParseInt(fields[1], 10, 64)
-			}
-			continue
-		}
-		parts := strings.Split(text, ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("core: dataset line %d: want addr,asn", line)
-		}
-		addr, err := netip.ParseAddr(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("core: dataset line %d: %w", line, err)
-		}
-		asn, err := strconv.ParseUint(parts[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("core: dataset line %d: %w", line, err)
-		}
-		ds.Addresses[addr] = bgp.ASN(asn)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return ds, nil
-}
-
-// ReadCanonical parses the output of WriteCanonical back into a
-// Dataset: the address set and the per-client-AS serving statistics.
+// ReadCanonical parses the output of WriteCanonical back into sorted
+// columns: the address set and the per-client-AS serving statistics.
 // Scanner counters are not part of the canonical surface (they are
-// path-dependent) and come back zero. The `# canonical <domain>` header
-// restores Domain; other comment lines are ignored, so canonical bodies
-// embedded in framed files (relayd's dataset generations) parse with
-// the same reader.
-func ReadCanonical(r io.Reader) (*Dataset, error) {
-	ds := &Dataset{
-		Addresses: make(map[netip.Addr]bgp.ASN),
-		Serving:   make(map[bgp.ASN]*ServingStats),
-	}
+// path-dependent). The `# canonical <domain>` header restores Domain;
+// other comment lines are ignored, so canonical bodies embedded in
+// framed files (relayd's dataset generations) parse with the same
+// reader. Rows must arrive in canonical order, as WriteCanonical emits
+// them: a row equal to its predecessor is a duplicate and one below it
+// is out of order, and both are rejected with their line number like
+// any malformed line.
+func ReadCanonical(r io.Reader) (*colstore.Dataset, error) {
+	cs := &colstore.Dataset{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	line := 0
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("core: canonical line %d: %s", line, fmt.Sprintf(format, args...))
+	}
+	var lastAddr netip.Addr
+	var lastClient, lastOp bgp.ASN
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
@@ -114,91 +49,106 @@ func ReadCanonical(r io.Reader) (*Dataset, error) {
 		if strings.HasPrefix(text, "#") {
 			fields := strings.Fields(strings.TrimPrefix(text, "#"))
 			if len(fields) == 2 && fields[0] == "canonical" {
-				ds.Domain = fields[1]
+				cs.Domain = fields[1]
 			}
 			continue
 		}
 		tag, rest, ok := strings.Cut(text, " ")
 		if !ok {
-			return nil, fmt.Errorf("core: canonical line %d: want `TAG payload`", line)
+			return nil, bad("want `TAG payload`")
 		}
 		switch tag {
 		case "A":
 			addrStr, asnStr, ok := strings.Cut(rest, ",")
 			if !ok {
-				return nil, fmt.Errorf("core: canonical line %d: want A addr,asn", line)
+				return nil, bad("want A addr,asn")
 			}
 			addr, err := netip.ParseAddr(addrStr)
 			if err != nil {
-				return nil, fmt.Errorf("core: canonical line %d: %w", line, err)
+				return nil, bad("%v", err)
 			}
-			asn, err := strconv.ParseUint(asnStr, 10, 32)
+			if addr.Zone() != "" {
+				return nil, bad("zoned address %s", addr)
+			}
+			asn, err := parseASN(asnStr)
 			if err != nil {
-				return nil, fmt.Errorf("core: canonical line %d: %w", line, err)
+				return nil, bad("%v", err)
 			}
-			ds.Addresses[addr] = bgp.ASN(asn)
+			if lastAddr.IsValid() {
+				if err := orderErr(addr.Compare(lastAddr)); err != nil {
+					return nil, bad("address %s: %v", addr, err)
+				}
+			}
+			lastAddr = addr
+			cs.AppendAddr(addr, asn)
 		case "S":
 			parts := strings.Split(rest, ",")
 			if len(parts) != 3 {
-				return nil, fmt.Errorf("core: canonical line %d: want S client,operator,count", line)
+				return nil, bad("want S client,operator,count")
 			}
-			nums := make([]int64, 3)
-			for i, p := range parts {
-				n, err := strconv.ParseInt(p, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("core: canonical line %d: %w", line, err)
+			client, err := parseASN(parts[0])
+			if err != nil {
+				return nil, bad("%v", err)
+			}
+			op, err := parseASN(parts[1])
+			if err != nil {
+				return nil, bad("%v", err)
+			}
+			count, err := strconv.ParseInt(parts[2], 10, 64)
+			if err != nil {
+				return nil, bad("%v", err)
+			}
+			if len(cs.SrvClient) > 0 {
+				c := cmp.Or(cmp.Compare(client, lastClient), cmp.Compare(op, lastOp))
+				if err := orderErr(c); err != nil {
+					return nil, bad("serving %d,%d: %v", client, op, err)
 				}
-				nums[i] = n
 			}
-			client := bgp.ASN(nums[0])
-			st, ok := ds.Serving[client]
-			if !ok {
-				st = &ServingStats{SubnetsByOperator: make(map[bgp.ASN]int64)}
-				ds.Serving[client] = st
-			}
-			st.SubnetsByOperator[bgp.ASN(nums[1])] = nums[2]
+			lastClient, lastOp = client, op
+			cs.AppendServing(client, op, count)
 		default:
-			return nil, fmt.Errorf("core: canonical line %d: unknown tag %q", line, tag)
+			return nil, bad("unknown tag %q", tag)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return ds, nil
+	return cs, nil
 }
 
-// WriteCanonical serializes the scan's *result* — the address set and the
-// per-client-AS serving statistics, both sorted — and nothing volatile.
-// Two runs that discovered the same network state produce byte-identical
-// canonical output even when their paths differed (retries, faults,
-// checkpoint resumes, worker interleavings), so it is the comparison
-// artifact for equivalence and resume tests and for published datasets.
-func (ds *Dataset) WriteCanonical(w io.Writer) error {
+// parseASN parses a decimal AS number.
+func parseASN(s string) (bgp.ASN, error) {
+	n, err := strconv.ParseUint(s, 10, 32)
+	return bgp.ASN(n), err
+}
+
+// orderErr judges a row against its predecessor in the same section.
+func orderErr(c int) error {
+	switch {
+	case c == 0:
+		return errors.New("duplicate row")
+	case c < 0:
+		return errors.New("row out of canonical order")
+	}
+	return nil
+}
+
+// WriteCanonical serializes a scan's *result* — the address set and the
+// per-client-AS serving statistics — straight from its sorted columns,
+// and nothing volatile. Two runs that discovered the same network state
+// produce byte-identical canonical output even when their paths differed
+// (retries, faults, checkpoint resumes, worker interleavings), so it is
+// the comparison artifact for equivalence and resume tests and for
+// published datasets.
+func WriteCanonical(w io.Writer, cs *colstore.Dataset) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# canonical %s\n", ds.Domain)
-	addrs := make([]netip.Addr, 0, len(ds.Addresses))
-	for a := range ds.Addresses {
-		addrs = append(addrs, a)
-	}
-	sortAddrs(addrs)
-	for _, a := range addrs {
-		fmt.Fprintf(bw, "A %s,%d\n", a, uint32(ds.Addresses[a]))
-	}
-	clients := make([]bgp.ASN, 0, len(ds.Serving))
-	for as := range ds.Serving {
-		clients = append(clients, as)
-	}
-	slices.Sort(clients)
-	for _, client := range clients {
-		ops := ds.Serving[client].SubnetsByOperator
-		opList := make([]bgp.ASN, 0, len(ops))
-		for op := range ops {
-			opList = append(opList, op)
-		}
-		slices.Sort(opList)
-		for _, op := range opList {
-			fmt.Fprintf(bw, "S %d,%d,%d\n", uint32(client), uint32(op), ops[op])
-		}
+	fmt.Fprintf(bw, "# canonical %s\n", cs.Domain)
+	cs.ForEachAddr(func(addr netip.Addr, as bgp.ASN) bool {
+		fmt.Fprintf(bw, "A %s,%d\n", addr, uint32(as))
+		return true
+	})
+	for i := range cs.SrvClient {
+		fmt.Fprintf(bw, "S %d,%d,%d\n", uint32(cs.SrvClient[i]), uint32(cs.SrvOp[i]), cs.SrvCount[i])
 	}
 	return bw.Flush()
 }

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -147,19 +148,15 @@ func TestCheckpointWriteFileDurable(t *testing.T) {
 // WriteCanonical is byte-stable, so persisted dataset generations can
 // be reloaded for diffing.
 func TestReadCanonicalRoundTrip(t *testing.T) {
-	ds := &Dataset{
-		Domain: "mask.icloud.com.",
-		Addresses: map[netip.Addr]bgp.ASN{
-			netip.MustParseAddr("203.0.113.9"): 65001,
-			netip.MustParseAddr("203.0.113.2"): 65002,
-		},
-		Serving: map[bgp.ASN]*ServingStats{
-			65100: {SubnetsByOperator: map[bgp.ASN]int64{65001: 7, 65002: 2}},
-			65101: {SubnetsByOperator: map[bgp.ASN]int64{65001: 1}},
-		},
-	}
+	ds := datasetOf(t, "mask.icloud.com.", map[netip.Addr]bgp.ASN{
+		netip.MustParseAddr("203.0.113.9"): 65001,
+		netip.MustParseAddr("203.0.113.2"): 65002,
+	}, map[bgp.ASN]map[bgp.ASN]int64{
+		65100: {65001: 7, 65002: 2},
+		65101: {65001: 1},
+	})
 	var first bytes.Buffer
-	if err := ds.WriteCanonical(&first); err != nil {
+	if err := WriteCanonical(&first, &ds.Dataset); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadCanonical(bytes.NewReader(first.Bytes()))
@@ -170,7 +167,7 @@ func TestReadCanonicalRoundTrip(t *testing.T) {
 		t.Fatalf("domain = %q, want %q", back.Domain, ds.Domain)
 	}
 	var second bytes.Buffer
-	if err := back.WriteCanonical(&second); err != nil {
+	if err := WriteCanonical(&second, back); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -180,4 +177,53 @@ func TestReadCanonicalRoundTrip(t *testing.T) {
 	if _, err := ReadCanonical(strings.NewReader("Z nonsense\n")); err == nil {
 		t.Fatal("unknown tag accepted")
 	}
+}
+
+// FuzzReadCanonical hardens the canonical text reader against arbitrary
+// bytes: it never panics, every rejection is an error with no dataset,
+// and anything accepted re-encodes to text that reads back to equal
+// columns and re-encodes to the same bytes.
+func FuzzReadCanonical(f *testing.F) {
+	ds := datasetOf(f, "mask.icloud.com.", map[netip.Addr]bgp.ASN{
+		netip.MustParseAddr("17.0.0.1"):     714,
+		netip.MustParseAddr("172.224.0.9"):  36183,
+		netip.MustParseAddr("2a02:26f7::1"): 36183,
+	}, map[bgp.ASN]map[bgp.ASN]int64{
+		3320: {714: 12, 36183: 30},
+		7922: {36183: 4},
+	})
+	var seed bytes.Buffer
+	if err := WriteCanonical(&seed, &ds.Dataset); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte("# canonical mask.icloud.com.\nA 17.0.0.1,714\nA 17.0.0.1,714\n"))
+	f.Add([]byte("# canonical mask.icloud.com.\nQ 17.0.0.1,714\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cs, err := ReadCanonical(bytes.NewReader(data))
+		if err != nil {
+			if cs != nil {
+				t.Fatalf("rejection %v returned a dataset", err)
+			}
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteCanonical(&first, cs); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCanonical(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoding of accepted input rejected: %v\n%s", err, first.Bytes())
+		}
+		if !reflect.DeepEqual(cs, back) {
+			t.Fatalf("re-encoding reads back to different columns:\n%s", first.Bytes())
+		}
+		if err := WriteCanonical(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-encoding not stable:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

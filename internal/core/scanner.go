@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
+	"github.com/relay-networks/privaterelay/internal/colstore"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/dnswire"
 	"github.com/relay-networks/privaterelay/internal/faults"
@@ -154,41 +155,14 @@ func (s *ScanStats) FaultAttempts() int64 {
 		s.TruncatedAttempts + s.StaleAttempts
 }
 
-// Dataset is the result of one scan: the ingress addresses with AS
-// attribution, and per-client-AS serving statistics.
+// Dataset is the result of one scan: the ingress addresses with their
+// origin ASes and the per-client-AS served /24 counts, as sorted columns
+// (the only in-memory dataset shape), plus the counters of the scan that
+// produced them.
 type Dataset struct {
-	Domain string
-	// Addresses maps each discovered ingress address to its origin AS.
-	Addresses map[netip.Addr]bgp.ASN
-	// Serving maps each client AS to its per-operator served /24 counts.
-	Serving map[bgp.ASN]*ServingStats
+	colstore.Dataset
 	// Stats holds scanner counters.
 	Stats ScanStats
-}
-
-// ServingStats accumulates how a client AS's subnets are served.
-type ServingStats struct {
-	// SubnetsByOperator counts served /24s per ingress operator AS.
-	SubnetsByOperator map[bgp.ASN]int64
-}
-
-// TotalSubnets sums served /24s over operators.
-func (s *ServingStats) TotalSubnets() int64 {
-	var n int64
-	for _, c := range s.SubnetsByOperator {
-		n += c
-	}
-	return n
-}
-
-// Operators returns the set of operators serving this AS.
-func (s *ServingStats) Operators() []bgp.ASN {
-	out := make([]bgp.ASN, 0, len(s.SubnetsByOperator))
-	for as := range s.SubnetsByOperator {
-		out = append(out, as)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // ErrNoExchanger is returned for scans without a transport.
@@ -786,11 +760,11 @@ func universeSize(universe []netip.Prefix) int64 {
 // The steady-state path is contention-free: each worker accumulates into
 // a private shard (merged once at the end), consults an epoch-published
 // snapshot of the scope index without locking, and paces itself on an
-// atomic token bucket. Dataset.Addresses, Dataset.Serving, SubnetsTotal
-// and SubnetsSkipped are deterministic — identical for any Concurrency —
+// atomic token bucket. The dataset's columns, SubnetsTotal and
+// SubnetsSkipped are deterministic — identical for any Concurrency —
 // on a lossless deterministic transport; only QueriesSent may vary, when
 // racing workers query subnets a covering scope was about to suppress.
-// Under a fault plane the same holds for Addresses and Serving once
+// Under a fault plane the same holds for the columns once
 // every subnet recovers (MaxPasses permitting): faults change the path,
 // not the dataset.
 func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
@@ -813,11 +787,7 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 		cfg.Clock = vclock.WallClock{}
 	}
 	start := cfg.Clock.Now()
-	ds := &Dataset{
-		Domain:    dnswire.CanonicalName(cfg.Domain),
-		Addresses: make(map[netip.Addr]bgp.ASN),
-		Serving:   make(map[bgp.ASN]*ServingStats),
-	}
+	ds := &Dataset{Dataset: colstore.Dataset{Domain: dnswire.CanonicalName(cfg.Domain)}}
 	var idx *bgp.Index
 	if cfg.Attribution != nil {
 		// Table.Index is memoized: the flattened snapshot is built once
@@ -889,15 +859,23 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 		}
 	}
 
-	// Merge the worker shards (and, on a resume, the replayed one).
+	// Merge the worker shards (and, on a resume, the replayed one), then
+	// lay the result out as sorted columns — the tree's one map-to-columns
+	// step.
 	merged := newScanShard()
 	for _, sh := range shards {
 		merged.absorb(sh)
 	}
-	ds.Addresses = merged.addrs
+	for addr, as := range merged.addrs {
+		ds.AppendAddr(addr, as)
+	}
 	for clientAS, ops := range merged.serving {
-		st2 := &ServingStats{SubnetsByOperator: ops}
-		ds.Serving[clientAS] = st2
+		for op, n := range ops {
+			ds.AppendServing(clientAS, op, n)
+		}
+	}
+	if err := ds.Normalize(); err != nil {
+		return nil, fmt.Errorf("core: scan %s: %w", ds.Domain, err)
 	}
 	c := &merged.counters
 	ds.Stats.QueriesSent = c[cQueries]
@@ -1124,56 +1102,6 @@ func (st *scanState) runPass(ctx context.Context, shards []*scanShard, pending [
 	return deferred
 }
 
-// AddressesOf returns the discovered addresses originated by as, sorted.
-func (ds *Dataset) AddressesOf(as bgp.ASN) []netip.Addr {
-	var out []netip.Addr
-	for addr, origin := range ds.Addresses {
-		if origin == as {
-			out = append(out, addr)
-		}
-	}
-	sortAddrs(out)
-	return out
-}
-
-// OperatorCounts returns the number of discovered addresses per AS.
-func (ds *Dataset) OperatorCounts() map[bgp.ASN]int {
-	out := make(map[bgp.ASN]int)
-	for _, as := range ds.Addresses {
-		out[as]++
-	}
-	return out
-}
-
-// Diff compares two datasets: addresses added and removed from a to b.
-func Diff(a, b *Dataset) (added, removed []netip.Addr) {
-	for addr := range b.Addresses {
-		if _, ok := a.Addresses[addr]; !ok {
-			added = append(added, addr)
-		}
-	}
-	for addr := range a.Addresses {
-		if _, ok := b.Addresses[addr]; !ok {
-			removed = append(removed, addr)
-		}
-	}
-	sortAddrs(added)
-	sortAddrs(removed)
-	return added, removed
-}
-
-// GrowthPercent returns the relative address-count growth from a to b.
-func GrowthPercent(a, b *Dataset) float64 {
-	if len(a.Addresses) == 0 {
-		return 0
-	}
-	return (float64(len(b.Addresses)) - float64(len(a.Addresses))) / float64(len(a.Addresses)) * 100
-}
-
-func sortAddrs(addrs []netip.Addr) {
-	slices.SortFunc(addrs, func(a, b netip.Addr) int { return a.Compare(b) })
-}
-
 // tokenBucket is a lock-free client-side pacer: the bucket state is one
 // atomic timestamp (the next free send slot in nanoseconds) advanced by
 // compare-and-swap, so pacing never serializes workers on a mutex and
@@ -1260,10 +1188,4 @@ func (b *tokenBucket) release(g *pacerGrant) {
 		b.next.Add(-g.left * b.interval)
 	}
 	g.base, g.left = 0, 0
-}
-
-// String summarizes the dataset.
-func (ds *Dataset) String() string {
-	return fmt.Sprintf("dataset{%s: %d addrs, %d client ASes, %d queries}",
-		ds.Domain, len(ds.Addresses), len(ds.Serving), ds.Stats.QueriesSent)
 }

@@ -77,9 +77,9 @@ func TestScanServingCoversUniverse(t *testing.T) {
 		}
 		var total int64
 		byAS := make(map[bgp.ASN]int64)
-		for as, st := range ds.Serving {
-			total += st.TotalSubnets()
-			byAS[as] = st.TotalSubnets()
+		for i, as := range ds.SrvClient {
+			total += ds.SrvCount[i]
+			byAS[as] += ds.SrvCount[i]
 		}
 		if total != want {
 			t.Errorf("respectScope=%v: serving accounts %d /24s, universe has %d client /24s",
@@ -95,7 +95,7 @@ func TestScanServingCoversUniverse(t *testing.T) {
 // TestScanEquivalentAcrossConcurrencyFaulted extends the determinism
 // contract through the fault plane: with the full resilience stack and
 // a fault-injecting transport on a virtual clock, the canonical dataset
-// (Addresses + Serving) at every worker count must still be
+// (address and serving columns) at every worker count must still be
 // byte-identical to the sequential fault-free baseline once all subnets
 // recover — faults and concurrency change the path, never the dataset.
 func TestScanEquivalentAcrossConcurrencyFaulted(t *testing.T) {

@@ -20,6 +20,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/atlas"
 	"github.com/relay-networks/privaterelay/internal/atomicio"
 	"github.com/relay-networks/privaterelay/internal/bgp"
+	"github.com/relay-networks/privaterelay/internal/colstore"
 	"github.com/relay-networks/privaterelay/internal/core"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/dnswire"
@@ -126,18 +127,20 @@ func (e *Env) ScanMonth(ctx context.Context, month bgp.Month, domain string) (*c
 
 // Table1 runs the four monthly dual-plane scans (T1).
 func (e *Env) Table1(ctx context.Context) ([]analysis.Table1Row, error) {
-	def := map[bgp.Month]*core.Dataset{}
-	fb := map[bgp.Month]*core.Dataset{}
+	def := map[bgp.Month]*colstore.Dataset{}
+	fb := map[bgp.Month]*colstore.Dataset{}
 	for _, m := range netsim.ScanMonths {
 		ds, err := e.ScanMonth(ctx, m, dnsserver.MaskDomain)
 		if err != nil {
 			return nil, err
 		}
-		def[m] = ds
+		def[m] = &ds.Dataset
 		if m != netsim.MonthJan { // the paper's January fallback scan is absent
-			if fb[m], err = e.ScanMonth(ctx, m, dnsserver.MaskH2Domain); err != nil {
+			ds, err := e.ScanMonth(ctx, m, dnsserver.MaskH2Domain)
+			if err != nil {
 				return nil, err
 			}
+			fb[m] = &ds.Dataset
 		}
 	}
 	return analysis.Table1(netsim.ScanMonths, def, fb), nil
@@ -149,7 +152,7 @@ func (e *Env) Table2(ctx context.Context) ([]analysis.Table2Row, float64, error)
 	if err != nil {
 		return nil, 0, err
 	}
-	return analysis.Table2(ds, e.World.Pop), analysis.AppleShareInBoth(ds), nil
+	return analysis.Table2(&ds.Dataset, e.World.Pop), analysis.AppleShareInBoth(&ds.Dataset), nil
 }
 
 // Table3 aggregates the attributed egress list (T3).
@@ -363,11 +366,11 @@ func (e *Env) Atlas(ctx context.Context, probes, clusters int) (*AtlasResult, er
 			continue
 		}
 		out.V4Found++
-		if _, ok := ecs.Addresses[a]; !ok {
+		if _, ok := ecs.Lookup(a); !ok {
 			out.V4ExtraVsECS++
 		}
 	}
-	out.V4MissingVsECS = len(ecs.Addresses) - (out.V4Found - out.V4ExtraVsECS)
+	out.V4MissingVsECS = ecs.Addrs() - (out.V4Found - out.V4ExtraVsECS)
 
 	v6Res, err := atlas.Campaign{Domain: dnsserver.MaskDomain, Type: dnswire.TypeAAAA, Workers: e.PipelineWorkers}.Run(ctx, pop)
 	if err != nil {
@@ -406,21 +409,16 @@ func (e *Env) Correlation(ctx context.Context) (*CorrelationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	v6 := map[netip.Addr]bgp.ASN{}
-	for _, as := range []bgp.ASN{netsim.ASApple, netsim.ASAkamaiPR} {
-		for _, a := range e.World.IngressFleet(as, netsim.MonthApr, netsim.ProtoDefault, netsim.FamilyV6, 0) {
-			v6[a] = as
-		}
-	}
+	ingressAk := def.AddressesOf(netsim.ASAkamaiPR)
+	audited := slices.Concat(ingressAk, fb.AddressesOf(netsim.ASAkamaiPR),
+		e.World.IngressFleet(netsim.ASAkamaiPR, netsim.MonthApr, netsim.ProtoDefault, netsim.FamilyV6, 0))
 	res := &CorrelationResult{
-		SharedOperators: trace.SharedOperators(def.Addresses, e.Attributed),
-		Utilization: trace.AuditPrefixUtilization(e.World, netsim.ASAkamaiPR,
-			[]map[netip.Addr]bgp.ASN{def.Addresses, fb.Addresses, v6}, e.Attributed),
+		SharedOperators: trace.SharedOperators(&def.Dataset, e.Attributed),
+		Utilization:     trace.AuditPrefixUtilization(e.World, netsim.ASAkamaiPR, audited, e.Attributed),
 	}
 	res.FirstSeen, _ = trace.FirstSeen(e.World, netsim.ASAkamaiPR)
 
 	vantage := e.World.ClientASes[0].Prefixes[0].Addr().Next()
-	ingressAk := def.AddressesOf(netsim.ASAkamaiPR)
 	var egressAk []netip.Addr
 	for _, a := range e.Attributed {
 		if a.AS == netsim.ASAkamaiPR && a.Prefix.Addr().Is4() {

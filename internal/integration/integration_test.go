@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/relay-networks/privaterelay/internal/bgp"
+	"github.com/relay-networks/privaterelay/internal/colstore"
 	"github.com/relay-networks/privaterelay/internal/core"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/egress"
@@ -69,14 +71,13 @@ func TestECSScanOverRealUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if len(overUDP.Addresses) != len(inMem.Addresses) {
-		t.Fatalf("UDP scan found %d addrs, in-memory found %d", len(overUDP.Addresses), len(inMem.Addresses))
+	if overUDP.Addrs() != inMem.Addrs() {
+		t.Fatalf("UDP scan found %d addrs, in-memory found %d", overUDP.Addrs(), inMem.Addrs())
 	}
-	for a, as := range inMem.Addresses {
-		if overUDP.Addresses[a] != as {
-			t.Fatalf("address %v differs across transports", a)
-		}
-	}
+	colstore.Diff(&inMem.Dataset, &overUDP.Dataset, func(c colstore.Change) bool {
+		t.Fatalf("address %v differs across transports (%v)", c.Addr, c.Kind)
+		return false
+	})
 }
 
 func TestScanAgainstRateLimitedServer(t *testing.T) {
@@ -114,15 +115,16 @@ func TestScanAgainstRateLimitedServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds.Addresses) != len(unthrottled.Addresses) {
+	if ds.Addrs() != unthrottled.Addrs() {
 		t.Fatalf("rate-limited scan found %d addrs, unthrottled found %d (timeouts=%d)",
-			len(ds.Addresses), len(unthrottled.Addresses), ds.Stats.Timeouts)
+			ds.Addrs(), unthrottled.Addrs(), ds.Stats.Timeouts)
 	}
-	for a := range unthrottled.Addresses {
-		if _, ok := ds.Addresses[a]; !ok {
+	unthrottled.ForEachAddr(func(a netip.Addr, _ bgp.ASN) bool {
+		if _, ok := ds.Lookup(a); !ok {
 			t.Fatalf("rate-limited scan missed %v", a)
 		}
-	}
+		return true
+	})
 }
 
 func TestRelayEndToEndWithLiveDNSChain(t *testing.T) {

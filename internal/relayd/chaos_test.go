@@ -321,19 +321,19 @@ func TestDiffFormatRoundTrip(t *testing.T) {
 		}
 	}
 
-	// ComputeDiff is order-independent: recompute from loaded datasets
-	// and compare with the persisted generation.
+	// The persisted generation is the map-based oracle's diff of the
+	// loaded datasets.
 	months := pipe.Months()
-	a, err := pipe.LoadDataset(dnsserver.MaskDomain, months[0])
+	a, err := pipe.LoadColumns(dnsserver.MaskDomain, months[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pipe.LoadDataset(dnsserver.MaskDomain, months[1])
+	b, err := pipe.LoadColumns(dnsserver.MaskDomain, months[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rendered bytes.Buffer
-	if err := ComputeDiff(1, months[0], months[1], a, b).Write(&rendered); err != nil {
+	if err := mapDiff(1, months[0], months[1], a, b).Write(&rendered); err != nil {
 		t.Fatal(err)
 	}
 	onDisk, err := os.ReadFile(diffPath(dir, dnsserver.MaskDomain, 1))

@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
@@ -21,29 +22,25 @@ import (
 // baseline tree, and retention compaction survives kills at every
 // stage without forking the durable bytes.
 
-// synthDataset builds a map-backed dataset with both families,
-// deterministic per (seed, month-index) so successive months churn.
-func synthDataset(seed uint64, addrs int) *core.Dataset {
+// synthAddrs draws an address set with both families, deterministic
+// per (seed, month-index) so successive months churn.
+func synthAddrs(seed uint64, addrs int) map[netip.Addr]bgp.ASN {
 	rng := rand.New(rand.NewPCG(seed, 0x5e55))
-	ds := &core.Dataset{
-		Domain:    dnsserver.MaskDomain,
-		Addresses: make(map[netip.Addr]bgp.ASN),
-		Serving:   make(map[bgp.ASN]*core.ServingStats),
-	}
-	for len(ds.Addresses) < addrs {
+	set := make(map[netip.Addr]bgp.ASN)
+	for len(set) < addrs {
 		as := bgp.ASN(rng.Uint32N(70000) + 1)
 		if rng.Uint32N(4) == 0 {
 			var b [16]byte
 			binary.BigEndian.PutUint64(b[:8], rng.Uint64())
 			binary.BigEndian.PutUint64(b[8:], rng.Uint64())
-			ds.Addresses[netip.AddrFrom16(b)] = as
+			set[netip.AddrFrom16(b)] = as
 		} else {
 			var b [4]byte
 			binary.BigEndian.PutUint32(b[:], rng.Uint32())
-			ds.Addresses[netip.AddrFrom4(b)] = as
+			set[netip.AddrFrom4(b)] = as
 		}
 	}
-	return ds
+	return set
 }
 
 // synthMonths derives a churned month sequence: month i shares most of
@@ -51,34 +48,82 @@ func synthDataset(seed uint64, addrs int) *core.Dataset {
 func synthMonths(t *testing.T, n, addrs int) []*core.Dataset {
 	t.Helper()
 	out := make([]*core.Dataset, n)
-	out[0] = synthDataset(1, addrs)
-	for i := 1; i < n; i++ {
-		rng := rand.New(rand.NewPCG(uint64(i), 0xc4a5))
-		ds := &core.Dataset{
-			Domain:    dnsserver.MaskDomain,
-			Addresses: make(map[netip.Addr]bgp.ASN),
-			Serving:   make(map[bgp.ASN]*core.ServingStats),
-		}
-		for a, as := range out[i-1].Addresses {
-			switch rng.Uint32N(12) {
-			case 0: // vanish
-			case 1:
-				ds.Addresses[a] = as + 1 // move AS
-			default:
-				ds.Addresses[a] = as
+	set := synthAddrs(1, addrs)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			rng := rand.New(rand.NewPCG(uint64(i), 0xc4a5))
+			next := make(map[netip.Addr]bgp.ASN)
+			for a, as := range set {
+				switch rng.Uint32N(12) {
+				case 0: // vanish
+				case 1:
+					next[a] = as + 1 // move AS
+				default:
+					next[a] = as
+				}
 			}
+			for a, as := range synthAddrs(uint64(100+i), addrs/10) {
+				next[a] = as
+			}
+			set = next
 		}
-		for a, as := range synthDataset(uint64(100+i), addrs/10).Addresses {
-			ds.Addresses[a] = as
-		}
-		out[i] = ds
+		out[i] = datasetOf(t, set)
 	}
 	return out
 }
 
-// TestStreamingDiffMatchesComputeDiff: ComputeDiffColumns over columnar
-// datasets renders byte-identically to the map-based ComputeDiff —
-// on the simulated baseline months and on synthetic v6-heavy worlds.
+// datasetOf lays an address set out as a normalized dataset.
+func datasetOf(t *testing.T, set map[netip.Addr]bgp.ASN) *core.Dataset {
+	t.Helper()
+	ds := &core.Dataset{Dataset: colstore.Dataset{Domain: dnsserver.MaskDomain}}
+	for a, as := range set {
+		ds.AppendAddr(a, as)
+	}
+	if err := ds.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// addrMap states a dataset's address columns as a map.
+func addrMap(cs *colstore.Dataset) map[netip.Addr]bgp.ASN {
+	out := make(map[netip.Addr]bgp.ASN, cs.Addrs())
+	cs.ForEachAddr(func(addr netip.Addr, as bgp.ASN) bool {
+		out[addr] = as
+		return true
+	})
+	return out
+}
+
+// mapDiff is the reference ComputeDiff is pinned against: hash every
+// address of the newer dataset against the older and back, then sort
+// each change list by address.
+func mapDiff(gen int, from, to bgp.Month, a, b *colstore.Dataset) *DatasetDiff {
+	am, bm := addrMap(a), addrMap(b)
+	d := &DatasetDiff{Domain: b.Domain, Gen: gen, From: from, To: to}
+	for addr, asn := range bm {
+		old, ok := am[addr]
+		switch {
+		case !ok:
+			d.Appeared = append(d.Appeared, DiffEntry{Addr: addr, NewASN: asn})
+		case old != asn:
+			d.MovedAS = append(d.MovedAS, DiffEntry{Addr: addr, OldASN: old, NewASN: asn})
+		}
+	}
+	for addr, asn := range am {
+		if _, ok := bm[addr]; !ok {
+			d.Vanished = append(d.Vanished, DiffEntry{Addr: addr, OldASN: asn})
+		}
+	}
+	for _, s := range []*[]DiffEntry{&d.Appeared, &d.Vanished, &d.MovedAS} {
+		slices.SortFunc(*s, func(x, y DiffEntry) int { return x.Addr.Compare(y.Addr) })
+	}
+	return d
+}
+
+// TestStreamingDiffMatchesComputeDiff: ComputeDiff's streaming merge
+// renders byte-identically to the map-based mapDiff oracle — on the
+// simulated baseline months and on synthetic v6-heavy worlds.
 func TestStreamingDiffMatchesComputeDiff(t *testing.T) {
 	t.Run("baseline", func(t *testing.T) {
 		dir := sharedBaseline(t)
@@ -89,14 +134,6 @@ func TestStreamingDiffMatchesComputeDiff(t *testing.T) {
 		months := pipe.Months()
 		for _, domain := range []string{dnsserver.MaskDomain, dnsserver.MaskH2Domain} {
 			for g := 1; g < len(months); g++ {
-				a, err := pipe.LoadDataset(domain, months[g-1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := pipe.LoadDataset(domain, months[g])
-				if err != nil {
-					t.Fatal(err)
-				}
 				ca, err := pipe.LoadColumns(domain, months[g-1])
 				if err != nil {
 					t.Fatal(err)
@@ -106,10 +143,10 @@ func TestStreamingDiffMatchesComputeDiff(t *testing.T) {
 					t.Fatal(err)
 				}
 				var mapped, streamed bytes.Buffer
-				if err := ComputeDiff(g, months[g-1], months[g], a, b).Write(&mapped); err != nil {
+				if err := mapDiff(g, months[g-1], months[g], ca, cb).Write(&mapped); err != nil {
 					t.Fatal(err)
 				}
-				if err := ComputeDiffColumns(g, months[g-1], months[g], ca, cb).Write(&streamed); err != nil {
+				if err := ComputeDiff(g, months[g-1], months[g], ca, cb).Write(&streamed); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(mapped.Bytes(), streamed.Bytes()) {
@@ -122,20 +159,12 @@ func TestStreamingDiffMatchesComputeDiff(t *testing.T) {
 		months := synthMonths(t, 6, 2000)
 		from, to := bgp.Month{Year: 2022, M: 1}, bgp.Month{Year: 2022, M: 2}
 		for i := 1; i < len(months); i++ {
-			a, b := months[i-1], months[i]
-			ca, err := a.Columns()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cb, err := b.Columns()
-			if err != nil {
-				t.Fatal(err)
-			}
+			ca, cb := &months[i-1].Dataset, &months[i].Dataset
 			var mapped, streamed bytes.Buffer
-			if err := ComputeDiff(i, from, to, a, b).Write(&mapped); err != nil {
+			if err := mapDiff(i, from, to, ca, cb).Write(&mapped); err != nil {
 				t.Fatal(err)
 			}
-			if err := ComputeDiffColumns(i, from, to, ca, cb).Write(&streamed); err != nil {
+			if err := ComputeDiff(i, from, to, ca, cb).Write(&streamed); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(mapped.Bytes(), streamed.Bytes()) {
@@ -217,12 +246,8 @@ func TestRelaydChaosSidecarResume(t *testing.T) {
 
 	// Stale: a valid sidecar built from different text bytes. Also drop
 	// a diff generation so the load path is actually exercised.
-	other := synthDataset(77, 50)
-	cols, err := other.Columns()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale := cols.AppendBinary(nil, colstore.Fingerprint([]byte("older text")))
+	other := datasetOf(t, synthAddrs(77, 50))
+	stale := other.AppendBinary(nil, colstore.Fingerprint([]byte("older text")))
 	if err := os.WriteFile(sc1, stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +367,7 @@ func TestRetentionCompactionKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := ComputeDiffColumns(target, ref.Months()[0], ref.Months()[target], ca, cb)
+	direct := ComputeDiff(target, ref.Months()[0], ref.Months()[target], ca, cb)
 	direct.Covers = target
 	var directBuf, sqBuf bytes.Buffer
 	if err := direct.Write(&directBuf); err != nil {

@@ -7,7 +7,6 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -50,38 +49,12 @@ type DatasetDiff struct {
 	MovedAS  []DiffEntry // in both, origin AS changed
 }
 
-// ComputeDiff builds the change set from two datasets. Output slices
-// are sorted by address, so the result is a pure function of the
-// inputs regardless of map iteration order.
-func ComputeDiff(gen int, from, to bgp.Month, a, b *core.Dataset) *DatasetDiff {
-	d := &DatasetDiff{Domain: b.Domain, Gen: gen, From: from, To: to}
-	for addr, asn := range b.Addresses {
-		old, ok := a.Addresses[addr]
-		switch {
-		case !ok:
-			d.Appeared = append(d.Appeared, DiffEntry{Addr: addr, NewASN: asn})
-		case old != asn:
-			d.MovedAS = append(d.MovedAS, DiffEntry{Addr: addr, OldASN: old, NewASN: asn})
-		}
-	}
-	for addr, asn := range a.Addresses {
-		if _, ok := b.Addresses[addr]; !ok {
-			d.Vanished = append(d.Vanished, DiffEntry{Addr: addr, OldASN: asn})
-		}
-	}
-	for _, s := range []*[]DiffEntry{&d.Appeared, &d.Vanished, &d.MovedAS} {
-		slices.SortFunc(*s, func(x, y DiffEntry) int { return x.Addr.Compare(y.Addr) })
-	}
-	return d
-}
-
-// ComputeDiffColumns builds the same DatasetDiff as ComputeDiff, from
-// sorted columns instead of maps: a single streaming two-pointer merge
-// per family, no hashing, no post-sort — the merge emits changes
-// already in canonical address order, so the per-kind slices come out
-// sorted. Its output is byte-identical to ComputeDiff over the
-// equivalent map datasets (the equivalence tests pin this).
-func ComputeDiffColumns(gen int, from, to bgp.Month, a, b *colstore.Dataset) *DatasetDiff {
+// ComputeDiff builds the change set from two datasets' sorted columns:
+// a single streaming two-pointer merge per family, no hashing, no
+// post-sort — the merge emits changes already in canonical address
+// order, so the per-kind slices come out sorted and the result is a pure
+// function of the inputs.
+func ComputeDiff(gen int, from, to bgp.Month, a, b *colstore.Dataset) *DatasetDiff {
 	d := &DatasetDiff{Domain: b.Domain, Gen: gen, From: from, To: to}
 	colstore.Diff(a, b, func(c colstore.Change) bool {
 		switch c.Kind {

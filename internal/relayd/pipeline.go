@@ -133,16 +133,6 @@ func (p *Pipeline) HasDataset(domain string, month bgp.Month) bool {
 	return err == nil
 }
 
-// LoadDataset reads a persisted canonical dataset back.
-func (p *Pipeline) LoadDataset(domain string, month bgp.Month) (*core.Dataset, error) {
-	f, err := os.Open(p.DatasetPath(domain, month))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.ReadCanonical(f)
-}
-
 // LoadColumns loads the columnar form of domain's month dataset through
 // its binary sidecar (core.LoadColumns semantics: invalid sidecars are
 // quarantined or rebuilt from the golden text, never trusted), and
@@ -338,7 +328,7 @@ func (p *Pipeline) EnsureDiffs(gen int) error {
 			} else if !errors.Is(err, os.ErrNotExist) {
 				return err
 			}
-			d, err := p.computeDiffColumns(domain, g)
+			d, err := p.diffGeneration(domain, g)
 			if err != nil {
 				return err
 			}
@@ -356,10 +346,10 @@ func (p *Pipeline) EnsureDiffs(gen int) error {
 	return nil
 }
 
-// computeDiffColumns materializes generation g of domain's diff
+// diffGeneration materializes generation g of domain's diff
 // sequence from the columnar datasets (sidecar-cached, streaming
 // two-pointer merge).
-func (p *Pipeline) computeDiffColumns(domain string, g int) (*DatasetDiff, error) {
+func (p *Pipeline) diffGeneration(domain string, g int) (*DatasetDiff, error) {
 	from, to := p.cfg.Months[g-1], p.cfg.Months[g]
 	a, err := p.LoadColumns(domain, from)
 	if err != nil {
@@ -369,7 +359,7 @@ func (p *Pipeline) computeDiffColumns(domain string, g int) (*DatasetDiff, error
 	if err != nil {
 		return nil, err
 	}
-	return ComputeDiffColumns(g, from, to, a, b), nil
+	return ComputeDiff(g, from, to, a, b), nil
 }
 
 // squashCovers reports how many leading generations domain's squash
@@ -427,7 +417,7 @@ func (p *Pipeline) CompactDiffs(domain string, gen int) error {
 		if err != nil {
 			return err
 		}
-		d := ComputeDiffColumns(target, from, to, a, b)
+		d := ComputeDiff(target, from, to, a, b)
 		d.Covers = target
 		if err := WriteSquashFile(p.cfg.StateDir, d); err != nil {
 			return err
@@ -486,7 +476,7 @@ func (p *Pipeline) WriteReport() error {
 	if len(months) == 0 {
 		return nil
 	}
-	rows := analysis.Table1Columns(months, def, fb)
+	rows := analysis.Table1(months, def, fb)
 	path := filepath.Join(p.cfg.StateDir, "reports", "table1.txt")
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err

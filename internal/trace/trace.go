@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
+	"github.com/relay-networks/privaterelay/internal/colstore"
 	"github.com/relay-networks/privaterelay/internal/egress"
 	"github.com/relay-networks/privaterelay/internal/netsim"
 )
@@ -19,14 +20,11 @@ import (
 // SharedOperators returns the ASes that originate at least one ingress
 // address and at least one egress subnet — the structural precondition
 // for the traffic-correlation concern.
-func SharedOperators(ingress map[netip.Addr]bgp.ASN, attributed []egress.Attributed) []bgp.ASN {
-	ingressASes := map[bgp.ASN]bool{}
-	for _, as := range ingress {
-		ingressASes[as] = true
-	}
+func SharedOperators(ingress *colstore.Dataset, attributed []egress.Attributed) []bgp.ASN {
+	ingressASes := ingress.OperatorCounts()
 	shared := map[bgp.ASN]bool{}
 	for _, a := range attributed {
-		if ingressASes[a.AS] {
+		if ingressASes[a.AS] > 0 {
 			shared[a.AS] = true
 		}
 	}
@@ -101,20 +99,16 @@ func (u PrefixUtilization) String() string {
 }
 
 // AuditPrefixUtilization measures which of an AS's announced prefixes
-// contain ingress relays (from the datasets) or egress subnets (from the
-// attributed list). Ingress and egress never share a prefix in the
-// deployment, so the three buckets partition the announcements.
-func AuditPrefixUtilization(w *netsim.World, as bgp.ASN, ingress []map[netip.Addr]bgp.ASN, attributed []egress.Attributed) PrefixUtilization {
+// contain ingress relays or egress subnets (from the attributed list).
+// ingress lists the AS's ingress addresses, from any mix of datasets and
+// fleets; repeats are harmless. Ingress and egress never share a prefix
+// in the deployment, so the three buckets partition the announcements.
+func AuditPrefixUtilization(w *netsim.World, as bgp.ASN, ingress []netip.Addr, attributed []egress.Attributed) PrefixUtilization {
 	u := PrefixUtilization{AS: as}
 	ingressPfx := map[netip.Prefix]bool{}
-	for _, ds := range ingress {
-		for addr, origin := range ds {
-			if origin != as {
-				continue
-			}
-			if route, _, ok := w.Table.Route(addr); ok {
-				ingressPfx[route] = true
-			}
+	for _, addr := range ingress {
+		if route, _, ok := w.Table.Route(addr); ok {
+			ingressPfx[route] = true
 		}
 	}
 	egressPfx := map[netip.Prefix]bool{}

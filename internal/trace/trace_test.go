@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
+	"github.com/relay-networks/privaterelay/internal/colstore"
 	"github.com/relay-networks/privaterelay/internal/egress"
 	"github.com/relay-networks/privaterelay/internal/netsim"
 )
@@ -17,9 +18,28 @@ func setup(t testing.TB) (*netsim.World, map[netip.Addr]bgp.ASN, []egress.Attrib
 	return w, ingress, egress.Attribute(list, w.Table)
 }
 
+// addrsOf lists the addresses of a ground-truth fleet map that as
+// originates.
+func addrsOf(fleet map[netip.Addr]bgp.ASN, as bgp.ASN) []netip.Addr {
+	var out []netip.Addr
+	for a, origin := range fleet {
+		if origin == as {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 func TestSharedOperatorsIsAkamaiPR(t *testing.T) {
 	_, ingress, attributed := setup(t)
-	shared := SharedOperators(ingress, attributed)
+	cs := &colstore.Dataset{}
+	for a, as := range ingress {
+		cs.AppendAddr(a, as)
+	}
+	if err := cs.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	shared := SharedOperators(cs, attributed)
 	if len(shared) != 1 || shared[0] != netsim.ASAkamaiPR {
 		t.Fatalf("shared operators = %v, want exactly AkamaiPR", shared)
 	}
@@ -84,7 +104,7 @@ func TestLastHopCorrelationAcrossOperatorsEmpty(t *testing.T) {
 
 func TestPrefixUtilizationAudit(t *testing.T) {
 	w, ingress, attributed := setup(t)
-	u := AuditPrefixUtilization(w, netsim.ASAkamaiPR, []map[netip.Addr]bgp.ASN{ingress}, attributed)
+	u := AuditPrefixUtilization(w, netsim.ASAkamaiPR, addrsOf(ingress, netsim.ASAkamaiPR), attributed)
 	if u.AnnouncedV4 != 478 || u.AnnouncedV6 != 1335 {
 		t.Fatalf("announced = %d/%d, want 478/1335", u.AnnouncedV4, u.AnnouncedV6)
 	}
@@ -111,13 +131,10 @@ func TestPrefixUtilizationWithV6Ingress(t *testing.T) {
 	w, ingress, attributed := setup(t)
 	// Merge a v6 ingress dataset (from the Atlas AAAA view): take the
 	// ground-truth fleet as the best case.
-	v6 := map[netip.Addr]bgp.ASN{}
-	for _, a := range w.IngressFleet(netsim.ASAkamaiPR, netsim.MonthApr, netsim.ProtoDefault, netsim.FamilyV6, 0) {
-		v6[a] = netsim.ASAkamaiPR
-	}
+	v6 := w.IngressFleet(netsim.ASAkamaiPR, netsim.MonthApr, netsim.ProtoDefault, netsim.FamilyV6, 0)
 	fallback := w.FleetUnion(netsim.MonthApr, netsim.ProtoFallback, netsim.FamilyV4, 0)
-	u := AuditPrefixUtilization(w, netsim.ASAkamaiPR,
-		[]map[netip.Addr]bgp.ASN{ingress, fallback, v6}, attributed)
+	audited := append(addrsOf(ingress, netsim.ASAkamaiPR), addrsOf(fallback, netsim.ASAkamaiPR)...)
+	u := AuditPrefixUtilization(w, netsim.ASAkamaiPR, append(audited, v6...), attributed)
 	// §6: 92.2 % of announced prefixes used.
 	if u.UsedShare() < 88 || u.UsedShare() > 95 {
 		t.Fatalf("used share = %.1f%%, want ≈92.2%%", u.UsedShare())

@@ -34,8 +34,7 @@ const (
 type persistEnv struct {
 	dir    string
 	months []bgp.Month
-	maps   []*core.Dataset     // map-backed datasets, one per month
-	cols   []*colstore.Dataset // columnar views of the same months
+	cols   []*colstore.Dataset // one dataset per month
 	paths  []string
 }
 
@@ -62,37 +61,47 @@ func buildPersistEnv() (*persistEnv, error) {
 	}
 	e := &persistEnv{dir: dir}
 	rng := rand.New(rand.NewPCG(7, 11))
-	ds := synthPersistDataset(rng, persistAddrs)
+	addrs := synthPersistAddrs(rng, persistAddrs)
 	for m := 1; m <= persistMonths; m++ {
 		month := bgp.Month{Year: 2022, M: m}
 		if m > 1 {
-			ds = churnPersistDataset(rng, ds)
+			addrs = churnPersistAddrs(rng, addrs)
+		}
+		ds, err := persistDataset(addrs)
+		if err != nil {
+			return nil, err
 		}
 		path := filepath.Join(dir, fmt.Sprintf("mask-2022-%02d.ds", m))
 		if err := core.SaveCanonicalFile(path, ds); err != nil {
 			return nil, err
 		}
-		cs, err := ds.Columns()
-		if err != nil {
-			return nil, err
-		}
 		e.months = append(e.months, month)
-		e.maps = append(e.maps, ds)
-		e.cols = append(e.cols, cs)
+		e.cols = append(e.cols, &ds.Dataset)
 		e.paths = append(e.paths, path)
 	}
 	return e, nil
 }
 
-// synthPersistDataset builds a month with ¾ v4 and ¼ v6 addresses
-// spread across eight operator ASes.
-func synthPersistDataset(rng *rand.Rand, n int) *core.Dataset {
-	ds := &core.Dataset{
-		Domain:    "mask.icloud.com",
-		Addresses: make(map[netip.Addr]bgp.ASN, n),
-		Serving:   make(map[bgp.ASN]*core.ServingStats),
+// persistDataset lays one month's address set out as sorted columns,
+// with the same eight clients' serving rows every month.
+func persistDataset(addrs map[netip.Addr]bgp.ASN) (*core.Dataset, error) {
+	ds := &core.Dataset{Dataset: colstore.Dataset{Domain: "mask.icloud.com"}}
+	for addr, asn := range addrs {
+		ds.AppendAddr(addr, asn)
 	}
-	for len(ds.Addresses) < n {
+	for i := 0; i < 8; i++ {
+		client := bgp.ASN(3200 + i)
+		ds.AppendServing(client, 714, int64(100+i))
+		ds.AppendServing(client, 20940, int64(50+i))
+	}
+	return ds, ds.Normalize()
+}
+
+// synthPersistAddrs draws a month with ¾ v4 and ¼ v6 addresses spread
+// across eight operator ASes.
+func synthPersistAddrs(rng *rand.Rand, n int) map[netip.Addr]bgp.ASN {
+	addrs := make(map[netip.Addr]bgp.ASN, n)
+	for len(addrs) < n {
 		var addr netip.Addr
 		if rng.IntN(4) == 0 {
 			var b [16]byte
@@ -107,40 +116,26 @@ func synthPersistDataset(rng *rand.Rand, n int) *core.Dataset {
 				byte(rng.UintN(256)), byte(rng.UintN(256)),
 			})
 		}
-		ds.Addresses[addr] = bgp.ASN(714 + rng.UintN(8))
+		addrs[addr] = bgp.ASN(714 + rng.UintN(8))
 	}
-	for i := 0; i < 8; i++ {
-		client := bgp.ASN(3200 + i)
-		ds.Serving[client] = &core.ServingStats{
-			SubnetsByOperator: map[bgp.ASN]int64{
-				714:   int64(100 + i),
-				20940: int64(50 + i),
-			},
-		}
-	}
-	return ds
+	return addrs
 }
 
-// churnPersistDataset applies one month of churn: 1/12 of addresses
+// churnPersistAddrs applies one month of churn: 1/12 of addresses
 // vanish, 1/12 move operator, and 1/10 of the size appears fresh.
-func churnPersistDataset(rng *rand.Rand, prev *core.Dataset) *core.Dataset {
-	next := &core.Dataset{
-		Domain:    prev.Domain,
-		Addresses: make(map[netip.Addr]bgp.ASN, len(prev.Addresses)),
-		Serving:   prev.Serving,
-	}
-	for addr, asn := range prev.Addresses {
+func churnPersistAddrs(rng *rand.Rand, prev map[netip.Addr]bgp.ASN) map[netip.Addr]bgp.ASN {
+	next := make(map[netip.Addr]bgp.ASN, len(prev))
+	for addr, asn := range prev {
 		switch rng.IntN(12) {
 		case 0: // vanished
 		case 1:
-			next.Addresses[addr] = bgp.ASN(714 + (uint32(asn)-714+1+rng.Uint32N(7))%8)
+			next[addr] = bgp.ASN(714 + (uint32(asn)-714+1+rng.Uint32N(7))%8)
 		default:
-			next.Addresses[addr] = asn
+			next[addr] = asn
 		}
 	}
-	fresh := synthPersistDataset(rng, len(prev.Addresses)/10)
-	for addr, asn := range fresh.Addresses {
-		next.Addresses[addr] = asn
+	for addr, asn := range synthPersistAddrs(rng, len(prev)/10) {
+		next[addr] = asn
 	}
 	return next
 }
@@ -200,28 +195,10 @@ func BenchmarkPersistSidecarEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkDiffMap generates all eleven month-over-month diffs with the
-// map-based ComputeDiff (hash every address of the newer month against
-// the older, then sort the change list).
-func BenchmarkDiffMap(b *testing.B) {
-	e := persist(b)
-	var changes int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		changes = 0
-		for g := 1; g < persistMonths; g++ {
-			d := relayd.ComputeDiff(g, e.months[g-1], e.months[g], e.maps[g-1], e.maps[g])
-			changes += len(d.Appeared) + len(d.Vanished) + len(d.MovedAS)
-		}
-	}
-	b.ReportMetric(float64(changes), "changes")
-	b.ReportMetric(float64(changes*b.N)/b.Elapsed().Seconds(), "changes/sec")
-}
-
-// BenchmarkDiffStreaming generates the same eleven diffs with the
-// streaming two-pointer merge over sorted columns — no maps, already in
-// canonical order. The relayd chaos suite pins its output byte-identical
-// to ComputeDiff's; this benchmark measures the gap.
+// BenchmarkDiffStreaming generates all eleven month-over-month diffs
+// with ComputeDiff's streaming two-pointer merge over sorted columns —
+// no maps, already in canonical order. The relayd chaos suite pins its
+// output byte-identical to a map-based test oracle.
 func BenchmarkDiffStreaming(b *testing.B) {
 	e := persist(b)
 	var changes int
@@ -229,7 +206,7 @@ func BenchmarkDiffStreaming(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		changes = 0
 		for g := 1; g < persistMonths; g++ {
-			d := relayd.ComputeDiffColumns(g, e.months[g-1], e.months[g], e.cols[g-1], e.cols[g])
+			d := relayd.ComputeDiff(g, e.months[g-1], e.months[g], e.cols[g-1], e.cols[g])
 			changes += len(d.Appeared) + len(d.Vanished) + len(d.MovedAS)
 		}
 	}

@@ -44,7 +44,7 @@ alloc:
 chaos:
 	$(GO) test -race \
 		-run 'Chaos|Checkpoint|Backoff|Breaker|Fault|Injector|Profile|Resilien|Retr|Resume|Dominant|Rotation|Campaign|BlockingStudy|RunDirect|RunRetries|RunDisting|ConnectWithRetry|VirtualClock' \
-		./internal/faults/ ./internal/core/ ./internal/colstore/ ./internal/dnsserver/ ./internal/scan/ ./internal/atlas/ ./internal/masque/ ./internal/relayd/
+		./internal/faults/ ./internal/retry/ ./internal/core/ ./internal/colstore/ ./internal/dnsserver/ ./internal/scan/ ./internal/atlas/ ./internal/masque/ ./internal/relayd/
 
 # Five seconds of each fuzz target: every reader of bytes from disk or
 # a socket keeps its "never panics, typed rejection, accepted input
@@ -59,7 +59,7 @@ FUZZ_TARGETS = \
 	internal/masque:FuzzReadFrame internal/masque:FuzzUnseal \
 	internal/masque:FuzzParseReject internal/masque:FuzzParseReservationInfo \
 	internal/masque:FuzzParseDatagramPreamble internal/egress:FuzzParseCSV \
-	internal/faults:FuzzParse
+	internal/faults:FuzzParse internal/relayd:FuzzReadDiff
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 5s -parallel 2 ./$${t%%:*}/ || exit 1; \

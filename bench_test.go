@@ -345,7 +345,7 @@ func BenchmarkS8GeoBias(b *testing.B) {
 	var small int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shares, s := analysis.CountryShares(e.Attributed, 50)
+		shares, s := analysis.CountrySharesN(e.Attributed, 50, 0)
 		usShare, small = shares[0].Share, s
 	}
 	b.ReportMetric(usShare, "us_share_pct")

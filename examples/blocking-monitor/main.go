@@ -24,7 +24,7 @@ func main() {
 	fmt.Printf("monitoring with %d probes (%d‰ behind public resolvers)\n\n",
 		len(population.Probes), atlas.IdentifyResolvers(population))
 
-	report, err := atlas.BlockingStudy(context.Background(), population)
+	report, err := atlas.BlockingStudyWorkers(context.Background(), population, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

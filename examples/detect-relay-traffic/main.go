@@ -46,7 +46,7 @@ func main() {
 
 	list := egress.Generate(world, 21)
 	egressSubnets := map[netip.Prefix]bgp.ASN{}
-	for _, a := range egress.Attribute(list, world.Table) {
+	for _, a := range egress.AttributeN(list, world.Table, 0) {
 		if a.AS != 0 {
 			egressSubnets[a.Prefix] = a.AS
 		}
@@ -61,7 +61,7 @@ func main() {
 	client := world.ClientASes[2].Prefixes[0].Addr().Next()
 	ingress := defaultDS.AddressesOf(netsim.ASAkamaiPR)[0]
 	var egressAddr netip.Addr
-	for _, a := range egress.Attribute(list, world.Table) {
+	for _, a := range egress.AttributeN(list, world.Table, 0) {
 		if a.AS == netsim.ASCloudflare && a.Prefix.Addr().Is4() {
 			egressAddr = iputil.AddrAtIndex(a.Prefix, 0)
 			break

@@ -29,7 +29,7 @@ func fixtures(t testing.TB) (*netsim.World, []egress.Attributed) {
 	t.Helper()
 	aOnce.Do(func() {
 		aWorld = netsim.NewWorld(netsim.Params{Seed: 20, Scale: 0.0012})
-		aAttributed = egress.Attribute(egress.Generate(aWorld, 20), aWorld.Table)
+		aAttributed = egress.AttributeN(egress.Generate(aWorld, 20), aWorld.Table, 0)
 	})
 	return aWorld, aAttributed
 }
@@ -132,7 +132,7 @@ func TestTable2Shape(t *testing.T) {
 
 func TestTable3MatchesPaper(t *testing.T) {
 	_, attributed := fixtures(t)
-	rows := Table3(attributed)
+	rows := Table3N(attributed, 0)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -160,7 +160,7 @@ func TestTable3MatchesPaper(t *testing.T) {
 
 func TestTable4MatchesPaper(t *testing.T) {
 	_, attributed := fixtures(t)
-	rows := Table4(attributed)
+	rows := Table4N(attributed, 0)
 	want := map[bgp.ASN][3]int{
 		netsim.ASAkamaiPR:   {14088, 853, 14085},
 		netsim.ASAkamaiEdge: {7507, 455, 7507},
@@ -180,7 +180,7 @@ func TestTable4MatchesPaper(t *testing.T) {
 
 func TestCountryShares(t *testing.T) {
 	_, attributed := fixtures(t)
-	shares, small := CountryShares(attributed, 50)
+	shares, small := CountrySharesN(attributed, 50, 0)
 	if shares[0].CC != "US" {
 		t.Fatalf("top country = %s", shares[0].CC)
 	}

@@ -14,57 +14,24 @@ import (
 	"fmt"
 	"math/bits"
 	"net/netip"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
 
 	"github.com/relay-networks/privaterelay/internal/aspop"
 	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/colstore"
 	"github.com/relay-networks/privaterelay/internal/egress"
 	"github.com/relay-networks/privaterelay/internal/netsim"
+	"github.com/relay-networks/privaterelay/internal/workpool"
 )
 
-// DefaultWorkers is the shard count the table builders use when the
-// caller passes 0.
-const DefaultWorkers = 8
-
-// minShardItems floors the work per shard: below this, the goroutine
-// hand-off plus the per-shard accumulator merge cost more than the
-// parallelism buys, and requesting many shards on a small input (or a
-// small machine) makes the build slower than running it sequentially.
+// minShardItems is the fan-out grain: below this, the goroutine
+// hand-off plus the per-worker accumulator merge cost more than the
+// parallelism buys, so a small input runs on one worker. Every table builder is worker-count-independent by
+// construction — workers accumulate into their own maps and the merge
+// sums and unions them — so the pool's clamp never changes a result,
+// only how the input is partitioned.
 const minShardItems = 1 << 13
-
-// forShards splits n items into `workers` contiguous index ranges and
-// runs fn(shard, lo, hi) on each concurrently. Shards see disjoint input
-// slices and write disjoint accumulators; the caller merges afterwards,
-// so results cannot depend on scheduling. The requested worker count is
-// a ceiling, not a promise: it is capped by the input size (via
-// minShardItems) and the machine (workers0), and every table builder is
-// shard-count-independent by construction, so the clamp never changes a
-// result — only how it is partitioned.
-func forShards(n, workers int, fn func(shard, lo, hi int)) int {
-	workers = workers0(workers, n)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	shards := 0
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
-		}
-		shards++
-		wg.Add(1)
-		go func(shard, lo, hi int) {
-			defer wg.Done()
-			fn(shard, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	return shards
-}
 
 // Table1Row is one month of Table 1.
 type Table1Row struct {
@@ -302,21 +269,20 @@ func newT3acc(as bgp.ASN) *t3acc {
 		v4BGP: map[pfxKey]bool{}, v6BGP: map[pfxKey]bool{}, v6CCs: map[string]bool{}}
 }
 
-// Table3 aggregates the attributed egress list per operator.
-func Table3(attributed []egress.Attributed) []Table3Row {
-	return Table3N(attributed, 0)
-}
-
-// Table3N is Table3 sharded across `workers` goroutines (0 =
-// DefaultWorkers). Each shard aggregates its contiguous slice of entries
-// into per-AS accumulators; the merge sums the counters and unions the
-// distinct sets, so the rows are identical to the sequential build at
-// any worker count.
+// Table3N aggregates the attributed egress list per operator, fanned
+// out over `workers` goroutines (≤ 0: workpool's default). Each worker
+// aggregates its ranges of entries into per-AS accumulators; the merge
+// sums the counters and unions the distinct sets, so the rows are
+// identical to the sequential build at any worker count.
 func Table3N(attributed []egress.Attributed, workers int) []Table3Row {
 	n := len(attributed)
-	sharded := make([]map[bgp.ASN]*t3acc, workers0(workers, n))
-	forShards(n, workers, func(shard, lo, hi int) {
-		byAS := map[bgp.ASN]*t3acc{}
+	sharded := make([]map[bgp.ASN]*t3acc, workpool.Workers(n, minShardItems, workers))
+	workpool.Run(n, minShardItems, workers, func(w, lo, hi int) {
+		byAS := sharded[w]
+		if byAS == nil {
+			byAS = map[bgp.ASN]*t3acc{}
+			sharded[w] = byAS
+		}
 		var lastAS bgp.ASN
 		var ac *t3acc
 		for i := lo; i < hi; i++ {
@@ -354,7 +320,6 @@ func Table3N(attributed []egress.Attributed, workers int) []Table3Row {
 				}
 			}
 		}
-		sharded[shard] = byAS
 	})
 	merged := map[bgp.ASN]*t3acc{}
 	for _, byAS := range sharded {
@@ -394,27 +359,6 @@ func Table3N(attributed []egress.Attributed, workers int) []Table3Row {
 	return out
 }
 
-// workers0 is forShards's clamp (callers also use it to size shard
-// slices): the requested count, bounded by what the machine can run
-// (2×GOMAXPROCS — a little headroom over the core count hides stragglers
-// without flooding the scheduler) and by the input size (at least
-// minShardItems per shard), never below 1.
-func workers0(workers, items int) int {
-	if workers <= 0 {
-		workers = DefaultWorkers
-	}
-	if cap := 2 * runtime.GOMAXPROCS(0); workers > cap {
-		workers = cap
-	}
-	if cap := items / minShardItems; workers > cap {
-		workers = cap
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
 // Table4Row is one operator row of Table 4 (appendix A).
 type Table4Row struct {
 	AS                         bgp.ASN
@@ -439,19 +383,19 @@ type t4acc struct {
 	lastMask         uint8
 }
 
-// Table4 counts covered cities per operator, overall and per family.
-func Table4(attributed []egress.Attributed) []Table4Row {
-	return Table4N(attributed, 0)
-}
-
-// Table4N is Table4 sharded across `workers` goroutines (0 =
-// DefaultWorkers); shard masks are OR-merged per city, so the rows are
-// identical to the sequential build at any worker count.
+// Table4N counts covered cities per operator, overall and per family,
+// fanned out over `workers` goroutines (≤ 0: workpool's default); the
+// workers' masks are OR-merged per city, so the rows are identical to
+// the sequential build at any worker count.
 func Table4N(attributed []egress.Attributed, workers int) []Table4Row {
 	n := len(attributed)
-	sharded := make([]map[bgp.ASN]*t4acc, workers0(workers, n))
-	forShards(n, workers, func(shard, lo, hi int) {
-		byAS := map[bgp.ASN]*t4acc{}
+	sharded := make([]map[bgp.ASN]*t4acc, workpool.Workers(n, minShardItems, workers))
+	workpool.Run(n, minShardItems, workers, func(w, lo, hi int) {
+		byAS := sharded[w]
+		if byAS == nil {
+			byAS = map[bgp.ASN]*t4acc{}
+			sharded[w] = byAS
+		}
 		var lastAS bgp.ASN
 		var ac *t4acc
 		for i := lo; i < hi; i++ {
@@ -483,7 +427,6 @@ func Table4N(attributed []egress.Attributed, workers int) []Table4Row {
 			}
 			ac.lastCC, ac.lastCity, ac.lastMask = a.CC, a.City, m|mask
 		}
-		sharded[shard] = byAS
 	})
 	merged := map[bgp.ASN]map[string]uint8{}
 	for _, byAS := range sharded {
@@ -522,23 +465,22 @@ type CountryShare struct {
 	Share   float64 // percent of all subnets
 }
 
-// CountryShares returns per-country subnet shares, descending, plus the
-// number of countries holding fewer than `smallThreshold` subnets.
-func CountryShares(attributed []egress.Attributed, smallThreshold int) (shares []CountryShare, smallCCs int) {
-	return CountrySharesN(attributed, smallThreshold, 0)
-}
-
-// CountrySharesN is CountryShares sharded across `workers` goroutines
-// (0 = DefaultWorkers). Shards count per-country subtotals with
-// run-length accumulation (egress lists cluster entries by country, so
-// most increments fold into a local counter instead of a map write); the
-// merge sums them, and the (count desc, CC asc) sort has no ties to
-// break non-deterministically.
+// CountrySharesN returns per-country subnet shares, descending, plus the
+// number of countries holding fewer than `smallThreshold` subnets,
+// fanned out over `workers` goroutines (≤ 0: workpool's default).
+// Workers count per-country subtotals with run-length accumulation
+// (egress lists cluster entries by country, so most increments fold into
+// a local counter instead of a map write); the merge sums them, and the
+// (count desc, CC asc) sort has no ties to break non-deterministically.
 func CountrySharesN(attributed []egress.Attributed, smallThreshold, workers int) (shares []CountryShare, smallCCs int) {
 	n := len(attributed)
-	sharded := make([]map[string]int, workers0(workers, n))
-	forShards(n, workers, func(shard, lo, hi int) {
-		counts := map[string]int{}
+	sharded := make([]map[string]int, workpool.Workers(n, minShardItems, workers))
+	workpool.Run(n, minShardItems, workers, func(w, lo, hi int) {
+		counts := sharded[w]
+		if counts == nil {
+			counts = map[string]int{}
+			sharded[w] = counts
+		}
 		runCC := ""
 		runN := 0
 		for i := lo; i < hi; i++ {
@@ -555,7 +497,6 @@ func CountrySharesN(attributed []egress.Attributed, smallThreshold, workers int)
 		if runN > 0 {
 			counts[runCC] += runN
 		}
-		sharded[shard] = counts
 	})
 	counts := map[string]int{}
 	for _, sub := range sharded {

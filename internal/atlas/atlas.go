@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
@@ -27,6 +25,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/iputil"
 	"github.com/relay-networks/privaterelay/internal/netsim"
 	"github.com/relay-networks/privaterelay/internal/resolver"
+	"github.com/relay-networks/privaterelay/internal/workpool"
 )
 
 // Probe is one Atlas vantage point.
@@ -420,14 +419,11 @@ type Campaign struct {
 	Domain string
 	Type   dnswire.Type
 	// Workers bounds the number of probes measured concurrently
-	// (0 = DefaultWorkers). Results are bit-identical at any worker
+	// (≤ 0: workpool's default). Results are bit-identical at any worker
 	// count: every upstream answer is a pure function of (query, source)
 	// and each result lands in its probe's slot by index.
 	Workers int
 }
-
-// DefaultWorkers is the pool size campaigns use when Workers is 0.
-const DefaultWorkers = 8
 
 // campaignBatch is how many consecutive probes a worker claims per
 // counter increment, amortizing the shared-counter contention the same
@@ -438,54 +434,23 @@ const campaignBatch = 64
 // out[i] for probe i. A campaign is a survey: one broken vantage point
 // must not cost the other eleven thousand, so per-probe failures land in
 // out[i].Err instead of stopping the pool, and the only error returned
-// is the context's when the campaign itself is cancelled.
+// is the context's when the campaign itself is cancelled. Cancellation
+// stops the measuring and is never charged to a probe.
 func runPool(ctx context.Context, pop *Population, workers int, measure func(p *Probe, res *MeasurementResult) error) ([]MeasurementResult, error) {
-	n := len(pop.Probes)
-	out := make([]MeasurementResult, n)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				lo := int(next.Add(campaignBatch)) - campaignBatch
-				if lo >= n {
-					return
-				}
-				for i := lo; i < min(lo+campaignBatch, n); i++ {
-					if err := measure(&pop.Probes[i], &out[i]); err != nil {
-						if ctx.Err() != nil {
-							return // cancellation, not a probe fault
-						}
-						out[i].Err = err
-					}
-				}
+	out := make([]MeasurementResult, len(pop.Probes))
+	workpool.Run(len(out), campaignBatch, workers, func(_, lo, hi int) {
+		for i := lo; i < hi && ctx.Err() == nil; i++ {
+			if err := measure(&pop.Probes[i], &out[i]); err != nil && ctx.Err() == nil {
+				out[i].Err = err
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	return out, ctx.Err()
-}
-
-func (c Campaign) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return DefaultWorkers
 }
 
 // Run executes the campaign, returning per-probe results.
 func (c Campaign) Run(ctx context.Context, pop *Population) ([]MeasurementResult, error) {
-	return runPool(ctx, pop, c.workers(), func(p *Probe, res *MeasurementResult) error {
+	return runPool(ctx, pop, c.Workers, func(p *Probe, res *MeasurementResult) error {
 		res.ProbeID = p.ID
 		if p.TimeoutProne {
 			res.TimedOut = true
@@ -537,7 +502,7 @@ func DistinctAddrs(results []MeasurementResult) []netip.Addr {
 // (the paper's second AAAA measurement mode), bypassing resolvers. Each
 // probe's own identity keys the answer.
 func (c Campaign) RunDirect(ctx context.Context, pop *Population) ([]MeasurementResult, error) {
-	return runPool(ctx, pop, c.workers(), func(p *Probe, res *MeasurementResult) error {
+	return runPool(ctx, pop, c.Workers, func(p *Probe, res *MeasurementResult) error {
 		res.ProbeID = p.ID
 		if p.TimeoutProne {
 			res.TimedOut = true

@@ -160,7 +160,7 @@ func TestAAAAEnumeration(t *testing.T) {
 
 func TestBlockingStudyShares(t *testing.T) {
 	_, pop := testPopulation(t)
-	report, err := BlockingStudy(context.Background(), pop)
+	report, err := BlockingStudyWorkers(context.Background(), pop, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestBlockingStudyCountsHijackAsBlocked(t *testing.T) {
 	pop := NewPopulation(w, netsim.MonthApr, Config{Seed: 12, N: 50, SubnetClusters: 10, TimeoutPerMille: 1, ISPBlockedPerMille: 1, PublicResolverShare: 1})
 	// Force one probe's resolver to hijack.
 	pop.Probes[0].Resolver.Block("icloud.com", resolver.PolicyHijack)
-	report, err := BlockingStudy(context.Background(), pop)
+	report, err := BlockingStudyWorkers(context.Background(), pop, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

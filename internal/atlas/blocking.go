@@ -55,15 +55,11 @@ func (r *BlockingReport) String() string {
 		r.Probes, r.TimeoutShare(), r.FailedWithResponse, r.Blocked, r.BlockedShare())
 }
 
-// BlockingStudy measures the relay domain and a control domain across the
-// population and classifies failures per the paper's methodology.
-func BlockingStudy(ctx context.Context, pop *Population) (*BlockingReport, error) {
-	return BlockingStudyWorkers(ctx, pop, 0)
-}
-
-// BlockingStudyWorkers is BlockingStudy with an explicit campaign worker
-// count (0 = DefaultWorkers). The classification is per-probe and the
-// campaigns are deterministic, so the report is identical at any count.
+// BlockingStudyWorkers measures the relay domain and a control domain
+// across the population, with `workers` campaign workers (≤ 0:
+// workpool's default), and classifies failures per the paper's
+// methodology. The classification is per-probe and the campaigns are
+// deterministic, so the report is identical at any worker count.
 func BlockingStudyWorkers(ctx context.Context, pop *Population, workers int) (*BlockingReport, error) {
 	relay, err := Campaign{Domain: dnsserver.MaskDomain, Type: dnswire.TypeA, Workers: workers}.Run(ctx, pop)
 	if err != nil {

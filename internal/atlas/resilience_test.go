@@ -159,7 +159,7 @@ func TestBlockingStudyClassifiesHardErrors(t *testing.T) {
 	pop := faultyPopulation(t, func(e dnsserver.Exchanger) dnsserver.Exchanger {
 		return &brokenPath{inner: e, mod: 5}
 	})
-	report, err := BlockingStudy(context.Background(), pop)
+	report, err := BlockingStudyWorkers(context.Background(), pop, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestBlockingStudyClassifiesHardErrors(t *testing.T) {
 		t.Fatal("blocking report saw no errored probes despite the broken path")
 	}
 	clean := faultyPopulation(t, nil)
-	base, err := BlockingStudy(context.Background(), clean)
+	base, err := BlockingStudyWorkers(context.Background(), clean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

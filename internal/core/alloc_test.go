@@ -42,7 +42,7 @@ func TestProcessSubnetAllocBudget(t *testing.T) {
 		cfg:     &cfg,
 		idx:     idx,
 		clock:   cfg.Clock,
-		limiter: newTokenBucket(cfg.QPS, cfg.PacerBatch, cfg.Clock),
+		limiter: newTokenBucket(cfg.QPS, pacerBatch, cfg.Clock),
 		breaker: newCircuitBreaker(cfg.Breaker, cfg.Clock),
 	}
 	aux := &workerAux{
@@ -50,7 +50,7 @@ func TestProcessSubnetAllocBudget(t *testing.T) {
 		origins:  make(map[netip.Addr]bgp.ASN),
 		cursor:   idx.Cursor(),
 	}
-	worker := &scanWorker{st: st, sh: newScanShard(), aux: aux, budget: -1}
+	worker := &scanWorker{st: st, sh: newScanShard(), aux: aux}
 	ref := subnetRef{p: clientSubnetPrefix(w, 0)}
 	ctx := context.Background()
 
@@ -96,7 +96,7 @@ func TestScanLoopCheckpointedAllocBudget(t *testing.T) {
 		cfg:     &cfg,
 		idx:     idx,
 		clock:   cfg.Clock,
-		limiter: newTokenBucket(cfg.QPS, cfg.PacerBatch, cfg.Clock),
+		limiter: newTokenBucket(cfg.QPS, pacerBatch, cfg.Clock),
 		breaker: newCircuitBreaker(cfg.Breaker, cfg.Clock),
 		journal: j,
 	}
@@ -106,7 +106,7 @@ func TestScanLoopCheckpointedAllocBudget(t *testing.T) {
 		cursor:   idx.Cursor(),
 		delta:    new(journalFrame),
 	}
-	worker := &scanWorker{st: st, sh: newScanShard(), aux: aux, budget: -1}
+	worker := &scanWorker{st: st, sh: newScanShard(), aux: aux}
 	var batch []subnetRef
 	for _, route := range cfg.Universe {
 		iputil.Subnets(route, 24, func(p netip.Prefix) bool {

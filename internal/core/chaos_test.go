@@ -317,7 +317,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		},
 		Ledger: map[netip.Prefix]*SubnetFault{
 			netip.MustParsePrefix("10.1.2.0/24"): {
-				Subnet: netip.MustParsePrefix("10.1.2.0/24"),
+				Subnet:   netip.MustParsePrefix("10.1.2.0/24"),
 				Timeouts: 2, ServFails: 1, Attempts: 3,
 				LastKind: faults.KindServFail, Recovered: true,
 			},
@@ -352,33 +352,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 	if _, err := loadImage(t, []byte("A 192.0.2.1,1\n")); err == nil {
 		t.Fatal("headerless checkpoint accepted")
-	}
-}
-
-// TestBackoffDelayShape pins the backoff math: deterministic, within
-// [base/2, cap), monotone-capped growth.
-func TestBackoffDelayShape(t *testing.T) {
-	b := BackoffConfig{Base: 100 * time.Millisecond, Cap: time.Second}
-	for attempt := 0; attempt < 12; attempt++ {
-		d1 := b.delay(12345, attempt)
-		d2 := b.delay(12345, attempt)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: nondeterministic delay %v vs %v", attempt, d1, d2)
-		}
-		if d1 < 50*time.Millisecond || d1 >= time.Second {
-			t.Fatalf("attempt %d: delay %v outside [base/2, cap)", attempt, d1)
-		}
-	}
-	if (BackoffConfig{}).delay(1, 3) != 0 {
-		t.Fatal("zero config must not sleep")
-	}
-	// Decorrelated: different subnets draw different jitter.
-	seen := map[time.Duration]bool{}
-	for key := uint64(0); key < 16; key++ {
-		seen[b.delay(key, 2)] = true
-	}
-	if len(seen) < 8 {
-		t.Fatalf("jitter barely varies across keys: %d distinct of 16", len(seen))
 	}
 }
 

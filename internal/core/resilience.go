@@ -7,49 +7,22 @@ import (
 	"time"
 
 	"github.com/relay-networks/privaterelay/internal/faults"
-	"github.com/relay-networks/privaterelay/internal/iputil"
+	"github.com/relay-networks/privaterelay/internal/retry"
 	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
-// The resilience layer under core.Scan: exponential backoff with
-// decorrelated jitter, a shared circuit breaker for sustained
+// The resilience layer under core.Scan: capped exponential backoff
+// with deterministic jitter, a shared circuit breaker for sustained
 // SERVFAIL/REFUSED episodes, and the per-subnet failure ledger. All
 // waiting goes through a vclock.Clock, so chaos tests drive the whole
 // stack on a virtual clock with zero wall sleeps.
 
-// BackoffConfig shapes the retry backoff. The delay before retry k is
-// min(Cap, Base·2^k) scaled by a deterministic jitter factor in
-// [0.5, 1.0) drawn from the subnet and attempt number — decorrelated
-// across subnets so synchronized retry herds cannot form.
-type BackoffConfig struct {
-	// Base is the first retry's delay; zero disables backoff sleeping
-	// entirely (the pre-resilience behaviour).
-	Base time.Duration
-	// Cap bounds the exponential growth (default 64×Base).
-	Cap time.Duration
-}
-
-// delay computes the jittered backoff before retry attempt (0-based).
-func (b BackoffConfig) delay(key uint64, attempt int) time.Duration {
-	if b.Base <= 0 {
-		return 0
-	}
-	cap := b.Cap
-	if cap <= 0 {
-		cap = 64 * b.Base
-	}
-	d := b.Base
-	for i := 0; i < attempt && d < cap; i++ {
-		d *= 2
-	}
-	if d > cap {
-		d = cap
-	}
-	// Jitter in [0.5, 1.0): deterministic per (subnet, attempt).
-	h := iputil.Mix(key, uint64(attempt)^0xBACC0FF)
-	frac := float64(h>>11) / float64(1<<53)
-	return d/2 + time.Duration(frac*float64(d/2))
-}
+// BackoffConfig shapes the scan's retry backoff: the shared
+// retry.Backoff schedule, jittered per (subnet, attempt) so
+// synchronized retry herds cannot form. A zero Base disables backoff
+// sleeping entirely (the pre-resilience behaviour); a zero Cap defaults
+// to 64×Base.
+type BackoffConfig = retry.Backoff
 
 // BreakerConfig tunes the shared circuit breaker.
 type BreakerConfig struct {

@@ -14,10 +14,10 @@
 // The paper's headline scan ran ~40 hours against a rate-limited
 // authoritative; the orchestration here is built to survive that:
 // per-attempt classification of timeouts, SERVFAIL, REFUSED, truncation
-// and stale responses, exponential backoff with decorrelated jitter, a
-// shared circuit breaker, a per-subnet failure ledger, deferred-subnet
-// retry passes, and a checkpoint journal a killed scan resumes from with
-// bit-identical results.
+// and stale responses, capped exponential backoff with deterministic
+// jitter, a shared circuit breaker, a per-subnet failure ledger,
+// deferred-subnet retry passes, and a checkpoint journal a killed scan
+// resumes from with bit-identical results.
 package core
 
 import (
@@ -83,21 +83,12 @@ type ScanConfig struct {
 	Retries int
 	// QPS rate-limits the client side; zero disables limiting.
 	QPS float64
-	// PacerBatch is how many send-slots a worker claims from the pacer
-	// per CAS (default 16). Larger tranches cut cross-worker contention
-	// on the pacer's atomic timestamp; each slot is still slept to
-	// individually, so the long-run rate stays exactly QPS. Unused slots
-	// are returned when a pass drains.
-	PacerBatch int
 
 	// Backoff paces re-attempts; the zero value disables backoff sleeps.
 	Backoff BackoffConfig
 	// Breaker trips on sustained SERVFAIL/REFUSED; zero Threshold
 	// disables it.
 	Breaker BreakerConfig
-	// RetryBudget caps the retries each worker may spend per pass
-	// (0 = unlimited). Once exhausted, failing subnets defer immediately.
-	RetryBudget int64
 	// MaxPasses bounds the deferred-subnet retry passes (default 1: the
 	// pre-resilience single sweep).
 	MaxPasses int
@@ -571,7 +562,6 @@ type scanWorker struct {
 	st       *scanState
 	sh       *scanShard // the worker's shard, persistent across passes
 	aux      *workerAux // persistent lookup state (memos, cursor, grant)
-	budget   int64      // remaining retry budget this pass (<0 = unlimited)
 	deferred []subnetRef
 
 	// query is the worker's reusable query message: built once, then only
@@ -689,29 +679,18 @@ func (w *scanWorker) processSubnet(ctx context.Context, ref subnetRef) bool {
 		dnswire.ReleaseMessage(resp)
 		w.ledgerFail(ref.p, out)
 
-		if inPass >= cfg.Retries || !w.spendBudget() || ctx.Err() != nil {
+		if inPass >= cfg.Retries || ctx.Err() != nil {
 			w.defer_(ref)
 			return false
 		}
-		if d := cfg.Backoff.delay(key, int(ref.attempts)-1); d > 0 {
+		retryIdx := int(ref.attempts) - 1
+		if d := cfg.Backoff.Delay(retryIdx, iputil.Mix(key, uint64(retryIdx)^0xBACC0FF)); d > 0 {
 			if st.clock.Sleep(ctx, d) != nil {
 				w.defer_(ref)
 				return false
 			}
 		}
 	}
-}
-
-// spendBudget consumes one unit of the worker's per-pass retry budget.
-func (w *scanWorker) spendBudget() bool {
-	if w.budget < 0 {
-		return true
-	}
-	if w.budget == 0 {
-		return false
-	}
-	w.budget--
-	return true
 }
 
 // defer_ pushes the subnet to the next pass. Recovery status is not
@@ -783,6 +762,9 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 	if cfg.MaxPasses <= 0 {
 		cfg.MaxPasses = 1
 	}
+	if cfg.Backoff.Cap <= 0 {
+		cfg.Backoff.Cap = 64 * cfg.Backoff.Base
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.WallClock{}
 	}
@@ -799,7 +781,7 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 		cfg:     &cfg,
 		idx:     idx,
 		clock:   cfg.Clock,
-		limiter: newTokenBucket(cfg.QPS, cfg.PacerBatch, cfg.Clock),
+		limiter: newTokenBucket(cfg.QPS, pacerBatch, cfg.Clock),
 		breaker: newCircuitBreaker(cfg.Breaker, cfg.Clock),
 	}
 
@@ -849,7 +831,7 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 		}
 		// Inter-pass backoff: give outages room to clear before the
 		// next sweep over the deferred set.
-		if d := cfg.Backoff.delay(uint64(pass)^0x9A55, pass+2); d > 0 {
+		if d := cfg.Backoff.Delay(pass+2, iputil.Mix(uint64(pass)^0x9A55, uint64(pass+2)^0xBACC0FF)); d > 0 {
 			if st.clock.Sleep(ctx, d) != nil {
 				break
 			}
@@ -986,10 +968,7 @@ func (st *scanState) runPass(ctx context.Context, shards []*scanShard, pending [
 	var wg sync.WaitGroup
 	wg.Add(cfg.Concurrency)
 	for i := 0; i < cfg.Concurrency; i++ {
-		w := &scanWorker{st: st, sh: shards[i], aux: st.auxes[i], budget: -1}
-		if cfg.RetryBudget > 0 {
-			w.budget = cfg.RetryBudget
-		}
+		w := &scanWorker{st: st, sh: shards[i], aux: st.auxes[i]}
 		workers[i] = w
 		go func() {
 			defer wg.Done()
@@ -1123,15 +1102,16 @@ type tokenBucket struct {
 	next     atomic.Int64
 }
 
-// defaultPacerBatch is the tranche size when ScanConfig.PacerBatch is 0.
-const defaultPacerBatch = 16
+// pacerBatch is the scan's tranche size: large enough to cut
+// cross-worker contention on the pacer's atomic timestamp, small enough
+// that a drained pass hands back few booked slots.
+const pacerBatch = 16
 
+// newTokenBucket paces at qps in tranches of batch slots; Scan always
+// passes pacerBatch, the equivalence tests sweep other sizes.
 func newTokenBucket(qps float64, batch int, clock vclock.Clock) *tokenBucket {
 	if qps <= 0 {
 		return &tokenBucket{clock: clock}
-	}
-	if batch <= 0 {
-		batch = defaultPacerBatch
 	}
 	return &tokenBucket{
 		interval: int64(float64(time.Second) / qps),

@@ -14,6 +14,7 @@ import (
 
 	"github.com/relay-networks/privaterelay/internal/dnswire"
 	"github.com/relay-networks/privaterelay/internal/iputil"
+	"github.com/relay-networks/privaterelay/internal/retry"
 )
 
 // Exchanger performs one DNS query/response exchange. Implementations:
@@ -214,21 +215,6 @@ type UDPClient struct {
 	Backoff time.Duration
 }
 
-// retryDelay computes the jittered exponential backoff before retry
-// attempt (0-based), deterministic per (transaction ID, attempt).
-func retryDelay(base time.Duration, attempt int, id uint16) time.Duration {
-	d := base
-	for i := 0; i < attempt && d < 8*base; i++ {
-		d *= 2
-	}
-	if d > 8*base {
-		d = 8 * base
-	}
-	h := iputil.Mix(uint64(id)+1, uint64(attempt)^0xD15C0)
-	frac := float64(h>>11) / float64(1<<53)
-	return d/2 + time.Duration(frac*float64(d/2))
-}
-
 // Exchange implements Exchanger over UDP. The socket is dialed once and
 // reused across every retry attempt — only the read/write deadline is
 // reset per attempt. Retrying under a fresh transaction ID only needs the
@@ -270,7 +256,9 @@ func (c *UDPClient) Exchange(ctx context.Context, query *dnswire.Message) (*dnsw
 		id := query.Header.ID
 		if a > 0 {
 			if backoff > 0 {
-				t := time.NewTimer(retryDelay(backoff, a-1, query.Header.ID))
+				// Jitter is deterministic per (transaction ID, retry).
+				h := iputil.Mix(uint64(query.Header.ID)+1, uint64(a-1)^0xD15C0)
+				t := time.NewTimer(retry.Backoff{Base: backoff, Cap: 8 * backoff}.Delay(a-1, h))
 				select {
 				case <-t.C:
 				case <-ctx.Done():

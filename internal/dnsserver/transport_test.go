@@ -83,25 +83,3 @@ func TestUDPClientRetriesRegenerateID(t *testing.T) {
 		t.Fatalf("attempt IDs not distinct: %v", ids)
 	}
 }
-
-// TestRetryDelayShape pins the backoff curve: deterministic per
-// (ID, attempt), inside [base/2, 8·base), jitter varying across IDs.
-func TestRetryDelayShape(t *testing.T) {
-	const base = 100 * time.Millisecond
-	for attempt := 0; attempt < 8; attempt++ {
-		d := retryDelay(base, attempt, 42)
-		if d != retryDelay(base, attempt, 42) {
-			t.Fatalf("attempt %d: nondeterministic delay", attempt)
-		}
-		if d < base/2 || d >= 8*base {
-			t.Fatalf("attempt %d: delay %v outside [base/2, 8*base)", attempt, d)
-		}
-	}
-	seen := map[time.Duration]bool{}
-	for id := uint16(0); id < 16; id++ {
-		seen[retryDelay(base, 1, id)] = true
-	}
-	if len(seen) < 8 {
-		t.Fatalf("jitter barely varies across IDs: %d distinct of 16", len(seen))
-	}
-}

@@ -20,11 +20,11 @@ import (
 	"net/netip"
 	"strconv"
 	"strings"
-	"sync"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/geo"
 	"github.com/relay-networks/privaterelay/internal/netsim"
+	"github.com/relay-networks/privaterelay/internal/workpool"
 )
 
 // Entry is one row of the egress list.
@@ -169,20 +169,16 @@ type Attributed struct {
 	BGPPrefix netip.Prefix
 }
 
-// DefaultAttributeWorkers is the worker count AttributeN uses when the
-// caller passes 0.
-const DefaultAttributeWorkers = 8
+// attributeGrain is how many consecutive entries a worker claims at a
+// time: long enough that the per-range cursor's locality pays off.
+const attributeGrain = 1 << 12
 
-// Attribute joins every entry against the routing table, mirroring the
-// paper's AS and BGP-prefix attribution of the published list. Entries in
-// unrouted space are attributed to AS 0 with an invalid BGP prefix.
-func Attribute(l *List, table *bgp.Table) []Attributed {
-	return AttributeN(l, table, 0)
-}
-
-// AttributeN is Attribute fanned out to `workers` goroutines. The table
-// is flattened once into a lock-free interval index, entries are split
-// into index-ranged chunks, and each worker writes its chunk's results
+// AttributeN joins every entry against the routing table, mirroring the
+// paper's AS and BGP-prefix attribution of the published list, fanned
+// out over `workers` goroutines (≤ 0: workpool's default). Entries in
+// unrouted space are attributed to AS 0 with an invalid BGP prefix. The
+// table is flattened once into a lock-free interval index, entries are
+// claimed in index ranges, and each worker writes its ranges' results
 // straight into the shared preallocated slice — no merge, no locks, and
 // output identical to the sequential join at any worker count.
 func AttributeN(l *List, table *bgp.Table, workers int) []Attributed {
@@ -204,40 +200,22 @@ func AttributeInto(dst []Attributed, l *List, table *bgp.Table, workers int) []A
 	if n == 0 {
 		return dst
 	}
-	if workers <= 0 {
-		workers = DefaultAttributeWorkers
-	}
-	if workers > n {
-		workers = n
-	}
 	idx := table.Index()
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			// Consecutive entries are ~93% address-ascending, so a
-			// per-worker cursor turns most lookups into a couple of
-			// neighboring key compares instead of a binary search.
-			cur := idx.Cursor()
-			for i := lo; i < hi; i++ {
-				e := l.Entries[i]
-				route, as, id, ok := cur.CoveringRoute(e.Prefix)
-				a := Attributed{Entry: e, AS: as, BGPPrefix: route}
-				if ok {
-					a.RouteID = id + 1
-				}
-				dst[i] = a
+	workpool.Run(n, attributeGrain, workers, func(_, lo, hi int) {
+		// Consecutive entries are ~93% address-ascending, so a per-range
+		// cursor turns most lookups into a couple of neighboring key
+		// compares instead of a binary search.
+		cur := idx.Cursor()
+		for i := lo; i < hi; i++ {
+			e := l.Entries[i]
+			route, as, id, ok := cur.CoveringRoute(e.Prefix)
+			a := Attributed{Entry: e, AS: as, BGPPrefix: route}
+			if ok {
+				a.RouteID = id + 1
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+			dst[i] = a
+		}
+	})
 	return dst
 }
 

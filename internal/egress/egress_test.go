@@ -31,7 +31,7 @@ func testList(t testing.TB) (*netsim.World, *List) {
 func splitByASFam(t testing.TB, w *netsim.World, l *List) map[bgp.ASN]map[netsim.Family][]Attributed {
 	t.Helper()
 	out := map[bgp.ASN]map[netsim.Family][]Attributed{}
-	for _, a := range Attribute(l, w.Table) {
+	for _, a := range AttributeN(l, w.Table, 0) {
 		if a.AS == 0 {
 			t.Fatalf("unattributed entry %v", a.Prefix)
 		}
@@ -371,7 +371,7 @@ func TestGeoDBMatchesEntryLocation(t *testing.T) {
 func TestAttributeUnroutedEntry(t *testing.T) {
 	w, _ := testList(t)
 	l := &List{Entries: []Entry{{Prefix: netip.MustParsePrefix("203.0.113.0/28"), CC: "US"}}}
-	attr := Attribute(l, w.Table)
+	attr := AttributeN(l, w.Table, 0)
 	if attr[0].AS != 0 || attr[0].BGPPrefix.IsValid() {
 		t.Fatalf("unrouted entry attributed: %+v", attr[0])
 	}

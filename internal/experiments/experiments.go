@@ -47,10 +47,6 @@ type Env struct {
 	// Atlas-campaign pipelines (0 falls back to each pipeline's default).
 	// Like scans, those pipelines are worker-count-independent.
 	PipelineWorkers int
-	// PacerBatch is the number of send-slots a scan worker claims from
-	// the pacer per CAS (0 falls back to core.Scan's default tranche).
-	// Grant batching changes contention, never the dataset.
-	PacerBatch int
 	// FaultProfile, when non-nil, routes every DNS exchange the
 	// environment builds — ECS scans, the relay device's resolver and the
 	// Atlas probe transports — through a faults.Injector with this
@@ -107,7 +103,6 @@ func (e *Env) ScanMonth(ctx context.Context, month bgp.Month, domain string) (*c
 		Attribution:  e.World.Table,
 		RespectScope: true,
 		Concurrency:  e.ScanConcurrency,
-		PacerBatch:   e.PacerBatch,
 		Retries:      1,
 	}
 	if e.FaultProfile != nil {

@@ -43,7 +43,7 @@ func NewDeployment(w *netsim.World, list *egress.List) *Deployment {
 		byOpCC: make(map[opCC][]egress.Entry),
 		geoDB:  list.GeoDB(),
 
-		attributed: egress.Attribute(list, w.Table),
+		attributed: egress.AttributeN(list, w.Table, 0),
 	}
 	for _, a := range d.attributed {
 		if a.AS == 0 || !a.Prefix.Addr().Is4() {

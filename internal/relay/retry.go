@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/relay-networks/privaterelay/internal/iputil"
+	"github.com/relay-networks/privaterelay/internal/retry"
 	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
@@ -52,16 +53,8 @@ func ConnectWithRetry(ctx context.Context, c Connector, r ConnectRetry) (*Tunnel
 			return nil, err
 		}
 		if a > 0 && backoff > 0 {
-			d := backoff
-			for i := 0; i < a-1 && d < 8*backoff; i++ {
-				d *= 2
-			}
-			if d > 8*backoff {
-				d = 8 * backoff
-			}
-			h := iputil.Mix(0xC0FFEE^uint64(a), uint64(a))
-			frac := float64(h>>11) / float64(1<<53)
-			if err := clock.Sleep(ctx, d/2+time.Duration(frac*float64(d/2))); err != nil {
+			d := retry.Backoff{Base: backoff, Cap: 8 * backoff}.Delay(a-1, iputil.Mix(0xC0FFEE^uint64(a), uint64(a)))
+			if err := clock.Sleep(ctx, d); err != nil {
 				return nil, err
 			}
 		}

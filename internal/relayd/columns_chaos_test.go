@@ -472,7 +472,9 @@ func TestRetentionCompactionKillResume(t *testing.T) {
 
 // TestDiffCoversRoundTrip pins the squash header extension: write →
 // read preserves Covers, plain diffs stay covers-free, and a malformed
-// covers line is rejected as corrupt.
+// covers line is rejected as corrupt — as are a diff missing a month
+// header (its zero month would not re-read) and one whose first line
+// is not the diff header.
 func TestDiffCoversRoundTrip(t *testing.T) {
 	d := &DatasetDiff{
 		Domain: dnsserver.MaskDomain, Gen: 4,
@@ -499,8 +501,14 @@ func TestDiffCoversRoundTrip(t *testing.T) {
 		t.Fatal("squash diff not byte-stable across write→read→write")
 	}
 
-	bad := bytes.Replace(buf.Bytes(), []byte("# covers 4"), []byte("# covers zero"), 1)
-	if _, err := ReadDiff(bytes.NewReader(bad)); err == nil {
-		t.Fatal("malformed covers line accepted")
+	for name, bad := range map[string][]byte{
+		"malformed covers line": bytes.Replace(buf.Bytes(), []byte("# covers 4"), []byte("# covers zero"), 1),
+		"missing from header":   bytes.Replace(buf.Bytes(), []byte("# from 2022-01\n"), nil, 1),
+		"missing to header":     bytes.Replace(buf.Bytes(), []byte("# to 2022-05\n"), nil, 1),
+		"leading blank line":    append([]byte("\n"), bytes.Replace(buf.Bytes(), []byte("# diff v1\n"), nil, 1)...),
+	} {
+		if d, err := ReadDiff(bytes.NewReader(bad)); err == nil || d != nil {
+			t.Fatalf("%s accepted: %+v", name, d)
+		}
 	}
 }

@@ -108,12 +108,15 @@ func (d *DatasetDiff) Write(w io.Writer) error {
 }
 
 // ReadDiff parses a canonical diff file, rejecting truncated or
-// malformed content.
+// malformed content. The header must open the file, and the month
+// headers must be present: Write always emits them, and a zero month
+// has no valid text form.
 func ReadDiff(r io.Reader) (*DatasetDiff, error) {
 	d := &DatasetDiff{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	line, rows, sawEnd := 0, 0, false
+	sawFrom, sawTo := false, false
 	bad := func(format string, args ...any) error {
 		return &core.CorruptError{Line: line, Reason: fmt.Sprintf(format, args...)}
 	}
@@ -132,7 +135,7 @@ func ReadDiff(r io.Reader) (*DatasetDiff, error) {
 	for sc.Scan() {
 		line++
 		text := sc.Text()
-		if text == "" {
+		if text == "" && line > 1 {
 			continue
 		}
 		if sawEnd {
@@ -156,13 +159,13 @@ func ReadDiff(r io.Reader) (*DatasetDiff, error) {
 			if err != nil {
 				return nil, bad("%v", err)
 			}
-			d.From = m
+			d.From, sawFrom = m, true
 		case strings.HasPrefix(text, "# to "):
 			m, err := parseMonth(strings.TrimPrefix(text, "# to "))
 			if err != nil {
 				return nil, bad("%v", err)
 			}
-			d.To = m
+			d.To, sawTo = m, true
 		case strings.HasPrefix(text, "# covers "):
 			n, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(text, "# covers ")))
 			if err != nil || n < 1 {
@@ -204,6 +207,9 @@ func ReadDiff(r io.Reader) (*DatasetDiff, error) {
 	}
 	if !sawEnd {
 		return nil, bad("missing footer (truncated write?)")
+	}
+	if !sawFrom || !sawTo {
+		return nil, bad("missing month header")
 	}
 	return d, nil
 }

@@ -31,6 +31,14 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value reads the counter.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
+// advanceTo adds the delta that brings the counter up to v, a reading
+// of a monotone source. The compare-and-swap keeps concurrent scrapes
+// from adding the same delta twice.
+func (c *Counter) advanceTo(v int64) {
+	for cur := c.v.Load(); cur < v && !c.v.CompareAndSwap(cur, v); cur = c.v.Load() {
+	}
+}
+
 // Gauge is a float64 series handle that can move both ways.
 type Gauge struct{ bits atomic.Uint64 }
 
@@ -168,11 +176,13 @@ func (r *Registry) WriteText(w io.Writer) error {
 }
 
 // CollectPools refreshes the pool-hit-rate series for the scan's
-// pooled dnswire messages.
+// pooled dnswire messages. The process-wide pool stats only grow, so
+// the _total series are counters advanced by the delta since the last
+// read — integers on /metrics however large they get.
 func (r *Registry) CollectPools() {
 	acquires, misses := dnswire.MessagePoolStats()
-	r.Gauge("pool_acquires_total", "pool", "dnswire_message").Set(float64(acquires))
-	r.Gauge("pool_misses_total", "pool", "dnswire_message").Set(float64(misses))
+	r.Counter("pool_acquires_total", "pool", "dnswire_message").advanceTo(acquires)
+	r.Counter("pool_misses_total", "pool", "dnswire_message").advanceTo(misses)
 	rate := 0.0
 	if acquires > 0 {
 		rate = float64(acquires-misses) / float64(acquires)

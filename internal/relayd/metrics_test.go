@@ -3,7 +3,10 @@ package relayd
 import (
 	"bytes"
 	"context"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/relay-networks/privaterelay/internal/dnswire"
@@ -76,6 +79,39 @@ func TestCollectPoolsExportsHitRate(t *testing.T) {
 		if !strings.Contains(buf.String(), series) {
 			t.Fatalf("missing %s in:\n%s", series, buf.String())
 		}
+	}
+}
+
+// TestPoolCountersPrintAsIntegers: past a million acquires the pool
+// totals still print as integers (a float series would print 1e+06),
+// and repeated scrapes, concurrent ones included, track the
+// process-wide stats without adding the same delta twice.
+func TestPoolCountersPrintAsIntegers(t *testing.T) {
+	for i := 0; i < 1<<20; i++ {
+		dnswire.ReleaseMessage(dnswire.AcquireMessage())
+	}
+	reg := NewRegistry()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reg.CollectPools()
+		}()
+	}
+	wg.Wait()
+	reg.CollectPools()
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	line := regexp.MustCompile(`(?m)^pool_acquires_total\{pool="dnswire_message"\} .*$`).FindString(buf.String())
+	if !regexp.MustCompile(`^pool_acquires_total\{pool="dnswire_message"\} [0-9]+$`).MatchString(line) {
+		t.Fatalf("acquires line %q is not an integer sample in:\n%s", line, buf.String())
+	}
+	got, _ := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+	if acquires, _ := dnswire.MessagePoolStats(); got < 1<<20 || got > acquires {
+		t.Fatalf("pool_acquires_total = %d, want within [%d, %d]", got, 1<<20, acquires)
 	}
 }
 

@@ -7,14 +7,15 @@ import (
 	"time"
 
 	"github.com/relay-networks/privaterelay/internal/iputil"
+	"github.com/relay-networks/privaterelay/internal/retry"
 	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
 // The campaign supervisor. Each recurring unit of work relayd runs — a
 // monthly scan, an Atlas campaign, the diff pass — sits behind one
-// Supervisor that owns its failure policy: bounded retries with
-// decorrelated-jitter backoff, a circuit breaker that trips after a
-// run of consecutive failures and cools down before probing again, a
+// Supervisor that owns its failure policy: bounded retries with the
+// shared capped exponential backoff, a circuit breaker that trips after
+// a run of consecutive failures and cools down before probing again, a
 // per-attempt deadline budget, and a quarantine terminal state for
 // campaigns that keep failing after the breaker has given them every
 // chance. The state machine is deliberately small and fully
@@ -74,9 +75,11 @@ type SupervisorConfig struct {
 	// Attempts is the number of tries one Tick makes before reporting
 	// failure (default 3).
 	Attempts int
-	// BackoffBase seeds the decorrelated-jitter backoff (default 50ms).
+	// BackoffBase is the first retry's undiscounted backoff; a Tick's
+	// k-th retry waits min(BackoffCap, BackoffBase·2^(k-1)) scaled by
+	// jitter in [1/2, 1) (default 50ms).
 	BackoffBase time.Duration
-	// BackoffCap clamps any single backoff sleep (default 30× base).
+	// BackoffCap bounds the exponential growth (default 30× base).
 	BackoffCap time.Duration
 	// Budget caps one attempt's runtime via context deadline
 	// (default: no per-attempt deadline).
@@ -128,8 +131,7 @@ type Supervisor struct {
 	consecFails  int       // failed Ticks since last success
 	breakerTrips int       // times the breaker has opened
 	breakerUntil time.Time // cooldown expiry while open
-	jitterState  uint64    // decorrelated jitter accumulator
-	attempt      uint64    // lifetime attempt counter (jitter stream position)
+	attempt      uint64    // lifetime attempt counter (keys the backoff jitter)
 }
 
 // NewSupervisor builds a supervisor on the given clock, reporting into
@@ -171,27 +173,6 @@ func (s *Supervisor) setState(next State) {
 	}
 }
 
-// backoffDelay yields the next decorrelated-jitter delay: each delay is
-// drawn uniformly from [base, 3×previous], clamped to the cap. The
-// jitter stream is a pure function of (seed, lifetime attempt number),
-// so a supervisor rebuilt after a crash at the same attempt count
-// sleeps the same schedule — determinism the chaos test leans on.
-func (s *Supervisor) backoffDelay() time.Duration {
-	base := s.cfg.BackoffBase
-	prev := s.jitterState
-	if prev == 0 {
-		prev = uint64(base)
-	}
-	span := 3*prev - uint64(base)
-	r := iputil.Mix(s.cfg.Seed, s.attempt)
-	d := time.Duration(uint64(base) + r%span)
-	if d > s.cfg.BackoffCap {
-		d = s.cfg.BackoffCap
-	}
-	s.jitterState = uint64(d)
-	return d
-}
-
 // Tick runs one supervised campaign pass: up to Attempts tries of run,
 // sleeping jittered backoff between failures, each attempt bounded by
 // Budget. Returns nil on success. Context cancellation is not a
@@ -213,10 +194,16 @@ func (s *Supervisor) Tick(ctx context.Context, run func(context.Context) error) 
 	}
 
 	var lastErr error
+	backoff := retry.Backoff{Base: s.cfg.BackoffBase, Cap: s.cfg.BackoffCap}
 	for attempt := 0; attempt < s.cfg.Attempts; attempt++ {
 		if attempt > 0 {
 			s.setState(StateBackoff)
-			if err := s.clock.Sleep(ctx, s.backoffDelay()); err != nil {
+			// The exponent is the retry's index within this Tick; the
+			// jitter is keyed by (seed, lifetime attempt), so a supervisor
+			// rebuilt after a crash at the same attempt count sleeps the
+			// same schedule.
+			d := backoff.Delay(attempt-1, iputil.Mix(s.cfg.Seed, s.attempt))
+			if err := s.clock.Sleep(ctx, d); err != nil {
 				s.setState(StateIdle)
 				return err
 			}

@@ -132,26 +132,33 @@ func TestSupervisorCancellationIsNotFailure(t *testing.T) {
 	}
 }
 
-// TestSupervisorJitterDeterministic: the backoff schedule is a pure
-// function of (seed, attempt) — a rebuilt supervisor replays it.
-func TestSupervisorJitterDeterministic(t *testing.T) {
-	run := func() []time.Duration {
-		s := testSupervisor(vclock.NewVirtualClock(), nil)
-		var ds []time.Duration
-		for i := 0; i < 8; i++ {
-			s.attempt++
-			ds = append(ds, s.backoffDelay())
-		}
-		return ds
+// TestSupervisorBackoffReplays: a Tick's backoff is a pure function of
+// (seed, lifetime attempt count) — a supervisor rebuilt at the same
+// count sleeps the same delay — and the first retry waits within
+// [BackoffBase/2, BackoffBase).
+func TestSupervisorBackoffReplays(t *testing.T) {
+	fail := func(context.Context) error { return errBoom }
+	slept := func(prior uint64) time.Duration {
+		clock := vclock.NewVirtualClock()
+		s := testSupervisor(clock, nil)
+		s.attempt = prior
+		before := clock.Elapsed()
+		_ = s.Tick(context.Background(), fail)
+		return clock.Elapsed() - before
 	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("delay %d: %v vs %v", i, a[i], b[i])
+	seen := map[time.Duration]bool{}
+	for prior := uint64(0); prior < 8; prior++ {
+		d := slept(prior)
+		if again := slept(prior); again != d {
+			t.Fatalf("after %d attempts: slept %v, rebuilt supervisor slept %v", prior, d, again)
 		}
-		if a[i] < 50*time.Millisecond || a[i] > 30*50*time.Millisecond {
-			t.Fatalf("delay %d out of bounds: %v", i, a[i])
+		if d < 25*time.Millisecond || d >= 50*time.Millisecond {
+			t.Fatalf("after %d attempts: slept %v, want [25ms, 50ms)", prior, d)
 		}
+		seen[d] = true
+	}
+	if len(seen) < 4 {
+		t.Fatalf("jitter barely varies across attempt counts: %d distinct of 8", len(seen))
 	}
 }
 

@@ -15,7 +15,7 @@ func setup(t testing.TB) (*netsim.World, map[netip.Addr]bgp.ASN, []egress.Attrib
 	w := netsim.NewWorld(netsim.Params{Seed: 14, Scale: 0.0005})
 	ingress := w.FleetUnion(netsim.MonthApr, netsim.ProtoDefault, netsim.FamilyV4, 0)
 	list := egress.Generate(w, 14)
-	return w, ingress, egress.Attribute(list, w.Table)
+	return w, ingress, egress.AttributeN(list, w.Table, 0)
 }
 
 // addrsOf lists the addresses of a ground-truth fleet map that as

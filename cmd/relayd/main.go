@@ -47,7 +47,7 @@ func main() {
 
 	var clock vclock.Clock = vclock.WallClock{}
 	if *virtual {
-		clock = pacedClock{vclock.NewVirtualClock()}
+		clock = pacedClock{Clock: vclock.NewVirtualClock(), idle: *interval}
 	}
 	svc, err := relayd.New(relayd.ServiceConfig{
 		Pipeline: relayd.PipelineConfig{
@@ -111,13 +111,18 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-// pacedClock wraps a virtual clock with a short wall pause per sleep,
-// so a caught-up -virtual-clock service idles scrapeably instead of
-// spinning through instant virtual sleeps.
-type pacedClock struct{ vclock.Clock }
+// pacedClock wraps a virtual clock with a short wall pause on the idle
+// sleep between cycles (any sleep of at least idle, the -interval), so
+// a caught-up -virtual-clock service idles scrapeably instead of
+// spinning through instant virtual sleeps. Scan backoffs, breaker
+// cooldowns and injected latency stay instant.
+type pacedClock struct {
+	vclock.Clock
+	idle time.Duration
+}
 
 func (c pacedClock) Sleep(ctx context.Context, d time.Duration) error {
-	if err := c.Clock.Sleep(ctx, d); err != nil {
+	if err := c.Clock.Sleep(ctx, d); err != nil || d < c.idle {
 		return err
 	}
 	t := time.NewTimer(50 * time.Millisecond)

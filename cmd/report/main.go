@@ -15,16 +15,19 @@ import (
 import (
 	"github.com/relay-networks/privaterelay/internal/atomicio"
 	"github.com/relay-networks/privaterelay/internal/experiments"
+	"github.com/relay-networks/privaterelay/internal/profiling"
 )
 
 func main() {
 	var (
-		seed    = flag.Uint64("seed", 42, "world seed")
-		scale   = flag.Float64("scale", 0.002, "client-universe scale (1.0 = paper scale; large scales take hours, like the real 40h scan)")
-		out     = flag.String("out", "", "also write the report to this file")
-		figures = flag.String("figures", "", "also export every figure's raw series as CSV files into this directory")
+		seed     = flag.Uint64("seed", 42, "world seed")
+		scale    = flag.Float64("scale", 0.002, "client-universe scale (1.0 = paper scale; large scales take hours, like the real 40h scan)")
+		out      = flag.String("out", "", "also write the report to this file")
+		figures  = flag.String("figures", "", "also export every figure's raw series as CSV files into this directory")
+		profiles = profiling.Register()
 	)
 	flag.Parse()
+	defer profiles.Start()()
 
 	start := time.Now()
 	env := experiments.NewEnv(*seed, *scale)

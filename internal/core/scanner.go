@@ -927,6 +927,18 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 	return ds, nil
 }
 
+// cancelled reports whether done, a context's Done channel, is closed.
+// The scan worker asks before every subnet; on a cancelCtx ctx.Err()
+// takes the context's mutex, the receive does not.
+func cancelled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
 // runPass sweeps one source of work — the streamed universe on pass 1,
 // the deferred set afterwards — and returns the subnets still pending.
 func (st *scanState) runPass(ctx context.Context, shards []*scanShard, pending []subnetRef, first bool) []subnetRef {
@@ -972,9 +984,10 @@ func (st *scanState) runPass(ctx context.Context, shards []*scanShard, pending [
 		workers[i] = w
 		go func() {
 			defer wg.Done()
+			done := ctx.Done()
 			for batch := range work {
 				for _, ref := range batch {
-					if ctx.Err() != nil {
+					if cancelled(done) {
 						st.fail(ctx.Err())
 						break
 					}

@@ -43,8 +43,12 @@ type MemTransport struct {
 
 // Exchange implements Exchanger.
 func (m *MemTransport) Exchange(ctx context.Context, query *dnswire.Message) (*dnswire.Message, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	// A receive on Done, not ctx.Err(): the latter locks a cancelCtx's
+	// mutex on every exchange.
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	default:
 	}
 	if m.LossEvery > 0 {
 		if m.n.Add(1)%int64(m.LossEvery) == 0 {

@@ -21,6 +21,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/faults"
 	"github.com/relay-networks/privaterelay/internal/netsim"
 	"github.com/relay-networks/privaterelay/internal/vclock"
+	"github.com/relay-networks/privaterelay/internal/workpool"
 )
 
 // The measurement pipeline: what relayd actually runs each cycle. The
@@ -168,14 +169,33 @@ func (p *Pipeline) NextMonth() (idx int, caughtUp bool) {
 
 // RunScanCampaign completes month: every domain without a durable
 // dataset is scanned (resuming its checkpoint if one exists) and
-// persisted atomically. Domains that already finished are skipped, so a
-// kill between domains costs only the unfinished one.
+// persisted atomically. The pending domains scan concurrently, one
+// workpool worker each, every one through its own runScan — its own
+// journal, dataset file, AuthServer and fault injector — so the sweeps
+// share no mutable state.
+//
+// A failing domain does not cancel its siblings: they run to
+// completion and persist their datasets, and the call returns the
+// first failing domain's error in plan order, so the result does not
+// depend on scheduling. The supervisor's retry then rescans only the
+// unfinished domains. Cancelling ctx (a SIGTERM drain) stops every
+// scan, each leaving a resumable journal. All scans sleep on the one
+// pipeline clock; on a virtual clock their sleeps interleave, which
+// leaves the durable bytes alone but lets the scan retry and fault
+// counters depend on scheduling even at Concurrency 1.
 func (p *Pipeline) RunScanCampaign(ctx context.Context, month bgp.Month) error {
+	var pending []string
 	for _, domain := range p.cfg.Domains {
-		if p.HasDataset(domain, month) {
-			continue
+		if !p.HasDataset(domain, month) {
+			pending = append(pending, domain)
 		}
-		if err := p.runScan(ctx, month, domain); err != nil {
+	}
+	errs := make([]error, len(pending))
+	workpool.Run(len(pending), 1, 0, func(_, i, _ int) {
+		errs[i] = p.runScan(ctx, month, pending[i])
+	})
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}

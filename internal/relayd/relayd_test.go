@@ -3,7 +3,9 @@ package relayd
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -226,6 +228,61 @@ func TestCorruptDiffRecovery(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("recomputed diff differs from the original bytes")
+	}
+}
+
+// TestScanCampaignFailureSparesSibling: a domain whose scan fails does
+// not stop its sibling. A regular file where mask.icloud.com's
+// checkpoint directory belongs fails only that domain's scan; the call
+// returns its error, mask-h2.icloud.com's dataset is durable anyway,
+// and once the obstacle is gone the next call scans only the domain
+// that is still missing.
+func TestScanCampaignFailureSparesSibling(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testServiceConfig(dir).Pipeline
+	cfg.Months = netsim.ScanMonths[:1]
+	cfg.Registry = NewRegistry()
+	pipe, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	month := pipe.Months()[0]
+	blocker := filepath.Join(dir, "checkpoints", "mask_icloud_com")
+	if err := os.MkdirAll(filepath.Dir(blocker), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	err = pipe.RunScanCampaign(context.Background(), month)
+	var pathErr *fs.PathError
+	if !errors.As(err, &pathErr) || pathErr.Path != blocker {
+		t.Fatalf("RunScanCampaign = %v, want the mkdir error on %s", err, blocker)
+	}
+	if pipe.HasDataset(dnsserver.MaskDomain, month) {
+		t.Fatal("the failing domain has a dataset")
+	}
+	if !pipe.HasDataset(dnsserver.MaskH2Domain, month) {
+		t.Fatal("the failing domain stopped its sibling: no mask-h2 dataset")
+	}
+	h2Queries := cfg.Registry.Counter("relayd_scan_queries_total", "domain", dnsserver.MaskH2Domain)
+	before := h2Queries.Value()
+	if before == 0 {
+		t.Fatal("mask-h2 scan counted no queries")
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.RunScanCampaign(context.Background(), month); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if !pipe.HasDataset(dnsserver.MaskDomain, month) {
+		t.Fatal("retry left mask.icloud.com without a dataset")
+	}
+	if after := h2Queries.Value(); after != before {
+		t.Fatalf("retry rescanned mask-h2: queries %d -> %d", before, after)
 	}
 }
 

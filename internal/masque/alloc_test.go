@@ -117,3 +117,52 @@ func TestFrameCodecZeroAlloc(t *testing.T) {
 		t.Fatal("payload corrupted through codec round-trip")
 	}
 }
+
+// TestStreamDeliverReadZeroAlloc pins the client's receive path: once a
+// stream's buffer is warm, delivering a 16 KiB DATA payload and reading
+// it back allocates nothing.
+func TestStreamDeliverReadZeroAlloc(t *testing.T) {
+	s := newStream(nil, 1)
+	payload := bytes.Repeat([]byte{0x5a}, 16*1024)
+	buf := make([]byte, len(payload))
+	s.deliver(payload) // warm the receive buffer
+	if _, err := s.Read(buf); err != nil {
+		t.Fatal(err)
+	}
+	short := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.deliver(payload)
+		if n, err := s.Read(buf); n != len(payload) || err != nil {
+			short++
+		}
+	})
+	if short != 0 {
+		t.Fatalf("%d short or failed reads", short)
+	}
+	if allocs != 0 {
+		t.Fatalf("deliver+Read allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestClientWriteDataZeroAlloc pins the client's send path: a 1 MiB
+// Write, 64 DATA frames in 16 flushed bursts, allocates nothing once
+// the encoder's buffer is warm.
+func TestClientWriteDataZeroAlloc(t *testing.T) {
+	c := connectedClient(&stubConn{okWrites: -1})
+	p := bytes.Repeat([]byte{0xa5}, 1<<20)
+	if _, err := c.writeData(1, p); err != nil { // warm the encoder
+		t.Fatal(err)
+	}
+	var werr error
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.writeData(1, p); err != nil {
+			werr = err
+		}
+	})
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	if allocs != 0 {
+		t.Fatalf("writeData allocates %.1f allocs/op, want 0", allocs)
+	}
+}

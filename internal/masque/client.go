@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"time"
 )
 
 // Client is a Private Relay client: one tunnel through an ingress to an
@@ -33,10 +32,11 @@ type Client struct {
 	readErr error
 	closed  bool
 
-	// wmu orders tunnel writes; enc turns each frame (or Write batch)
-	// into a single conn write, so concurrent streams can never
-	// interleave partial frames. When both are needed, mu is taken and
-	// released before wmu — never nested the other way.
+	// wmu orders tunnel writes; enc turns each frame (or burst of a
+	// Write's frames) into a single conn write, and a Write holds wmu
+	// across all of its bursts, so concurrent streams can never
+	// interleave frames. When both are needed, mu is taken and released
+	// before wmu — never nested the other way.
 	//
 	//lint:lockorder Client.mu < Client.wmu
 	wmu sync.Mutex
@@ -122,6 +122,8 @@ func (c *Client) Reservation() ReservationInfo {
 }
 
 // Close tears the tunnel down; all streams fail with ErrTunnelClosed.
+// Failing them here, not only when the demux loop sees the conn die,
+// also frees a demux loop blocked delivering to a full stream.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -129,12 +131,14 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	conn := c.conn
+	conn, demux := c.conn, c.demux
 	c.mu.Unlock()
-	if conn != nil {
-		return conn.Close()
+	if conn == nil {
+		return nil
 	}
-	return nil
+	err := conn.Close()
+	demux.failAll(ErrTunnelClosed)
+	return err
 }
 
 // run is the demux loop: it routes incoming frames to their streams
@@ -202,8 +206,21 @@ func (c *Client) writeFrame(f *Frame) error {
 	return err
 }
 
-// writeData chunks p into DATA frames for stream id and flushes the
-// whole batch in one conn write.
+// A Write is cut into DATA frames of dataChunk payload bytes, and the
+// encoder flushes them burstChunks at a time: a 64 KiB burst (plus
+// frame headers) stays under maxEncoderRetain, so the encoder reuses
+// one buffer across bursts and a large Write streams onto the conn
+// instead of first being copied whole into a buffer grown from nil.
+const (
+	dataChunk   = 16 * 1024
+	burstChunks = 4
+)
+
+// writeData chunks p into DATA frames for stream id and flushes them a
+// burst at a time. wmu is held for the whole Write, so no other
+// stream's frame lands between two of its bursts and no frame is split
+// across flushes. It returns the payload bytes whose frames were
+// flushed: on error, a count that ends on a frame boundary.
 func (c *Client) writeData(id uint32, p []byte) (int, error) {
 	c.mu.Lock()
 	conn := c.conn
@@ -212,24 +229,24 @@ func (c *Client) writeData(id uint32, p []byte) (int, error) {
 	if closed || conn == nil {
 		return 0, ErrTunnelClosed
 	}
-	const chunk = 16 * 1024
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	written := 0
 	f := Frame{Type: FrameData, StreamID: id}
-	for len(p) > 0 {
-		n := len(p)
-		if n > chunk {
-			n = chunk
+	for written < len(p) {
+		burst := p[written:min(len(p), written+burstChunks*dataChunk)]
+		for off := 0; off < len(burst); off += dataChunk {
+			f.Payload = burst[off:min(len(burst), off+dataChunk)]
+			if err := c.enc.Append(&f); err != nil {
+				return written, err
+			}
 		}
-		f.Payload = p[:n]
-		if err := c.enc.Append(&f); err != nil {
+		if err := c.enc.Flush(); err != nil {
 			return written, err
 		}
-		written += n
-		p = p[n:]
+		written += len(burst)
 	}
-	return written, c.enc.Flush()
+	return written, nil
 }
 
 // Open proxies a new connection to target ("host:port") through the
@@ -243,12 +260,7 @@ func (c *Client) Open(target string) (*Stream, netip.Addr, error) {
 	}
 	id := c.nextID
 	c.nextID++
-	s := &Stream{
-		client: c,
-		id:     id,
-		setup:  make(chan struct{}),
-		data:   make(chan []byte, 64),
-	}
+	s := newStream(c, id)
 	demux := c.demux
 	c.mu.Unlock()
 	demux.putStream(id, s)
@@ -275,6 +287,16 @@ func (c *Client) dropStream(id uint32) {
 	}
 }
 
+// streamRecvBound is the fill line of a stream's receive buffer:
+// deliver waits while at least this many bytes are unread, so a slow
+// reader holds at most streamRecvBound plus one frame per stream. 64
+// KiB is one client write burst and two of the egress's largest DATA
+// frames. tunnel_bulk's op_p50_ms did not move between 16 KiB and
+// 1 MiB on a 2-vCPU box, but a bound under one burst parks the demux
+// loop, and every stream behind it, whenever a reader falls one frame
+// behind.
+const streamRecvBound = 64 * 1024
+
 // Stream is one proxied connection. It implements io.ReadWriteCloser.
 type Stream struct {
 	client *Client
@@ -285,11 +307,22 @@ type Stream struct {
 	setupErr   error
 	egressAddr netip.Addr
 
+	// mu guards the receive side. rbuf[roff:] holds the bytes delivered
+	// but not yet read; recv wakes Read when bytes or the end of the
+	// stream arrive, and deliver when Read makes room or the stream
+	// ends.
 	mu      sync.Mutex
-	data    chan []byte
-	pending []byte
+	recv    sync.Cond
+	rbuf    []byte
+	roff    int
 	rclosed bool
 	failErr error
+}
+
+func newStream(c *Client, id uint32) *Stream {
+	s := &Stream{client: c, id: id, setup: make(chan struct{})}
+	s.recv.L = &s.mu
+	return s
 }
 
 // EgressAddr returns the egress address the relay selected for this stream.
@@ -303,73 +336,78 @@ func (s *Stream) setupDone(addr netip.Addr, err error) {
 	})
 }
 
+// deliver appends one DATA payload to the receive buffer: one copy,
+// and no allocation once the buffer has grown to the stream's working
+// size. While streamRecvBound bytes are unread it waits, which stalls
+// the demux loop and so every stream of the tunnel (head-of-line
+// back-pressure); closeRead and fail wake it. A closed stream's data
+// is dropped.
 func (s *Stream) deliver(p []byte) {
-	buf := append([]byte(nil), p...)
-	for {
-		s.mu.Lock()
-		if s.rclosed {
-			s.mu.Unlock()
-			return
-		}
-		select {
-		case s.data <- buf:
-			s.mu.Unlock()
-			return
-		default:
-		}
-		s.mu.Unlock()
-		// Buffer full: apply backpressure to the demux loop without
-		// racing against a concurrent close of the channel.
-		time.Sleep(time.Millisecond) //lint:allow determinism — scheduling backpressure nap; no dataset-visible time derives from it
-	}
-}
-
-func (s *Stream) closeRead() {
 	s.mu.Lock()
+	for !s.rclosed && len(s.rbuf)-s.roff >= streamRecvBound {
+		s.recv.Wait()
+	}
 	if !s.rclosed {
-		s.rclosed = true
-		close(s.data)
+		if s.roff > 0 && len(s.rbuf)+len(p) > cap(s.rbuf) {
+			// Slide the unread bytes down rather than grow past them.
+			s.rbuf = s.rbuf[:copy(s.rbuf, s.rbuf[s.roff:])]
+			s.roff = 0
+		}
+		s.rbuf = append(s.rbuf, p...)
+		s.recv.Broadcast()
 	}
 	s.mu.Unlock()
 }
 
+// closeRead ends the stream's receive side (a CLOSE from the peer, or
+// a local Close). Bytes already delivered stay readable before io.EOF.
+func (s *Stream) closeRead() {
+	s.mu.Lock()
+	if !s.rclosed {
+		s.rclosed = true
+		s.recv.Broadcast()
+	}
+	s.mu.Unlock()
+}
+
+// fail ends the stream with err (tunnel teardown). Bytes already
+// delivered stay readable before err.
 func (s *Stream) fail(err error) {
 	s.setupDone(netip.Addr{}, err)
 	s.mu.Lock()
 	if !s.rclosed {
 		s.rclosed = true
 		s.failErr = err
-		close(s.data)
+		s.recv.Broadcast()
 	}
 	s.mu.Unlock()
 }
 
-// Read implements io.Reader.
+// Read implements io.Reader. It returns buffered bytes first, then
+// io.EOF after a CLOSE, or the tunnel's error after a failure.
 func (s *Stream) Read(p []byte) (int, error) {
-	if len(s.pending) > 0 {
-		n := copy(p, s.pending)
-		s.pending = s.pending[n:]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.roff == len(s.rbuf) && !s.rclosed {
+		s.recv.Wait()
+	}
+	if s.roff < len(s.rbuf) {
+		n := copy(p, s.rbuf[s.roff:])
+		s.roff += n
+		if s.roff == len(s.rbuf) {
+			s.rbuf, s.roff = s.rbuf[:0], 0
+		}
+		s.recv.Broadcast()
 		return n, nil
 	}
-	buf, ok := <-s.data
-	if !ok {
-		s.mu.Lock()
-		err := s.failErr
-		s.mu.Unlock()
-		if err != nil {
-			return 0, err
-		}
-		return 0, io.EOF
+	if s.failErr != nil {
+		return 0, s.failErr
 	}
-	n := copy(p, buf)
-	if n < len(buf) {
-		s.pending = buf[n:]
-	}
-	return n, nil
+	return 0, io.EOF
 }
 
 // Write implements io.Writer; large writes are chunked into frames and
-// flushed to the tunnel as one batch.
+// flushed to the tunnel a burst at a time.
 func (s *Stream) Write(p []byte) (int, error) {
 	return s.client.writeData(s.id, p)
 }

@@ -168,7 +168,7 @@ func (fr *FrameReader) ReadInto(f *Frame) error {
 const maxEncoderRetain = 128 * 1024
 
 // FrameEncoder serializes frames into one reusable buffer so a burst
-// of frames — a chunked Stream.Write, an egress pump tick — reaches
+// of frames — a burst of a Stream.Write, an egress pump tick — reaches
 // the connection in a single write instead of two writes per frame.
 // Append batches; Flush hands the batch to the writer. The encoder is
 // not safe for concurrent use; tunnel writers guard it with the
@@ -202,9 +202,6 @@ func (e *FrameEncoder) Append(f *Frame) error {
 	e.buf = append(e.buf, f.Payload...)
 	return nil
 }
-
-// Buffered reports the pending batch size in bytes.
-func (e *FrameEncoder) Buffered() int { return len(e.buf) }
 
 // Flush writes the pending batch in one call and retains the buffer
 // (up to maxEncoderRetain) for the next batch.

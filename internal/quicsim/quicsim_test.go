@@ -2,6 +2,7 @@ package quicsim
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -248,4 +249,41 @@ func TestUDPEndpointProbes(t *testing.T) {
 	if resp != nil {
 		t.Fatalf("standard handshake answered over UDP: %x", resp)
 	}
+}
+
+// FuzzParseLongHeader hardens the long-header parser the ingress runs
+// on every datagram: no input panics, every rejection is ErrTruncated
+// or ErrNotLongHeader, and anything accepted re-encodes to exactly its
+// own bytes through AppendLongHeader.
+func FuzzParseLongHeader(f *testing.F) {
+	dcid, scid := []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{9, 10, 11, 12}
+	initial, err := BuildInitial(VersionV1, dcid, scid, relayTokenMagic)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(initial[:64]) // the padding adds nothing to mutate
+	vn, err := BuildVersionNegotiation(dcid, scid, SupportedVersions)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(vn)
+	f.Add([]byte{0x80, 0, 0, 0, 1, 0, 0}) // the shortest packet accepted
+	f.Add([]byte{0x40, 0, 0, 0, 1, 0, 0}) // long-header bit clear
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := ParseLongHeader(data)
+		if err != nil {
+			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrNotLongHeader) {
+				t.Fatalf("rejection is not ErrTruncated or ErrNotLongHeader: %v", err)
+			}
+			return
+		}
+		re, err := AppendLongHeader(nil, h)
+		if err != nil {
+			t.Fatalf("accepted header does not re-encode: %v", err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("long header round trip not stable: %x -> %x", data, re)
+		}
+	})
 }

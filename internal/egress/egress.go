@@ -224,7 +224,7 @@ func AttributeInto(dst []Attributed, l *List, table *bgp.Table, workers int) []A
 // adopted Apple's egress mapping verbatim: each entry's own country,
 // region and city, at the coordinates Location gives it.
 func (l *List) GeoDB() *geo.DB {
-	db := geo.NewDB()
+	db := geo.NewDB(len(l.Entries))
 	for _, e := range l.Entries {
 		loc := geo.Location{CountryCode: e.CC, Region: e.Region, City: e.City}
 		if idx, ok := cityIndex(e.City); ok {

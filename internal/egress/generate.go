@@ -3,6 +3,7 @@ package egress
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
@@ -16,7 +17,9 @@ import (
 func Generate(w *netsim.World, seed uint64) *List {
 	g := &generator{world: w, seed: seed}
 	g.buildCCSets()
-	var out List
+	// Each AS's v4 then v6 part, in generation order; slices.Concat
+	// sizes Entries once from their total.
+	parts := make([][]Entry, 0, 2*len(egressASes))
 	for _, as := range egressASes {
 		v4 := g.generateFamily(as, netsim.FamilyV4)
 		var v6 []Entry
@@ -28,10 +31,9 @@ func Generate(w *netsim.World, seed uint64) *List {
 		} else {
 			v6 = g.generateFamily(as, netsim.FamilyV6)
 		}
-		out.Entries = append(out.Entries, v4...)
-		out.Entries = append(out.Entries, v6...)
+		parts = append(parts, v4, v6)
 	}
-	return &out
+	return &List{Entries: slices.Concat(parts...)}
 }
 
 type generator struct {

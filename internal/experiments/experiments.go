@@ -32,6 +32,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/resolver"
 	"github.com/relay-networks/privaterelay/internal/scan"
 	"github.com/relay-networks/privaterelay/internal/trace"
+	"github.com/relay-networks/privaterelay/internal/workpool"
 )
 
 // Env is a shared experiment environment: the world, the egress list and
@@ -87,6 +88,9 @@ func NewEnv(seed uint64, scale float64) *Env {
 }
 
 // ScanMonth runs (or returns the memoized) ECS scan for a month/domain.
+// Concurrent calls are safe for distinct keys, as Table1's fan-out
+// makes them; two concurrent calls for the same key both scan, and the
+// later one's dataset replaces the earlier in the memo.
 func (e *Env) ScanMonth(ctx context.Context, month bgp.Month, domain string) (*core.Dataset, error) {
 	key := month.String() + "|" + domain
 	e.mu.Lock()
@@ -120,22 +124,37 @@ func (e *Env) ScanMonth(ctx context.Context, month bgp.Month, domain string) (*c
 	return ds, nil
 }
 
-// Table1 runs the four monthly dual-plane scans (T1).
+// Table1 runs the four monthly dual-plane scans (T1). Its seven
+// (month, domain) scans are distinct ScanMonth keys, so they run at once
+// through workpool.Run, each into its own slot; the first error in plan
+// order is returned.
 func (e *Env) Table1(ctx context.Context) ([]analysis.Table1Row, error) {
+	type planned struct {
+		month  bgp.Month
+		domain string
+	}
+	var plan []planned
+	for _, m := range netsim.ScanMonths {
+		plan = append(plan, planned{m, dnsserver.MaskDomain})
+		if m != netsim.MonthJan { // the paper's January fallback scan is absent
+			plan = append(plan, planned{m, dnsserver.MaskH2Domain})
+		}
+	}
+	scans := make([]*core.Dataset, len(plan))
+	errs := make([]error, len(plan))
+	workpool.Run(len(plan), 1, 0, func(_, i, _ int) {
+		scans[i], errs[i] = e.ScanMonth(ctx, plan[i].month, plan[i].domain)
+	})
 	def := map[bgp.Month]*colstore.Dataset{}
 	fb := map[bgp.Month]*colstore.Dataset{}
-	for _, m := range netsim.ScanMonths {
-		ds, err := e.ScanMonth(ctx, m, dnsserver.MaskDomain)
-		if err != nil {
-			return nil, err
+	for i, p := range plan {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		def[m] = &ds.Dataset
-		if m != netsim.MonthJan { // the paper's January fallback scan is absent
-			ds, err := e.ScanMonth(ctx, m, dnsserver.MaskH2Domain)
-			if err != nil {
-				return nil, err
-			}
-			fb[m] = &ds.Dataset
+		if p.domain == dnsserver.MaskDomain {
+			def[p.month] = &scans[i].Dataset
+		} else {
+			fb[p.month] = &scans[i].Dataset
 		}
 	}
 	return analysis.Table1(netsim.ScanMonths, def, fb), nil
@@ -572,8 +591,28 @@ func (e *Env) ODoHCheck() (resolverName string, ecsPrefix netip.Prefix) {
 	return pr.Name, relay.ODoHQueryECS(sample)
 }
 
-// FullReport renders every experiment into one text report.
+// FullReport renders every experiment into one text report. The relay
+// scan waits on loopback sockets rather than the CPU, so it starts first
+// on its own goroutine and runs under Table 1's scans and the analysis
+// sections; Figure 3 joins it. Every return cancels and joins the scan,
+// and errors surface in report order: a Table 1 failure wins over a
+// relay-scan failure whatever the scheduling.
 func (e *Env) FullReport(ctx context.Context) (string, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	var (
+		rs        *RelayScanResult
+		rsErr     error
+		relayDone = make(chan struct{})
+	)
+	go func() {
+		defer close(relayDone)
+		rs, rsErr = e.RelayScan(ctx, 96, 200)
+	}()
+	defer func() {
+		cancel()
+		<-relayDone
+	}()
+
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "iCloud Private Relay reproduction — seed=%d scale=%g\n", e.Seed, e.Scale)
 	fmt.Fprintf(&sb, "world: %d client ASes, %d routed /24s, %d BGP announcements\n\n",
@@ -617,9 +656,9 @@ func (e *Env) FullReport(ctx context.Context) (string, error) {
 	fmt.Fprintf(&sb, "\n== §4.2 geographic bias ==\ntop: %s %.1f%%, second: %s %.1f%%; %d countries under 50 subnets\n",
 		shares[0].CC, shares[0].Share, shares[1].CC, shares[1].Share, small)
 
-	rs, err := e.RelayScan(ctx, 96, 200)
-	if err != nil {
-		return "", err
+	<-relayDone
+	if rsErr != nil {
+		return "", rsErr
 	}
 	sb.WriteString("\n== Figure 3: egress operator changes ==\n")
 	sb.WriteString(analysis.RenderFigure3([]analysis.Figure3Series{

@@ -2,14 +2,22 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/relay-networks/privaterelay/internal/analysis"
 	"github.com/relay-networks/privaterelay/internal/bgp"
+	"github.com/relay-networks/privaterelay/internal/colstore"
+	"github.com/relay-networks/privaterelay/internal/core"
+	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/netsim"
 )
 
@@ -22,6 +30,55 @@ func testEnv(t testing.TB) *Env {
 	t.Helper()
 	envOnce.Do(func() { envVal = NewEnv(42, 0.0008) })
 	return envVal
+}
+
+// coldEnv returns an Env over the shared test world, egress list and
+// deployment with nothing memoized, so its scans run cold without
+// rebuilding the 240 k-row list.
+func coldEnv(t testing.TB) *Env {
+	e := testEnv(t)
+	return &Env{
+		Seed: e.Seed, Scale: e.Scale,
+		ScanConcurrency: e.ScanConcurrency, PipelineWorkers: e.PipelineWorkers,
+		World: e.World, List: e.List, Attributed: e.Attributed, Dep: e.Dep,
+		scans: make(map[string]*core.Dataset),
+	}
+}
+
+// memoized returns how many scans e has memoized.
+func (e *Env) memoized() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.scans)
+}
+
+// waitGoroutines polls until runtime.NumGoroutine() is back to baseline,
+// failing if it is not within 5 s.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for runtime.NumGoroutine() > baseline {
+		select {
+		case <-ctx.Done():
+			t.Fatalf("%d goroutines still running, baseline %d", runtime.NumGoroutine(), baseline)
+		case <-tick.C:
+		}
+	}
+}
+
+// relayScanRunning reports whether any goroutine is inside RelayScan.
+func relayScanRunning() bool {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Contains(string(buf[:n]), "experiments.(*Env).RelayScan(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
 }
 
 func TestTable1EndToEnd(t *testing.T) {
@@ -56,6 +113,116 @@ func TestScanMonthMemoization(t *testing.T) {
 	if a != b {
 		t.Fatal("scan not memoized")
 	}
+}
+
+// TestTable1ConcurrentMatchesMemo: Table 1's fan-out scans each of its
+// seven (month, domain) keys once into the memo, later ScanMonth calls
+// return those datasets, and the rows are the ones rendering the memoized
+// datasets gives.
+func TestTable1ConcurrentMatchesMemo(t *testing.T) {
+	e := coldEnv(t)
+	ctx := context.Background()
+	rows, err := e.Table1(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	stored := maps.Clone(e.scans)
+	e.mu.Unlock()
+	if len(stored) != 7 {
+		t.Fatalf("memoized scans = %d, want 7", len(stored))
+	}
+	def := map[bgp.Month]*colstore.Dataset{}
+	fb := map[bgp.Month]*colstore.Dataset{}
+	for _, m := range netsim.ScanMonths {
+		domains := []string{dnsserver.MaskDomain, dnsserver.MaskH2Domain}
+		if m == netsim.MonthJan {
+			domains = domains[:1]
+		}
+		for _, domain := range domains {
+			ds, err := e.ScanMonth(ctx, m, domain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if used := stored[m.String()+"|"+domain]; ds != used {
+				t.Fatalf("%v %s: ScanMonth returned %p, Table 1 used %p", m, domain, ds, used)
+			}
+			if domain == dnsserver.MaskDomain {
+				def[m] = &ds.Dataset
+			} else {
+				fb[m] = &ds.Dataset
+			}
+		}
+	}
+	if n := e.memoized(); n != 7 {
+		t.Fatalf("memoized scans after ScanMonth = %d, want 7", n)
+	}
+	if want := analysis.Table1(netsim.ScanMonths, def, fb); !reflect.DeepEqual(rows, want) {
+		t.Fatalf("Table1 rows = %+v, memoized datasets give %+v", rows, want)
+	}
+	if apr := rows[3]; apr.DefaultApple+apr.DefaultAkamai != 1586 {
+		t.Fatalf("April default total = %d, want 1586", apr.DefaultApple+apr.DefaultAkamai)
+	}
+}
+
+// TestFullReportJoinsRelayScan: however FullReport ends early, it
+// cancels and joins the relay scan it started before Table 1.
+func TestFullReportJoinsRelayScan(t *testing.T) {
+	t.Run("cancelled before start", func(t *testing.T) {
+		e := coldEnv(t)
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := e.FullReport(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("FullReport error = %v, want context.Canceled", err)
+		}
+		if relayScanRunning() {
+			t.Fatal("FullReport returned with its relay scan still running")
+		}
+		waitGoroutines(t, baseline)
+	})
+	t.Run("cancelled during Table 1", func(t *testing.T) {
+		e := coldEnv(t)
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		errc := make(chan error, 1)
+		go func() {
+			_, err := e.FullReport(ctx)
+			errc <- err
+		}()
+		// Cancel once the first of Table 1's seven scans has landed in
+		// the memo: the rest are then running or not yet started.
+		wait, stop := context.WithTimeout(context.Background(), 5*time.Second)
+		defer stop()
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for e.memoized() == 0 {
+			select {
+			case <-wait.Done():
+				t.Fatal("no Table 1 scan finished within 5 s")
+			case <-tick.C:
+			}
+		}
+		cancel()
+		cancelled := time.Now()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("FullReport error = %v, want context.Canceled", err)
+			}
+		case <-wait.Done():
+			t.Fatal("FullReport did not return within 5 s of its context being cancelled")
+		}
+		if relayScanRunning() {
+			t.Fatal("FullReport returned with its relay scan still running")
+		}
+		if n := e.memoized(); n >= 7 {
+			t.Fatalf("Table 1 ran all %d scans after the cancel", n)
+		}
+		t.Logf("returned %v after the cancel", time.Since(cancelled))
+		waitGoroutines(t, baseline)
+	})
 }
 
 func TestTable2Table3Table4(t *testing.T) {

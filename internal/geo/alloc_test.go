@@ -12,7 +12,7 @@ import (
 )
 
 func TestDBLookupZeroAlloc(t *testing.T) {
-	db := NewDB()
+	db := NewDB(512)
 	for i := 0; i < 256; i++ {
 		db.Insert(netip.PrefixFrom(netip.AddrFrom4([4]byte{172, 224, byte(i), 0}), 24), CityLocation("US", i))
 		db.Insert(netip.PrefixFrom(netip.AddrFrom16([16]byte{0x26, 0x02, 0xfc, 0x00, 0, byte(i)}), 64), CityLocation("DE", i))

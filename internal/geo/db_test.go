@@ -67,7 +67,7 @@ func randAddrNear(r *rand.Rand, p netip.Prefix) netip.Addr {
 func TestDBMatchesTrieOracle(t *testing.T) {
 	r := rand.New(rand.NewPCG(42, 7))
 	for set := 0; set < 3000; set++ {
-		db := NewDB()
+		db := NewDB(0)
 		var oracle iputil.Trie[Location]
 		var inserted []netip.Prefix
 		n := 1 + r.IntN(40)
@@ -108,7 +108,7 @@ func TestDBMatchesTrieOracle(t *testing.T) {
 // TestDBConcurrentLookupInsert races lookups, which build and read the
 // memoized index, against Inserts that invalidate it; run under -race.
 func TestDBConcurrentLookupInsert(t *testing.T) {
-	db := NewDB()
+	db := NewDB(0)
 	db.Insert(netip.MustParsePrefix("10.0.0.0/8"), Location{CountryCode: "US"})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -135,7 +135,7 @@ func TestDBConcurrentLookupInsert(t *testing.T) {
 // TestDBIgnoresInvalidPrefix: prefixes the trie would refuse (the zero
 // prefix, a 4-in-6 prefix longer than 32 bits once unmapped) are dropped.
 func TestDBIgnoresInvalidPrefix(t *testing.T) {
-	db := NewDB()
+	db := NewDB(0)
 	db.Insert(netip.Prefix{}, Location{CountryCode: "US"})
 	db.Insert(netip.MustParsePrefix("::ffff:10.0.0.0/104"), Location{CountryCode: "DE"})
 	if db.Len() != 0 {

@@ -23,7 +23,7 @@ func ExampleDistanceKm() {
 }
 
 func ExampleDB_Lookup() {
-	db := geo.NewDB()
+	db := geo.NewDB(1)
 	db.Insert(netip.MustParsePrefix("172.224.224.0/27"),
 		geo.Location{CountryCode: "US", City: "US-city-001"})
 	loc, ok := db.Lookup(netip.MustParseAddr("172.224.224.9"))

@@ -113,8 +113,13 @@ type DB struct {
 	idx     *iputil.Flat[Location]
 }
 
-// NewDB returns an empty geolocation database.
-func NewDB() *DB { return &DB{} }
+// NewDB returns an empty geolocation database with room for n entries,
+// so a builder that knows its row count (the 240 k-row egress list)
+// inserts them without regrowing the backing array. n is a capacity
+// hint; Insert still grows past it.
+func NewDB(n int) *DB {
+	return &DB{entries: make([]iputil.Span[Location], 0, max(n, 0))}
+}
 
 // Insert maps prefix p to loc, replacing any previous entry for p.
 // Invalid prefixes are ignored.

@@ -150,7 +150,7 @@ func TestLocationString(t *testing.T) {
 }
 
 func TestDBLookup(t *testing.T) {
-	db := NewDB()
+	db := NewDB(0)
 	usLoc := CityLocation("US", 0)
 	deLoc := CityLocation("DE", 0)
 	db.Insert(netip.MustParsePrefix("172.224.224.0/27"), usLoc)

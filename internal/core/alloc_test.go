@@ -11,6 +11,7 @@ import (
 	"context"
 	"net/netip"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
@@ -144,6 +145,38 @@ func TestScanLoopCheckpointedAllocBudget(t *testing.T) {
 	}
 	if avg > budget {
 		t.Fatalf("checkpointed scan loop: %.2f allocs/batch, budget %d", avg, budget)
+	}
+}
+
+// TestScanAllocBytesLinearAllocBudget pins that a scan's heap traffic
+// grows linearly with the universe: bytes allocated by a sequential Scan
+// at two world scales about 4× apart may grow by at most twice the /24
+// ratio. A scope index rebuilt per new scope grows with scopes², which
+// is what this catches before a paper-scale scan pays for it.
+func TestScanAllocBytesLinearAllocBudget(t *testing.T) {
+	const slack = 2.0
+	measure := func(scale float64) (bytes, subnets float64) {
+		w := netsim.NewWorld(netsim.Params{Seed: 6, Scale: scale})
+		cfg := scanConfig(w, netsim.MonthApr, dnsserver.MaskDomain)
+		cfg.Concurrency = 1
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ds, err := Scan(context.Background(), cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.TotalAlloc - before.TotalAlloc), float64(ds.Stats.SubnetsTotal)
+	}
+	smallBytes, smallSubnets := measure(0.01)
+	largeBytes, largeSubnets := measure(0.04)
+	bytesRatio, subnetRatio := largeBytes/smallBytes, largeSubnets/smallSubnets
+	t.Logf("%.0f → %.0f /24s (%.2fx): %.2f → %.2f MB allocated (%.2fx)",
+		smallSubnets, largeSubnets, subnetRatio, smallBytes/1e6, largeBytes/1e6, bytesRatio)
+	if bytesRatio > slack*subnetRatio {
+		t.Fatalf("allocated bytes grew %.2fx for %.2fx the /24s, budget %.0fx the /24 ratio",
+			bytesRatio, subnetRatio, slack)
 	}
 }
 

@@ -103,7 +103,7 @@ type ScanConfig struct {
 
 // ScanStats counts scanner activity.
 type ScanStats struct {
-	QueriesSent    int64 // individual query attempts sent
+	QueriesSent    int64 // query attempts sent; independent of Concurrency on a lossless transport, bar scope-0 races
 	SubnetsTotal   int64 // /24s in the universe
 	SubnetsSkipped int64 // suppressed by a covering scope
 	Timeouts       int64 // subnets lost after every pass, last fault a timeout
@@ -159,34 +159,11 @@ type Dataset struct {
 // ErrNoExchanger is returned for scans without a transport.
 var ErrNoExchanger = errors.New("core: scan config has no exchanger")
 
-// workBatchSize is how many /24s travel per channel send. One send per
-// subnet made the channel the second hottest lock in the scan; batching
-// cuts channel operations by the batch factor.
+// workBatchSize is how many /24s a worker processes per journal frame,
+// and the most pending refs one later-pass work unit carries.
 const workBatchSize = 64
 
-// scopeSpan is one published suppression scope as an inclusive IPv4
-// address range, with the operator AS of the covering answer so skipped
-// subnets can be accounted without re-querying.
-type scopeSpan struct {
-	lo, hi uint32
-	op     bgp.ASN
-	pfx    netip.Prefix
-}
-
-// skipIndex is the scope-suppression index behind an epoch-published
-// read path. The published snapshot is a sorted, immutable []scopeSpan:
-// scopes come from covering-route answers over disjoint allocations, so
-// spans never nest and a lookup is a binary search — seeded by a
-// per-worker hint, since each worker sweeps the universe in ascending
-// order. Lookups load the snapshot from an atomic.Pointer without any
-// lock; inserts — rare, one per answer scope shorter than /24 —
-// serialize on a small mutex, build the successor slice and publish it.
-type skipIndex struct {
-	mu   sync.Mutex
-	snap atomic.Pointer[[]scopeSpan]
-}
-
-// addrKey32 packs a (canonical) IPv4 address for span comparison.
+// addrKey32 packs a (canonical) IPv4 address for range comparison.
 func addrKey32(addr netip.Addr) (uint32, bool) {
 	if addr.Is4In6() {
 		addr = addr.Unmap()
@@ -216,83 +193,7 @@ func spanRange(p netip.Prefix) (lo, hi uint32, ok bool) {
 	return lo, lo | mask, true
 }
 
-// lookup reports the covering scope's operator, lock-free. hint is the
-// caller's last matching span position; span facts are stable across
-// snapshots (spans are only ever added, never moved relative to the
-// addresses they cover... a hinted span either still covers addr or the
-// bounds check fails and the search runs), so a stale hint can only
-// cost the binary search, never a wrong answer.
-func (s *skipIndex) lookup(addr netip.Addr, hint *int) (bgp.ASN, bool) {
-	sp := s.snap.Load()
-	if sp == nil {
-		return 0, false
-	}
-	spans := *sp
-	a, ok := addrKey32(addr)
-	if !ok {
-		return 0, false
-	}
-	if h := *hint; h >= 0 && h < len(spans) && spans[h].lo <= a && a <= spans[h].hi {
-		return spans[h].op, true
-	}
-	// Rightmost span with lo <= a.
-	lo, hi := 0, len(spans)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if spans[mid].lo <= a {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 || a > spans[lo-1].hi {
-		return 0, false
-	}
-	*hint = lo - 1
-	return spans[lo-1].op, true
-}
-
-// insert publishes a new snapshot containing p. It reports whether p was
-// newly inserted, giving exactly-once semantics per scope prefix; a
-// prefix overlapping an existing span is not fresh (scopes are disjoint
-// covering routes, so an overlap is the same scope re-answered).
-func (s *skipIndex) insert(p netip.Prefix, op bgp.ASN) bool {
-	lo, hi, ok := spanRange(p)
-	if !ok {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var spans []scopeSpan
-	if cur := s.snap.Load(); cur != nil {
-		spans = *cur
-	}
-	// Insertion point: first span starting after lo.
-	j, n := 0, len(spans)
-	for j < n {
-		mid := int(uint(j+n) >> 1)
-		if spans[mid].lo <= lo {
-			j = mid + 1
-		} else {
-			n = mid
-		}
-	}
-	i := j
-	if i > 0 && spans[i-1].hi >= lo {
-		return false
-	}
-	if i < len(spans) && spans[i].lo <= hi {
-		return false
-	}
-	next := make([]scopeSpan, 0, len(spans)+1)
-	next = append(next, spans[:i]...)
-	next = append(next, scopeSpan{lo: lo, hi: hi, op: op, pfx: p})
-	next = append(next, spans[i:]...)
-	s.snap.Store(&next)
-	return true
-}
-
-// subnetRef is one /24 work unit: its prefix, its stable index in the
+// subnetRef is one /24 to scan: its prefix, its stable index in the
 // universe enumeration (for the checkpoint bitmap) and its cumulative
 // attempt count, carried across passes so retry randomness and backoff
 // keep progressing instead of replaying.
@@ -350,9 +251,9 @@ func (sh *scanShard) absorb(o *scanShard) {
 
 // workerAux is a worker's private lookup state, persisted across passes
 // (unlike the per-pass scanWorker): the answer-address origin memo, the
-// galloping attribution cursor, the scope-index search hint and the
-// pacer grant. Nothing in it is shared, so the steady-state loop never
-// touches cross-worker memory for lookups.
+// galloping attribution cursor, the scope memo and the pacer grant.
+// Nothing in it is shared, so the steady-state loop never touches
+// cross-worker memory for lookups.
 type workerAux struct {
 	// origins4/origins memoize attribution of answer addresses (IPv4
 	// keyed by packed uint32 — far cheaper to probe than a netip.Addr
@@ -365,8 +266,11 @@ type workerAux struct {
 	// sequences ascend, so the cursor's gallop replaces a full binary
 	// search with a few neighbor probes.
 	cursor bgp.Cursor
-	// skipHint seeds the scope-span binary search with the last hit.
-	skipHint int
+	// Scope memo (see scanWorker.setScope): the range of the last answer
+	// scope narrower than /24 in the current unit, and its operator.
+	// Reset at every unit start; empty when scopeLo > scopeHi.
+	scopeLo, scopeHi uint32
+	scopeOp          bgp.ASN
 	// Route-range accounting memo (see scanWorker.account): the address
 	// range of the last covering client route, its client AS and the
 	// per-operator counter map it resolved to in the worker's shard (nil
@@ -475,29 +379,49 @@ func (w *scanWorker) record(subnet netip.Prefix, resp *dnswire.Message) {
 		operator = w.foldAddr(addr) // all records of one answer share an AS (§4.1)
 	}
 
-	// Publish scope suppression. Exactly one worker wins the publication
-	// per scope; a loser's subnet would have been skipped had the scan run
-	// sequentially, so it counts as skipped — that keeps SubnetsSkipped
-	// independent of worker interleaving (the server answers every subnet
-	// inside a scope identically, per ECS semantics).
-	fresh := true
 	if cfg.RespectScope && resp.Edns != nil && resp.Edns.ClientSubnet != nil {
 		cs := resp.Edns.ClientSubnet
 		switch {
 		case cs.ScopePrefixLen == 0:
 			// A scope of zero declares the answer valid for the entire
 			// address space — nothing more can be learned from further
-			// ECS queries.
+			// ECS queries. Exactly one worker wins the publication; a
+			// loser's subnet would have been skipped had the scan run
+			// sequentially, so it counts as skipped.
 			op := operator
-			fresh = st.global.CompareAndSwap(nil, &op)
+			if !st.global.CompareAndSwap(nil, &op) {
+				w.sh.counters[cSkipped]++
+			}
 		case cs.ScopePrefixLen < 24:
-			fresh = st.skip.insert(cs.ScopePrefix(), operator)
+			w.setScope(cs.ScopePrefix(), operator)
 		}
 	}
-	if !fresh {
-		w.sh.counters[cSkipped]++
-	}
 	w.account(subnet, operator)
+}
+
+// setScope makes scope the worker's scope memo. A unit is swept in
+// ascending order and scopes, covering routes over disjoint allocations,
+// never nest: the last scope met is the only one a later /24 of the unit
+// can fall in. The unit's earlier deferrals inside the scope — a tail of
+// w.deferred — are settled as skipped and done, not re-queried.
+func (w *scanWorker) setScope(scope netip.Prefix, op bgp.ASN) {
+	lo, hi, ok := spanRange(scope)
+	if !ok {
+		return
+	}
+	aux := w.aux
+	aux.scopeLo, aux.scopeHi, aux.scopeOp = lo, hi, op
+	for n := len(w.deferred); n > w.unitStart; n-- {
+		ref := w.deferred[n-1]
+		if a, _ := addrKey32(ref.p.Addr()); a < lo || a > hi {
+			break
+		}
+		w.deferred = w.deferred[:n-1]
+		w.skipCovered(ref.p, op)
+		if aux.delta != nil {
+			aux.delta.markDone(ref.idx)
+		}
+	}
 }
 
 // attemptOutcome classifies one exchange.
@@ -537,7 +461,6 @@ type scanState struct {
 	cfg     *ScanConfig
 	idx     *bgp.Index // flattened attribution snapshot (nil-safe)
 	clock   vclock.Clock
-	skip    skipIndex
 	global  atomic.Pointer[bgp.ASN] // set once by the first scope-0 answer
 	limiter *tokenBucket
 	breaker *circuitBreaker
@@ -563,6 +486,14 @@ type scanWorker struct {
 	sh       *scanShard // the worker's shard, persistent across passes
 	aux      *workerAux // persistent lookup state (memos, cursor, grant)
 	deferred []subnetRef
+	// unitStart is len(deferred) at the current unit's start.
+	unitStart int
+
+	// Journal mode only: the /24s processed since the last frame, and
+	// the collector's channels for frames and recycled frame buffers.
+	unsealed  int
+	results   chan<- batchResult
+	frameFree <-chan []byte
 
 	// query is the worker's reusable query message: built once, then only
 	// the transaction ID and ECS prefix are re-stamped per subnet. Safe
@@ -612,8 +543,8 @@ func (w *scanWorker) processSubnet(ctx context.Context, ref subnetRef) bool {
 			w.skipCovered(ref.p, *op)
 			return true
 		}
-		if op, ok := st.skip.lookup(ref.p.Addr(), &w.aux.skipHint); ok {
-			w.skipCovered(ref.p, op)
+		if a, ok := addrKey32(ref.p.Addr()); ok && w.aux.scopeLo <= a && a <= w.aux.scopeHi {
+			w.skipCovered(ref.p, w.aux.scopeOp)
 			return true
 		}
 	}
@@ -710,8 +641,9 @@ type batchResult struct {
 	done  int64
 }
 
-// sealBatch encodes what the finished batch added to the worker's shard
-// as one journal frame in buf, and starts the next batch's delta.
+// sealBatch encodes what the worker's last workBatchSize /24s (or, at
+// pass end, its remainder) added to its shard as one journal frame in
+// buf, and starts the next batch's delta.
 func (w *scanWorker) sealBatch(buf []byte) batchResult {
 	d := w.aux.delta
 	for i, v := range w.sh.counters {
@@ -736,16 +668,18 @@ func universeSize(universe []netip.Prefix) int64 {
 
 // Scan runs the enumeration and returns the dataset.
 //
-// The steady-state path is contention-free: each worker accumulates into
-// a private shard (merged once at the end), consults an epoch-published
-// snapshot of the scope index without locking, and paces itself on an
-// atomic token bucket. The dataset's columns, SubnetsTotal and
-// SubnetsSkipped are deterministic — identical for any Concurrency —
-// on a lossless deterministic transport; only QueriesSent may vary, when
-// racing workers query subnets a covering scope was about to suppress.
-// Under a fault plane the same holds for the columns once
-// every subnet recovers (MaxPasses permitting): faults change the path,
-// not the dataset.
+// The steady-state path is contention-free: each worker takes whole
+// work units (a universe prefix on the first pass, up to workBatchSize
+// pending /24s after), accumulates into a private shard (merged once at
+// the end), skips covered /24s with its own scope memo, and paces itself
+// on an atomic token bucket. Because a unit's skips depend only on the
+// unit, the dataset's columns, SubnetsTotal, SubnetsSkipped and
+// QueriesSent are deterministic — identical for any Concurrency — on a
+// lossless deterministic transport. The one exception is a scope-0
+// answer (AAAA): the first one suppresses every later query scan-wide,
+// so workers racing it may send a few more queries. Under a fault plane
+// the columns stay identical once every subnet recovers (MaxPasses
+// permitting): faults change the path, not the dataset.
 func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 	if cfg.Exchanger == nil {
 		return nil, ErrNoExchanger
@@ -819,13 +753,7 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 	var pending []subnetRef
 	for pass := 1; ; pass++ {
 		ds.Stats.Passes++
-		var deferred []subnetRef
-		if pass == 1 {
-			deferred = st.runPass(ctx, shards, nil, true)
-		} else {
-			deferred = st.runPass(ctx, shards, pending, false)
-		}
-		pending = deferred
+		pending = st.runPass(ctx, shards, pending)
 		if len(pending) == 0 || pass >= cfg.MaxPasses || ctx.Err() != nil || (st.journal != nil && st.journal.err != nil) {
 			break
 		}
@@ -939,23 +867,84 @@ func cancelled(done <-chan struct{}) bool {
 	}
 }
 
-// runPass sweeps one source of work — the streamed universe on pass 1,
-// the deferred set afterwards — and returns the subnets still pending.
-func (st *scanState) runPass(ctx context.Context, shards []*scanShard, pending []subnetRef, first bool) []subnetRef {
-	cfg := st.cfg
-	work := make(chan []subnetRef, 2*cfg.Concurrency)
+// workUnit is one channel send: on pass 1 a universe prefix, whose /24s
+// the worker enumerates itself from universe index first; afterwards
+// refs, at most workBatchSize pending /24s. A scope memo lives for one
+// unit, so what a unit skips does not depend on which worker ran it.
+type workUnit struct {
+	prefix netip.Prefix
+	first  int64
+	refs   []subnetRef
+}
 
-	// Journal mode: workers hand each batch's frame to the collector,
-	// the journal's only writer, so frames land in receive order — a
-	// worker's own batches stay in order, which is all replay needs.
-	// Frame buffers cycle back through frameFree like batch slices do
-	// through free below; both channels hold two per worker so neither
+// run works through units until work closes, then seals its last frame.
+func (w *scanWorker) run(ctx context.Context, work <-chan workUnit) {
+	done := ctx.Done()
+	step := func(ref subnetRef) bool {
+		if cancelled(done) {
+			w.st.fail(ctx.Err())
+			return false
+		}
+		finished := w.processSubnet(ctx, ref)
+		if w.results != nil {
+			if finished {
+				w.aux.delta.markDone(ref.idx)
+			}
+			if w.unsealed++; w.unsealed == workBatchSize {
+				w.seal()
+			}
+		}
+		return true
+	}
+	for u := range work {
+		w.aux.scopeLo, w.aux.scopeHi = 1, 0
+		w.unitStart = len(w.deferred)
+		if u.refs == nil {
+			// Resumed /24s were completed by an earlier run.
+			i := u.first - 1
+			iputil.Subnets(u.prefix, 24, func(s netip.Prefix) bool {
+				i++
+				return w.st.resumed.get(i) || step(subnetRef{p: s, idx: i})
+			})
+		}
+		for _, ref := range u.refs {
+			if !step(ref) {
+				break
+			}
+		}
+	}
+	if w.unsealed > 0 {
+		w.seal()
+	}
+}
+
+// seal hands the frame of the worker's unsealed /24s to the collector.
+func (w *scanWorker) seal() {
+	var buf []byte
+	select {
+	case buf = <-w.frameFree:
+	default:
+	}
+	w.results <- w.sealBatch(buf)
+	w.unsealed = 0
+}
+
+// runPass sweeps one source of work — the universe when pending is nil
+// (pass 1), the deferred set afterwards — and returns the subnets still
+// pending.
+func (st *scanState) runPass(ctx context.Context, shards []*scanShard, pending []subnetRef) []subnetRef {
+	cfg := st.cfg
+	work := make(chan workUnit, 2*cfg.Concurrency)
+
+	// Journal mode: workers hand each frame to the collector, the
+	// journal's only writer, so frames land in receive order — a worker's
+	// own frames stay in order, which is all replay needs. Frame buffers
+	// cycle back through frameFree, which holds two per worker so neither
 	// side waits on the other in the steady state.
-	ckpt := st.journal != nil
 	var results chan batchResult
 	var frameFree chan []byte
 	var collectorDone chan struct{}
-	if ckpt {
+	if st.journal != nil {
 		results = make(chan batchResult, 2*cfg.Concurrency)
 		frameFree = make(chan []byte, 2*cfg.Concurrency)
 		collectorDone = make(chan struct{})
@@ -971,115 +960,45 @@ func (st *scanState) runPass(ctx context.Context, shards []*scanShard, pending [
 		}()
 	}
 
-	// free recycles drained batch slices back to the producer, so the
-	// steady state reuses a fixed set of batch buffers instead of
-	// allocating one per channel send.
-	free := make(chan []subnetRef, 4*cfg.Concurrency)
-
 	workers := make([]*scanWorker, cfg.Concurrency)
 	var wg sync.WaitGroup
 	wg.Add(cfg.Concurrency)
-	for i := 0; i < cfg.Concurrency; i++ {
-		w := &scanWorker{st: st, sh: shards[i], aux: st.auxes[i]}
+	for i := range workers {
+		w := &scanWorker{st: st, sh: shards[i], aux: st.auxes[i], results: results, frameFree: frameFree}
 		workers[i] = w
 		go func() {
 			defer wg.Done()
-			done := ctx.Done()
-			for batch := range work {
-				for _, ref := range batch {
-					if cancelled(done) {
-						st.fail(ctx.Err())
-						break
-					}
-					if w.processSubnet(ctx, ref) && ckpt {
-						w.aux.delta.markDone(ref.idx)
-					}
-				}
-				if ckpt {
-					var buf []byte
-					select {
-					case buf = <-frameFree:
-					default:
-					}
-					results <- w.sealBatch(buf)
-				}
-				select {
-				case free <- batch[:0]:
-				default: // recycler full: let the GC take this one
-				}
-			}
+			w.run(ctx, work)
 			// Hand unused pacer slots back so the pacer's timeline
 			// reflects exactly the queries sent.
 			st.limiter.release(&w.aux.grant)
 		}()
 	}
 
-	// Feed the pass. When the recycler runs dry (at high concurrency the
-	// producer outruns the workers), batches are carved from a slab so
-	// the fallback costs one allocation per slabBatches batches, not one
-	// each.
-	const slabBatches = 64
-	var slab []subnetRef
-	newBatch := func() []subnetRef {
-		select {
-		case b := <-free:
-			return b
-		default:
-		}
-		if len(slab) < workBatchSize {
-			slab = make([]subnetRef, slabBatches*workBatchSize)
-		}
-		b := slab[:0:workBatchSize]
-		slab = slab[workBatchSize:]
-		return b
-	}
-	batch := newBatch()
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		select {
-		case work <- batch:
-		case <-ctx.Done():
-			return false
-		}
-		batch = newBatch()
-		return true
-	}
-	if first {
+	// Feed the pass: one unit per universe prefix, in universe order, or
+	// the sorted pending set in sub-slices. Workers drain work even when
+	// cancelled, so a send never blocks for good.
+	done := ctx.Done()
+	if pending == nil {
 		idx := int64(0)
 		for _, p := range cfg.Universe {
-			if !p.Addr().Is4() {
-				continue
-			}
-			iputil.Subnets(p, 24, func(s netip.Prefix) bool {
-				i := idx
-				idx++
-				if st.resumed.get(i) {
-					return true // resumed: completed in a previous run
-				}
-				batch = append(batch, subnetRef{p: s, idx: i})
-				if len(batch) == workBatchSize {
-					return flush()
-				}
-				return true
-			})
-			if ctx.Err() != nil {
+			if cancelled(done) {
 				break
 			}
-		}
-	} else {
-		for _, ref := range pending {
-			batch = append(batch, ref)
-			if len(batch) == workBatchSize && !flush() {
-				break
+			if p.Addr().Is4() {
+				work <- workUnit{prefix: p, first: idx}
+				idx += int64(iputil.SubnetCount(p, 24))
 			}
 		}
 	}
-	flush()
+	for len(pending) > 0 && !cancelled(done) {
+		n := min(len(pending), workBatchSize)
+		work <- workUnit{refs: pending[:n:n]}
+		pending = pending[n:]
+	}
 	close(work)
 	wg.Wait()
-	if ckpt {
+	if results != nil {
 		close(results)
 		<-collectorDone
 	}

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"maps"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
+	"github.com/relay-networks/privaterelay/internal/dnswire"
 	"github.com/relay-networks/privaterelay/internal/faults"
 	"github.com/relay-networks/privaterelay/internal/netsim"
 	"github.com/relay-networks/privaterelay/internal/vclock"
@@ -17,42 +19,175 @@ import (
 
 // TestScanEquivalentAcrossConcurrency pins the determinism contract of
 // the sharded pipeline: on a fixed lossless world, the canonical dataset
-// bytes (A and S rows), SubnetsTotal and SubnetsSkipped must be identical
-// whether the scan runs sequentially or on 64 workers. Only QueriesSent
-// may differ (a racing worker can query a subnet its covering scope was
-// about to suppress).
+// bytes (A and S rows), SubnetsTotal, SubnetsSkipped and QueriesSent
+// must be identical whether the scan runs sequentially or on 64 workers,
+// and the bytes must equal the RespectScope=false ablation's. Besides
+// the test world's scans, scripted inputs pin the work-unit semantics.
 func TestScanEquivalentAcrossConcurrency(t *testing.T) {
 	w := testWorld(t)
 	ctx := context.Background()
 
-	for _, in := range []scanInput{aprDefault, marFallback} {
-		run := func(conc int) *Dataset {
-			cfg := scanConfig(w, in.month, in.domain)
+	worldScan := func(in scanInput) func() ScanConfig {
+		return func() ScanConfig { return scanConfig(w, in.month, in.domain) }
+	}
+	cases := []struct {
+		name  string
+		cfg   func() ScanConfig
+		check func(t *testing.T, cfg ScanConfig, ds *Dataset) // on the sequential run
+	}{
+		{name: "apr-default", cfg: worldScan(aprDefault)},
+		{name: "mar-fallback", cfg: worldScan(marFallback)},
+		{
+			// A /16 scope spanning two universe prefixes: each prefix is
+			// its own work unit with its own scope memo, so each queries
+			// its first /24 and skips the rest, whichever worker runs it.
+			name: "scope-spans-two-units",
+			cfg: func() ScanConfig {
+				return scriptedConfig([]string{"10.0.0.0/17", "10.0.128.0/17"},
+					map[string]string{"10.0.0.0/16": "192.0.2.1"}, nil)
+			},
+			check: func(t *testing.T, _ ScanConfig, ds *Dataset) {
+				if ds.Stats.QueriesSent != 2 || ds.Stats.SubnetsSkipped != 254 {
+					t.Errorf("queries=%d skipped=%d, want 2 and 254 (one query per unit)",
+						ds.Stats.QueriesSent, ds.Stats.SubnetsSkipped)
+				}
+			},
+		},
+		{
+			// The first /24 of a scope times out with no in-pass retry and
+			// the next /24 answers with the scope: setting the memo
+			// settles the deferred /24, so no second pass re-queries it.
+			name: "deferred-then-covered",
+			cfg: func() ScanConfig {
+				cfg := scriptedConfig([]string{"10.1.0.0/22"},
+					map[string]string{"10.1.0.0/22": "192.0.2.2"}, []string{"10.1.0.0/24"})
+				cfg.Retries = 0
+				cfg.MaxPasses = 3
+				return cfg
+			},
+			check: func(t *testing.T, cfg ScanConfig, ds *Dataset) {
+				first := netip.MustParsePrefix("10.1.0.0/24")
+				if n := cfg.Exchanger.(*scriptedExchanger).queries[first]; n != 1 {
+					t.Errorf("%v queried %d times, want 1", first, n)
+				}
+				if e := ds.Stats.Ledger[first]; e == nil || !e.Recovered {
+					t.Errorf("%v ledger entry = %+v, want a recovered timeout", first, e)
+				}
+				if ds.Stats.FailedSubnets != 0 || ds.Stats.Passes != 1 {
+					t.Errorf("failed=%d passes=%d, want 0 and 1", ds.Stats.FailedSubnets, ds.Stats.Passes)
+				}
+			},
+		},
+	}
+	for _, c := range cases {
+		run := func(conc int, respectScope bool) (*Dataset, ScanConfig) {
+			cfg := c.cfg()
 			cfg.Concurrency = conc
+			cfg.RespectScope = respectScope
 			ds, err := Scan(ctx, cfg)
 			if err != nil {
-				t.Fatalf("%v conc=%d: %v", in.month, conc, err)
+				t.Fatalf("%s conc=%d: %v", c.name, conc, err)
 			}
-			return ds
+			return ds, cfg
 		}
 
-		base := run(1)
+		base, cfg := run(1, true)
 		if base.Stats.SubnetsSkipped == 0 {
-			t.Fatalf("%v: baseline skipped nothing; the equivalence test would be vacuous", in.month)
+			t.Fatalf("%s: baseline skipped nothing; the equivalence test would be vacuous", c.name)
+		}
+		if c.check != nil {
+			c.check(t, cfg, base)
 		}
 		want := canonicalBytes(t, base)
+		if ablation, _ := run(8, false); !bytes.Equal(canonicalBytes(t, ablation), want) {
+			t.Errorf("%s: canonical dataset differs from the RespectScope=false ablation", c.name)
+		}
 		for _, conc := range []int{8, 64} {
-			ds := run(conc)
+			ds, _ := run(conc, true)
 			if !bytes.Equal(canonicalBytes(t, ds), want) {
-				t.Errorf("%v conc=%d: canonical dataset differs from sequential baseline", in.month, conc)
+				t.Errorf("%s conc=%d: canonical dataset differs from sequential baseline", c.name, conc)
 			}
 			if ds.Stats.SubnetsTotal != base.Stats.SubnetsTotal {
-				t.Errorf("%v conc=%d: SubnetsTotal = %d, want %d", in.month, conc, ds.Stats.SubnetsTotal, base.Stats.SubnetsTotal)
+				t.Errorf("%s conc=%d: SubnetsTotal = %d, want %d", c.name, conc, ds.Stats.SubnetsTotal, base.Stats.SubnetsTotal)
 			}
 			if ds.Stats.SubnetsSkipped != base.Stats.SubnetsSkipped {
-				t.Errorf("%v conc=%d: SubnetsSkipped = %d, want %d", in.month, conc, ds.Stats.SubnetsSkipped, base.Stats.SubnetsSkipped)
+				t.Errorf("%s conc=%d: SubnetsSkipped = %d, want %d", c.name, conc, ds.Stats.SubnetsSkipped, base.Stats.SubnetsSkipped)
+			}
+			if ds.Stats.QueriesSent != base.Stats.QueriesSent {
+				t.Errorf("%s conc=%d: QueriesSent = %d, want %d", c.name, conc, ds.Stats.QueriesSent, base.Stats.QueriesSent)
 			}
 		}
+	}
+}
+
+// scriptedExchanger is an authoritative stand-in with one fixed answer
+// per scope: a query whose ECS subnet falls in a scope gets that scope's
+// address, advertised at the scope's length. A subnet listed in timeouts
+// times out on its first query. It counts the queries per subnet.
+type scriptedExchanger struct {
+	scopes   map[netip.Prefix]netip.Addr
+	timeouts map[netip.Prefix]bool
+
+	mu      sync.Mutex
+	queries map[netip.Prefix]int
+}
+
+func (x *scriptedExchanger) Exchange(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	subnet := q.Edns.ClientSubnet.Prefix()
+	x.mu.Lock()
+	x.queries[subnet]++
+	n := x.queries[subnet]
+	x.mu.Unlock()
+	if n == 1 && x.timeouts[subnet] {
+		return nil, dnsserver.ErrTimeout
+	}
+	resp := &dnswire.Message{
+		Header:    dnswire.Header{ID: q.Header.ID, Response: true, Authoritative: true},
+		Questions: q.Questions,
+	}
+	for scope, addr := range x.scopes {
+		if scope.Contains(subnet.Addr()) {
+			resp.Answers = []dnswire.Record{{Name: q.Questions[0].Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, A: addr}}
+			resp.Edns = &dnswire.EDNS{UDPSize: 1232, ClientSubnet: &dnswire.ClientSubnet{
+				SourcePrefixLen: 24, ScopePrefixLen: uint8(scope.Bits()), Addr: subnet.Addr(),
+			}}
+		}
+	}
+	return resp, nil
+}
+
+// scriptedConfig scans universe against a scriptedExchanger answering
+// scopes (scope → answer address), with the first query of each subnet
+// in timeouts lost. Universe prefix i is announced by AS 64500+i and
+// every answer address by AS 714.
+func scriptedConfig(universe []string, scopes map[string]string, timeouts []string) ScanConfig {
+	x := &scriptedExchanger{
+		scopes:   make(map[netip.Prefix]netip.Addr),
+		timeouts: make(map[netip.Prefix]bool),
+		queries:  make(map[netip.Prefix]int),
+	}
+	table := bgp.NewTable()
+	for scope, addr := range scopes {
+		a := netip.MustParseAddr(addr)
+		x.scopes[netip.MustParsePrefix(scope)] = a
+		table.Announce(netip.PrefixFrom(a, 24).Masked(), 714)
+	}
+	for _, p := range timeouts {
+		x.timeouts[netip.MustParsePrefix(p)] = true
+	}
+	var prefixes []netip.Prefix
+	for i, p := range universe {
+		pfx := netip.MustParsePrefix(p)
+		prefixes = append(prefixes, pfx)
+		table.Announce(pfx, bgp.ASN(64500+i))
+	}
+	return ScanConfig{
+		Exchanger:    x,
+		Domain:       dnsserver.MaskDomain,
+		Universe:     prefixes,
+		Attribution:  table,
+		RespectScope: true,
+		Retries:      1,
 	}
 }
 

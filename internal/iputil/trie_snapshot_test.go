@@ -55,10 +55,11 @@ func TestTrieCloneNilReceiver(t *testing.T) {
 	}
 }
 
-// TestTrieSnapshotConcurrentReaders exercises the copy-on-write pattern
-// the scanner's skip index relies on: readers hold a snapshot loaded from
-// an atomic.Pointer while a writer clones, inserts, and republishes. Run
-// under -race this proves snapshot reads never observe mutation.
+// TestTrieSnapshotConcurrentReaders exercises the guarantee bgp.Table's
+// cloned reader (Table.Snapshot) relies on: a clone is independent of
+// later inserts. Readers hold a snapshot loaded from an atomic.Pointer
+// while a writer clones, inserts, and republishes. Run under -race this
+// proves snapshot reads never observe mutation.
 func TestTrieSnapshotConcurrentReaders(t *testing.T) {
 	const inserts = 200
 	var snap atomic.Pointer[Trie[int]]

@@ -470,45 +470,6 @@ func BenchmarkAblationRotation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNameCompression compares wire sizes of the 8-record
-// ECS response with and without RFC 1035 name compression.
-func BenchmarkAblationNameCompression(b *testing.B) {
-	msg := &dnswire.Message{
-		Header:    dnswire.Header{ID: 1, Response: true, Authoritative: true},
-		Questions: []dnswire.Question{{Name: dnsserver.MaskDomain, Type: dnswire.TypeA, Class: dnswire.ClassIN}},
-	}
-	for i := 0; i < 8; i++ {
-		msg.Answers = append(msg.Answers, dnswire.Record{
-			Name: dnsserver.MaskDomain, Type: dnswire.TypeA, Class: dnswire.ClassIN,
-			TTL: 60, A: netip.AddrFrom4([4]byte{17, 248, 0, byte(i)}),
-		})
-	}
-	b.Run("compressed", func(b *testing.B) {
-		b.ReportAllocs()
-		var wire []byte
-		for i := 0; i < b.N; i++ {
-			var err error
-			wire, err = msg.Encode(wire[:0])
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(wire)), "wire_bytes")
-	})
-	b.Run("uncompressed", func(b *testing.B) {
-		b.ReportAllocs()
-		var wire []byte
-		for i := 0; i < b.N; i++ {
-			var err error
-			wire, err = msg.EncodeUncompressed(wire[:0])
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(wire)), "wire_bytes")
-	})
-}
-
 // BenchmarkQUICVersionProbeWire measures raw probe encode/handle/decode.
 func BenchmarkQUICVersionProbeWire(b *testing.B) {
 	ep := &quicsim.IngressEndpoint{}

@@ -350,7 +350,7 @@ func (p *phaseHandler) Handle(q *dnswire.Message, from netip.Addr) *dnswire.Mess
 		// Swap the first answer for a fresh address on a sliver of
 		// queries, reproducing the single extra address.
 		if iputil.HashAddr(from)%97 == 0 {
-			resp.Answers[0].A = fresh[iputil.HashAddr(from)%uint64(len(fresh))]
+			resp.Answers[0].Addr = fresh[iputil.HashAddr(from)%uint64(len(fresh))]
 		}
 	}
 	return resp
@@ -523,16 +523,14 @@ func (c Campaign) RunDirect(ctx context.Context, pop *Population) ([]Measurement
 			return err
 		}
 		res.RCode = resp.Header.RCode
-		for _, rec := range resp.Answers {
-			switch rec.Type {
-			case dnswire.TypeA:
-				res.Addrs = append(res.Addrs, rec.A)
-			case dnswire.TypeAAAA:
-				res.Addrs = append(res.Addrs, rec.AAAA)
-			default:
-				// Only address records feed probe measurements.
+		for i := range resp.Answers {
+			// Only address records feed probe measurements.
+			if rec := &resp.Answers[i]; rec.Type == dnswire.TypeA || rec.Type == dnswire.TypeAAAA {
+				res.Addrs = append(res.Addrs, rec.Addr)
 			}
 		}
+		// The addresses are copied out: the response is consumed.
+		dnswire.ReleaseMessage(resp)
 		return nil
 	})
 }

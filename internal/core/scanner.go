@@ -366,17 +366,10 @@ func (w *scanWorker) record(subnet netip.Prefix, resp *dnswire.Message) {
 	}
 	st, cfg := w.st, w.st.cfg
 	var operator bgp.ASN
-	for _, rec := range resp.Answers {
-		var addr netip.Addr
-		switch rec.Type {
-		case dnswire.TypeA:
-			addr = rec.A
-		case dnswire.TypeAAAA:
-			addr = rec.AAAA
-		default:
-			continue
+	for i := range resp.Answers {
+		if rec := &resp.Answers[i]; rec.Type == dnswire.TypeA || rec.Type == dnswire.TypeAAAA {
+			operator = w.foldAddr(rec.Addr) // all records of one answer share an AS (§4.1)
 		}
-		operator = w.foldAddr(addr) // all records of one answer share an AS (§4.1)
 	}
 
 	if cfg.RespectScope && resp.Edns != nil && resp.Edns.ClientSubnet != nil {

@@ -147,7 +147,7 @@ func (x *scriptedExchanger) Exchange(_ context.Context, q *dnswire.Message) (*dn
 	}
 	for scope, addr := range x.scopes {
 		if scope.Contains(subnet.Addr()) {
-			resp.Answers = []dnswire.Record{{Name: q.Questions[0].Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, A: addr}}
+			resp.Answers = []dnswire.Record{{Name: q.Questions[0].Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, Addr: addr}}
 			resp.Edns = &dnswire.EDNS{UDPSize: 1232, ClientSubnet: &dnswire.ClientSubnet{
 				SourcePrefixLen: 24, ScopePrefixLen: uint8(scope.Bits()), Addr: subnet.Addr(),
 			}}

@@ -60,8 +60,8 @@ func TestAuthServerECSAnswer(t *testing.T) {
 		t.Fatalf("answer size %d, world says %d", len(resp.Answers), len(want))
 	}
 	for i, r := range resp.Answers {
-		if r.A != want[i] {
-			t.Fatalf("answer %d = %v, want %v", i, r.A, want[i])
+		if r.Addr != want[i] {
+			t.Fatalf("answer %d = %v, want %v", i, r.Addr, want[i])
 		}
 	}
 	if resp.Edns == nil || resp.Edns.ClientSubnet == nil {
@@ -98,7 +98,7 @@ func TestAuthServerFallbackDomain(t *testing.T) {
 		t.Fatalf("fallback answers = %d, want %d", len(resp.Answers), len(want))
 	}
 	for i := range want {
-		if resp.Answers[i].A != want[i] {
+		if resp.Answers[i].Addr != want[i] {
 			t.Fatal("fallback answers differ from world")
 		}
 	}
@@ -139,8 +139,8 @@ func TestAuthServerAAAAScopeZero(t *testing.T) {
 		t.Fatal("no AAAA answers")
 	}
 	for _, r := range resp.Answers {
-		if !r.AAAA.Is6() {
-			t.Fatalf("bad AAAA %v", r.AAAA)
+		if !r.Addr.Is6() {
+			t.Fatalf("bad AAAA %v", r.Addr)
 		}
 	}
 	if resp.Edns == nil || resp.Edns.ClientSubnet == nil || resp.Edns.ClientSubnet.ScopePrefixLen != 0 {
@@ -153,7 +153,7 @@ func TestAuthServerAAAAKeyedByResolver(t *testing.T) {
 	q := func(id uint16) *dnswire.Message { return dnswire.NewQuery(id, MaskDomain, dnswire.TypeAAAA) }
 	a := srv.Handle(q(8), netip.MustParseAddr("2001:db8::1"))
 	b := srv.Handle(q(9), netip.MustParseAddr("2001:db8::1"))
-	if len(a.Answers) != len(b.Answers) || a.Answers[0].AAAA != b.Answers[0].AAAA {
+	if len(a.Answers) != len(b.Answers) || a.Answers[0].Addr != b.Answers[0].Addr {
 		t.Fatal("same resolver should get stable answers")
 	}
 	// Different resolvers usually see different records; check that at
@@ -161,7 +161,7 @@ func TestAuthServerAAAAKeyedByResolver(t *testing.T) {
 	differs := false
 	for i := 0; i < 8 && !differs; i++ {
 		other := srv.Handle(q(10), netip.AddrFrom16([16]byte{0x20, 0x01, 0xd, 0xb8, byte(i), 1}))
-		if other.Answers[0].AAAA != a.Answers[0].AAAA {
+		if other.Answers[0].Addr != a.Answers[0].Addr {
 			differs = true
 		}
 	}
@@ -180,7 +180,7 @@ func TestAuthServerMonthSwitch(t *testing.T) {
 	sameAll := len(jan.Answers) == len(apr.Answers)
 	if sameAll {
 		for i := range jan.Answers {
-			if jan.Answers[i].A != apr.Answers[i].A {
+			if jan.Answers[i].Addr != apr.Answers[i].Addr {
 				sameAll = false
 				break
 			}
@@ -195,12 +195,12 @@ func TestWhoami(t *testing.T) {
 	_, srv := testSetup(t)
 	from := netip.MustParseAddr("9.9.9.9")
 	resp := srv.Handle(dnswire.NewQuery(13, WhoamiDomain, dnswire.TypeA), from)
-	if len(resp.Answers) != 1 || resp.Answers[0].A != from {
+	if len(resp.Answers) != 1 || resp.Answers[0].Addr != from {
 		t.Fatalf("whoami = %+v", resp.Answers)
 	}
 	from6 := netip.MustParseAddr("2620:fe::fe")
 	resp6 := srv.Handle(dnswire.NewQuery(14, WhoamiDomain, dnswire.TypeAAAA), from6)
-	if len(resp6.Answers) != 1 || resp6.Answers[0].AAAA != from6 {
+	if len(resp6.Answers) != 1 || resp6.Answers[0].Addr != from6 {
 		t.Fatalf("whoami v6 = %+v", resp6.Answers)
 	}
 	// Family mismatch → no data.
@@ -357,7 +357,7 @@ func TestUDPServerEndToEnd(t *testing.T) {
 		t.Fatalf("UDP response: id=%d answers=%d", resp.Header.ID, len(resp.Answers))
 	}
 	want := w.IngressAnswer(subnet, netsim.MonthApr, netsim.ProtoDefault)
-	if resp.Answers[0].A != want[0] {
+	if resp.Answers[0].Addr != want[0] {
 		t.Fatal("UDP answer differs from in-memory answer")
 	}
 	// NXDOMAIN over the wire.

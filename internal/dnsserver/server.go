@@ -133,8 +133,8 @@ func (s *AuthServer) answerA(query *dnswire.Message, from netip.Addr, proto nets
 	addrs := s.world.IngressAnswerFor(picks[:0], ac, s.month, proto)
 	name := zoneName(proto)
 	records := m.GrowAnswers(len(addrs))
-	for i, a := range addrs {
-		records[i] = dnswire.Record{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, A: a}
+	for i := range records {
+		setAddrRecord(&records[i], name, dnswire.TypeA, 60, addrs[i])
 	}
 	if hadECS {
 		// Never claim a scope wider than what was asked about... the
@@ -161,8 +161,8 @@ func (s *AuthServer) answerAAAA(query *dnswire.Message, from netip.Addr, proto n
 	m := s.respond(query)
 	name := zoneName(proto)
 	records := m.GrowAnswers(len(addrs))
-	for i, a := range addrs {
-		records[i] = dnswire.Record{Name: name, Type: dnswire.TypeAAAA, Class: dnswire.ClassIN, TTL: 60, AAAA: a}
+	for i := range records {
+		setAddrRecord(&records[i], name, dnswire.TypeAAAA, 60, addrs[i])
 	}
 	if query.Edns != nil && query.Edns.ClientSubnet != nil {
 		cs := query.Edns.ClientSubnet
@@ -182,17 +182,18 @@ func (s *AuthServer) whoami(query *dnswire.Message, from netip.Addr) *dnswire.Me
 	m := s.respond(query)
 	m.Edns = nil
 	from = iputil.Canonical(from)
-	switch {
-	case q.Type == dnswire.TypeA && from.Is4():
-		m.GrowAnswers(1)[0] = dnswire.Record{
-			Name: q.Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 0, A: from,
-		}
-	case q.Type == dnswire.TypeAAAA && from.Is6():
-		m.GrowAnswers(1)[0] = dnswire.Record{
-			Name: q.Name, Type: dnswire.TypeAAAA, Class: dnswire.ClassIN, TTL: 0, AAAA: from,
-		}
+	if (q.Type == dnswire.TypeA && from.Is4()) || (q.Type == dnswire.TypeAAAA && from.Is6()) {
+		setAddrRecord(&m.GrowAnswers(1)[0], q.Name, q.Type, 0, from)
 	}
 	return m
+}
+
+// setAddrRecord fills a message-owned record in place as an address
+// record. Field by field, so the answer loops copy no whole Record, and
+// every field, because GrowAnswers does not zero reused storage.
+func setAddrRecord(r *dnswire.Record, name string, t dnswire.Type, ttl uint32, addr netip.Addr) {
+	r.Name, r.Type, r.Class, r.TTL = name, t, dnswire.ClassIN, ttl
+	r.Addr, r.Data = addr, nil
 }
 
 // respond starts a NOERROR authoritative response in a pooled message;

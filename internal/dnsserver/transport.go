@@ -175,9 +175,9 @@ func (s *UDPServer) handlePacket(w *udpWorker, pkt udpPacket) {
 	if resp == nil {
 		return
 	}
-	// Honor the requester's advertised UDP buffer: oversize responses are
-	// truncated with TC set, prompting the client's TCP retry (RFC 2181
-	// §9 semantics — the answer sections are dropped entirely).
+	// Honor the requester's advertised UDP buffer: an oversize response
+	// goes out with TC set and its record sections dropped entirely
+	// (RFC 2181 §9: a truncated response must not be partially used).
 	bufSize := 512
 	if w.query.Edns != nil && w.query.Edns.UDPSize > 512 {
 		bufSize = int(w.query.Edns.UDPSize)

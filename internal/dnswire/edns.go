@@ -65,15 +65,6 @@ func (cs *ClientSubnet) String() string {
 	return fmt.Sprintf("%s/%d/%d", iputil.Canonical(cs.Addr), cs.SourcePrefixLen, cs.ScopePrefixLen)
 }
 
-// NewClientSubnet builds a query-side ECS option for the given subnet.
-func NewClientSubnet(subnet netip.Prefix) *ClientSubnet {
-	subnet = iputil.CanonicalPrefix(subnet)
-	return &ClientSubnet{
-		SourcePrefixLen: uint8(subnet.Bits()),
-		Addr:            subnet.Addr(),
-	}
-}
-
 // appendECS appends the wire form of the option (without the option
 // code/length preamble) to buf.
 func appendECS(buf []byte, cs *ClientSubnet) ([]byte, error) {
@@ -102,15 +93,6 @@ func appendECS(buf []byte, cs *ClientSubnet) ([]byte, error) {
 		buf = append(buf, b[:nOctets]...)
 	}
 	return buf, nil
-}
-
-// decodeECS decodes an ECS option body.
-func decodeECS(data []byte) (*ClientSubnet, error) {
-	cs := new(ClientSubnet)
-	if err := decodeECSInto(data, cs); err != nil {
-		return nil, err
-	}
-	return cs, nil
 }
 
 // decodeECSInto decodes an ECS option body into cs, overwriting it.

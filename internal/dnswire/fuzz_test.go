@@ -21,9 +21,9 @@ func FuzzDecode(f *testing.F) {
 		Header:    Header{ID: 3, Response: true, Authoritative: true},
 		Questions: []Question{{Name: "mask.icloud.com.", Type: TypeA, Class: ClassIN}},
 		Answers: []Record{
-			{Name: "mask.icloud.com.", Type: TypeA, Class: ClassIN, TTL: 60, A: netip.MustParseAddr("17.0.0.1")},
-			{Name: "mask.icloud.com.", Type: TypeAAAA, Class: ClassIN, TTL: 60, AAAA: netip.MustParseAddr("2620:149::1")},
-			{Name: "mask.icloud.com.", Type: TypeTXT, Class: ClassIN, TTL: 60, TXT: []string{"x"}},
+			{Name: "mask.icloud.com.", Type: TypeA, Class: ClassIN, TTL: 60, Addr: netip.MustParseAddr("17.0.0.1")},
+			{Name: "mask.icloud.com.", Type: TypeAAAA, Class: ClassIN, TTL: 60, Addr: netip.MustParseAddr("2620:149::1")},
+			{Name: "mask.icloud.com.", Type: TypeTXT, Class: ClassIN, TTL: 60, Data: []byte{1, 'x'}},
 		},
 		Edns: &EDNS{UDPSize: 1232, ClientSubnet: &ClientSubnet{SourcePrefixLen: 24, ScopePrefixLen: 16, Addr: netip.MustParseAddr("203.0.113.0")}},
 	}

@@ -8,16 +8,10 @@ import (
 )
 
 // Encode serializes the message, appending to buf (which may be nil).
-// Names in questions and record owners are compressed; rdata names are
-// compressed where RFC 1035 permits (NS, CNAME, PTR, SOA).
+// Names in questions and record owners are compressed; raw rdata is
+// written as it is.
 func (m *Message) Encode(buf []byte) ([]byte, error) {
 	return m.encode(buf, make(map[string]int, 8))
-}
-
-// EncodeUncompressed serializes the message without name compression —
-// kept for the compression ablation benchmark and interop testing.
-func (m *Message) EncodeUncompressed(buf []byte) ([]byte, error) {
-	return m.encode(buf, nil)
 }
 
 // Encoder owns the scratch state for serializing messages — currently the
@@ -63,14 +57,16 @@ func (m *Message) encode(buf []byte, compress map[string]int) ([]byte, error) {
 	}
 	flags |= uint16(h.RCode & 0xF)
 	buf = binary.BigEndian.AppendUint16(buf, flags)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Questions)))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Answers)))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Authorities)))
 	nAdd := len(m.Additionals)
 	if m.Edns != nil {
 		nAdd++
 	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(nAdd))
+	for _, n := range [...]int{len(m.Questions), len(m.Answers), len(m.Authorities), nAdd} {
+		if n > 0xFFFF {
+			return nil, ErrTooManyRecords
+		}
+		buf = binary.BigEndian.AppendUint16(buf, uint16(n))
+	}
 
 	var err error
 	for _, q := range m.Questions {
@@ -95,7 +91,8 @@ func (m *Message) encode(buf []byte, compress map[string]int) ([]byte, error) {
 	return buf, nil
 }
 
-// appendRecord appends one resource record.
+// appendRecord appends one resource record. Only its owner name is
+// compressed.
 func appendRecord(buf []byte, r *Record, compress map[string]int, base int) ([]byte, error) {
 	var err error
 	if buf, err = appendName(buf, r.Name, compress, base); err != nil {
@@ -108,53 +105,21 @@ func appendRecord(buf []byte, r *Record, compress map[string]int, base int) ([]b
 	buf = append(buf, 0, 0)
 	switch r.Type {
 	case TypeA:
-		if !r.A.Is4() {
+		if !r.Addr.Is4() {
 			return nil, ErrBadRData
 		}
-		b := r.A.As4()
+		b := r.Addr.As4()
 		buf = append(buf, b[:]...)
 	case TypeAAAA:
-		if !r.AAAA.Is6() || r.AAAA.Is4In6() {
+		if !r.Addr.Is6() || r.Addr.Is4In6() {
 			return nil, ErrBadRData
 		}
-		b := r.AAAA.As16()
+		b := r.Addr.As16()
 		buf = append(buf, b[:]...)
-	case TypeNS:
-		if buf, err = appendName(buf, r.NS, compress, base); err != nil {
-			return nil, err
-		}
-	case TypeCNAME:
-		if buf, err = appendName(buf, r.CNAME, compress, base); err != nil {
-			return nil, err
-		}
-	case TypePTR:
-		if buf, err = appendName(buf, r.PTR, compress, base); err != nil {
-			return nil, err
-		}
-	case TypeTXT:
-		for _, s := range r.TXT {
-			if len(s) > 255 {
-				return nil, ErrBadRData
-			}
-			buf = append(buf, byte(len(s)))
-			buf = append(buf, s...)
-		}
-	case TypeSOA:
-		if r.SOA == nil {
+	default:
+		if len(r.Data) > 0xFFFF {
 			return nil, ErrBadRData
 		}
-		if buf, err = appendName(buf, r.SOA.MName, compress, base); err != nil {
-			return nil, err
-		}
-		if buf, err = appendName(buf, r.SOA.RName, compress, base); err != nil {
-			return nil, err
-		}
-		buf = binary.BigEndian.AppendUint32(buf, r.SOA.Serial)
-		buf = binary.BigEndian.AppendUint32(buf, r.SOA.Refresh)
-		buf = binary.BigEndian.AppendUint32(buf, r.SOA.Retry)
-		buf = binary.BigEndian.AppendUint32(buf, r.SOA.Expire)
-		buf = binary.BigEndian.AppendUint32(buf, r.SOA.Minimum)
-	default:
 		buf = append(buf, r.Data...)
 	}
 	binary.BigEndian.PutUint16(buf[rdlenAt:], uint16(len(buf)-rdlenAt-2))
@@ -176,7 +141,9 @@ func Decode(msg []byte) (*Message, error) {
 // decode into the message-owned storage (see GrowAnswers) — which a
 // pooled message brings along from its previous life — never into a
 // slice a caller assigned to m.Answers. On error m's contents are
-// undefined. Like Decode, it never retains references into msg.
+// undefined. Like Decode, it never retains references into msg: the OPT
+// record is parsed in place, and every record kept gets its own copy of
+// its raw rdata.
 func DecodeInto(msg []byte, m *Message) error {
 	if len(msg) < 12 {
 		return ErrTruncatedMessage
@@ -256,6 +223,7 @@ func DecodeInto(msg []byte, m *Message) error {
 				m.Edns = edns
 				continue
 			}
+			r.Data = append([]byte(nil), r.Data...)
 			*dest = append(*dest, r)
 		}
 	}
@@ -264,7 +232,8 @@ func DecodeInto(msg []byte, m *Message) error {
 }
 
 // decodeRecord parses one RR starting at off, returning it and the offset
-// just past it.
+// just past it. A non-address record's Data aliases msg; the caller
+// copies it if it keeps the record.
 func decodeRecord(msg []byte, off int, names *nameCache) (Record, int, error) {
 	var r Record
 	var err error
@@ -289,57 +258,14 @@ func decodeRecord(msg []byte, off int, names *nameCache) (Record, int, error) {
 		if rdlen != 4 {
 			return r, 0, ErrBadRData
 		}
-		var b [4]byte
-		copy(b[:], rdata)
-		r.A = netip.AddrFrom4(b)
+		r.Addr = netip.AddrFrom4([4]byte(rdata))
 	case TypeAAAA:
 		if rdlen != 16 {
 			return r, 0, ErrBadRData
 		}
-		var b [16]byte
-		copy(b[:], rdata)
-		r.AAAA = netip.AddrFrom16(b)
-	case TypeNS:
-		if r.NS, _, err = decodeNameCached(msg, off, names); err != nil {
-			return r, 0, err
-		}
-	case TypeCNAME:
-		if r.CNAME, _, err = decodeNameCached(msg, off, names); err != nil {
-			return r, 0, err
-		}
-	case TypePTR:
-		if r.PTR, _, err = decodeNameCached(msg, off, names); err != nil {
-			return r, 0, err
-		}
-	case TypeTXT:
-		for p := 0; p < rdlen; {
-			l := int(rdata[p])
-			if p+1+l > rdlen {
-				return r, 0, ErrBadRData
-			}
-			r.TXT = append(r.TXT, string(rdata[p+1:p+1+l]))
-			p += 1 + l
-		}
-	case TypeSOA:
-		soa := &SOAData{}
-		p := off
-		if soa.MName, p, err = decodeNameCached(msg, p, names); err != nil {
-			return r, 0, err
-		}
-		if soa.RName, p, err = decodeNameCached(msg, p, names); err != nil {
-			return r, 0, err
-		}
-		if p+20 > off+rdlen {
-			return r, 0, ErrBadRData
-		}
-		soa.Serial = binary.BigEndian.Uint32(msg[p:])
-		soa.Refresh = binary.BigEndian.Uint32(msg[p+4:])
-		soa.Retry = binary.BigEndian.Uint32(msg[p+8:])
-		soa.Expire = binary.BigEndian.Uint32(msg[p+12:])
-		soa.Minimum = binary.BigEndian.Uint32(msg[p+16:])
-		r.SOA = soa
+		r.Addr = netip.AddrFrom16([16]byte(rdata))
 	default:
-		r.Data = append([]byte(nil), rdata...)
+		r.Data = rdata
 	}
 	return r, off + rdlen, nil
 }

@@ -5,11 +5,11 @@ import "strings"
 // maxNameWire is the RFC 1035 limit on the wire form of a name.
 const maxNameWire = 255
 
-// appendName appends the wire encoding of name to buf. When compress is
-// non-nil it is used as a name→offset map: suffixes already emitted are
-// replaced with compression pointers, and newly emitted suffixes are
-// recorded. Offsets are relative to base (the message's start within
-// buf); offsets beyond the 14-bit pointer range are never recorded.
+// appendName appends the wire encoding of name to buf. compress is the
+// message's name→offset map: suffixes already emitted are replaced with
+// compression pointers, and newly emitted suffixes are recorded. Offsets
+// are relative to base (the message's start within buf); offsets beyond
+// the 14-bit pointer range are never recorded.
 func appendName(buf []byte, name string, compress map[string]int, base int) ([]byte, error) {
 	name = CanonicalName(name)
 	if name == "." {
@@ -24,13 +24,11 @@ func appendName(buf []byte, name string, compress map[string]int, base int) ([]b
 	// i — usable directly as a compression-map key without allocating.
 	for i := 0; i < len(name); {
 		suffix := name[i:]
-		if compress != nil {
-			if off, ok := compress[suffix]; ok {
-				return append(buf, byte(0xC0|off>>8), byte(off)), nil
-			}
-			if off := len(buf) - base; off < 0x3FFF {
-				compress[suffix] = off
-			}
+		if off, ok := compress[suffix]; ok {
+			return append(buf, byte(0xC0|off>>8), byte(off)), nil
+		}
+		if off := len(buf) - base; off < 0x3FFF {
+			compress[suffix] = off
 		}
 		j := strings.IndexByte(suffix, '.') // >= 0: canonical names end in '.'
 		label := suffix[:j]

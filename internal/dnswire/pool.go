@@ -6,9 +6,10 @@ import (
 )
 
 // Message pooling for the exchange hot path. The authoritative server
-// assembles every response in a pooled Message, and consumers that are
-// demonstrably done with a response (the scanner after record(), the
-// UDP/TCP servers after encoding) hand it back with ReleaseMessage.
+// assembles every response in a pooled Message, and every consumer hands
+// it back with ReleaseMessage once done: the scanner after record(), the
+// UDP server after encoding, the resolver and Atlas's direct campaign
+// once they have copied the addresses out.
 //
 // Ownership rules:
 //
@@ -20,9 +21,6 @@ import (
 //     release every response they finish with, without tracking where it
 //     came from — a test fake's static message or a fault injector's
 //     synthesized failure simply falls through to the GC.
-//   - Consumers that retain responses indefinitely (the resolver cache,
-//     Atlas measurement results) just never release them; retention is
-//     always safe because nothing recycles a message behind its back.
 //   - After ReleaseMessage the message must not be touched — nor may a
 //     copy of its Answers slice: the answer storage and the EDNS scratch
 //     stay with the message and are rewritten by the next owner.
@@ -72,8 +70,7 @@ func AcquireMessage() *Message {
 // message's EDNS and ClientSubnet structs are kept as scratch so the
 // steady state re-serves them without allocating, and so is the answer
 // storage up to maxPooledAnswers records, zeroed; everything that may
-// reference caller data (section slices, names, TXT/SOA/Data rdata) is
-// dropped.
+// reference caller data (section slices, names, raw rdata) is dropped.
 func ReleaseMessage(m *Message) {
 	if m == nil || !m.pooled {
 		return

@@ -1,7 +1,10 @@
 // Package dnswire implements the DNS wire format used by the measurement
-// toolkit: message header, questions, resource records (A, AAAA, NS, CNAME,
-// SOA, TXT, PTR and OPT), domain-name compression, EDNS0, and the EDNS0
-// Client Subnet option defined in RFC 7871.
+// toolkit: message header, questions, resource records, domain-name
+// compression, EDNS0, and the EDNS0 Client Subnet option defined in
+// RFC 7871. The measurement reads only addresses and the ECS scope, so
+// A and AAAA rdata decode into an address, the OPT record into EDNS, and
+// every other type (NS, CNAME, SOA, TXT, PTR, ...) round-trips as raw
+// rdata.
 //
 // The codec follows the decode/append style popularized by gopacket and
 // dnsmessage: parsing never retains references into the input buffer beyond
@@ -123,6 +126,7 @@ var (
 	ErrPointerLoop      = errors.New("dnswire: compression pointer loop")
 	ErrBadRData         = errors.New("dnswire: malformed rdata")
 	ErrBadOption        = errors.New("dnswire: malformed EDNS0 option")
+	ErrTooManyRecords   = errors.New("dnswire: section exceeds 65535 entries")
 )
 
 // Header is the fixed 12-octet DNS message header.
@@ -149,33 +153,18 @@ func (q Question) String() string {
 	return fmt.Sprintf("%s %s %s", q.Name, q.Class, q.Type)
 }
 
-// Record is a decoded resource record. Exactly one of the typed rdata
-// fields is meaningful, selected by Type; unknown types retain raw Data.
+// Record is a decoded resource record. A and AAAA rdata decode into
+// Addr; every other type keeps its raw rdata in Data. Names inside raw
+// rdata are not decompressed: a compressed NS or CNAME target is only
+// meaningful against the message it was decoded from.
 type Record struct {
 	Name  string
 	Type  Type
 	Class Class
 	TTL   uint32
 
-	A     netip.Addr // TypeA
-	AAAA  netip.Addr // TypeAAAA
-	NS    string     // TypeNS
-	CNAME string     // TypeCNAME
-	PTR   string     // TypePTR
-	TXT   []string   // TypeTXT
-	SOA   *SOAData   // TypeSOA
-	Data  []byte     // unknown types: raw rdata
-}
-
-// SOAData is the rdata of an SOA record.
-type SOAData struct {
-	MName   string
-	RName   string
-	Serial  uint32
-	Refresh uint32
-	Retry   uint32
-	Expire  uint32
-	Minimum uint32
+	Addr netip.Addr // TypeA (IPv4) and TypeAAAA (IPv6)
+	Data []byte     // every other type: raw rdata
 }
 
 // Message is a complete DNS message. The OPT pseudo-record, if present in

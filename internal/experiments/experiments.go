@@ -282,7 +282,7 @@ func (e *Env) RelayScan(ctx context.Context, dayRounds, rotationRounds int) (*Re
 
 	forced := e.World.IngressFleet(netsim.ASAkamaiPR, netsim.MonthApr, netsim.ProtoDefault, netsim.FamilyV4, 0)[0]
 	res.AddLocalZone(dnsserver.MaskDomain, []dnswire.Record{{
-		Name: dnsserver.MaskDomain, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, A: forced,
+		Name: dnsserver.MaskDomain, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, Addr: forced,
 	}})
 	result.Fixed, err = scan.Run(ctx, scan.Config{Device: dev, Web: ws, Echo: es, Rounds: dayRounds, Interval: 5 * time.Minute, Connect: e.ConnectRetries})
 	if err != nil {

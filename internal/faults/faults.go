@@ -48,23 +48,6 @@ func (s *Stats) Total() int64 {
 		s.Truncated.Load() + s.Stale.Load()
 }
 
-// Of returns the count injected for one kind.
-func (s *Stats) Of(k Kind) int64 {
-	switch k {
-	case KindTimeout:
-		return s.Timeouts.Load()
-	case KindServFail:
-		return s.ServFails.Load()
-	case KindRefused:
-		return s.Refused.Load()
-	case KindTruncate:
-		return s.Truncated.Load()
-	case KindStale:
-		return s.Stale.Load()
-	}
-	return 0
-}
-
 // Injector wraps an Exchanger with a fault Profile.
 type Injector struct {
 	inner   dnsserver.Exchanger

@@ -22,7 +22,7 @@ func (okHandler) Handle(q *dnswire.Message, _ netip.Addr) *dnswire.Message {
 		Questions: q.Questions,
 		Answers: []dnswire.Record{{
 			Name: q.Questions[0].Name, Type: dnswire.TypeA, Class: dnswire.ClassIN,
-			TTL: 60, A: netip.MustParseAddr("192.0.2.1"),
+			TTL: 60, Addr: netip.MustParseAddr("192.0.2.1"),
 		}},
 	}
 }

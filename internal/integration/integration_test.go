@@ -1,7 +1,7 @@
 // Package integration_test drives whole-system flows over real loopback
-// sockets: ECS enumeration through actual UDP (and TCP-fallback) DNS,
-// scans against a rate-limited authoritative server, and the relay client
-// resolving through a live resolver chain before tunneling over TCP.
+// sockets: ECS enumeration through actual UDP DNS, scans against a
+// rate-limited authoritative server, and the relay client resolving
+// through a live resolver chain before tunneling over TCP.
 package integration_test
 
 import (
@@ -37,16 +37,8 @@ func TestECSScanOverRealUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer us.Close()
-	ts, err := dnsserver.ListenTCP("127.0.0.1:0", srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
 
-	wire := &dnsserver.TruncatingUDPClient{
-		UDP: &dnsserver.UDPClient{ServerAddr: us.Addr().String(), Timeout: 2 * time.Second, Retries: 2},
-		TCP: &dnsserver.TCPClient{ServerAddr: ts.Addr().String(), Timeout: 2 * time.Second},
-	}
+	wire := &dnsserver.UDPClient{ServerAddr: us.Addr().String(), Timeout: 2 * time.Second, Retries: 2}
 	overUDP, err := core.Scan(context.Background(), core.ScanConfig{
 		Exchanger:    wire,
 		Domain:       dnsserver.MaskDomain,

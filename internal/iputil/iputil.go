@@ -29,19 +29,6 @@ func CanonicalPrefix(p netip.Prefix) netip.Prefix {
 	return netip.PrefixFrom(Canonical(p.Addr()), p.Bits()).Masked()
 }
 
-// AddrToUint64 returns the top 64 bits of the address as an integer. For
-// IPv4 the 32 address bits occupy the high half, so ordering is preserved
-// within each family.
-func AddrToUint64(addr netip.Addr) uint64 {
-	addr = Canonical(addr)
-	if addr.Is4() {
-		b := addr.As4()
-		return uint64(binary.BigEndian.Uint32(b[:])) << 32
-	}
-	b := addr.As16()
-	return binary.BigEndian.Uint64(b[:8])
-}
-
 // AddrAtIndex returns the i-th address within prefix p, counting from the
 // network address. It panics if i addresses past the end of the prefix;
 // callers are expected to bound i by AddrCount.

@@ -390,7 +390,7 @@ func TestDeviceForcedIngress(t *testing.T) {
 	// Force a specific ingress via a local unbound zone (§3 fixed scan).
 	forced := dep.World.IngressFleet(netsim.ASAkamaiPR, netsim.MonthApr, netsim.ProtoDefault, netsim.FamilyV4, 0)[7]
 	dev.Resolver.AddLocalZone(dnsserver.MaskDomain, []dnswire.Record{{
-		Name: dnsserver.MaskDomain, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, A: forced,
+		Name: dnsserver.MaskDomain, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, Addr: forced,
 	}})
 	_ = svc
 

@@ -138,14 +138,6 @@ func StartService(dep *Deployment, cfg ServiceConfig) (*Service, error) {
 	return svc, nil
 }
 
-// IngressRecords exposes the ingress connection log (client/egress pairs).
-func (s *Service) IngressRecords() []masque.ConnRecord {
-	if s.ingress == nil {
-		return nil
-	}
-	return s.ingress.Records()
-}
-
 // Close shuts every listener down.
 func (s *Service) Close() {
 	for _, ln := range s.lns {

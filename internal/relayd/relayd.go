@@ -40,7 +40,6 @@ type Service struct {
 	supDiff  *Supervisor
 	supAtlas *Supervisor
 
-	cycles   atomic.Int64
 	ready    atomic.Bool
 	draining atomic.Bool
 }
@@ -78,9 +77,6 @@ func New(cfg ServiceConfig) (*Service, error) {
 
 // Registry returns the service's metrics registry.
 func (s *Service) Registry() *Registry { return s.reg }
-
-// Cycles reports how many Step calls have completed.
-func (s *Service) Cycles() int64 { return s.cycles.Load() }
 
 // Ready reports whether the service has finished at least one cycle
 // and is not draining — the /readyz contract.
@@ -151,7 +147,6 @@ func (s *Service) Step(ctx context.Context) error {
 		}
 	}
 
-	s.cycles.Add(1)
 	if s.reg != nil {
 		s.reg.Counter("relayd_cycles_total").Add(1)
 	}

@@ -9,6 +9,7 @@ package resolver
 import (
 	"context"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -61,17 +62,25 @@ func (p Policy) String() string {
 // mimicking the nextdns.io interception the paper stumbled on.
 var HijackAddr = netip.MustParseAddr("198.18.0.99")
 
-// cacheEntry is one cached response.
+// answer is what the resolver keeps of a response: its rcode and the
+// addresses of its answer records of the queried type. Cached answers
+// are shared; callers get a clone of addrs.
+type answer struct {
+	rcode dnswire.RCode
+	addrs []netip.Addr
+}
+
+// cacheEntry is one cached answer.
 type cacheEntry struct {
-	msg    *dnswire.Message
+	ans    answer
 	expiry time.Time
 }
 
-// inflight is one in-progress upstream exchange. The leader fills msg/err
+// inflight is one in-progress upstream exchange. The leader fills ans/err
 // before closing done; waiters block on done and read the shared result.
 type inflight struct {
 	done chan struct{}
-	msg  *dnswire.Message
+	ans  answer
 	err  error
 }
 
@@ -154,9 +163,9 @@ func (r *Resolver) policyFor(name string) Policy {
 	return best
 }
 
-// Lookup resolves one question on behalf of clientAddr. It returns
+// lookup resolves one question on behalf of clientAddr. It returns
 // dnsserver.ErrTimeout under PolicyTimeout or upstream loss.
-func (r *Resolver) Lookup(ctx context.Context, name string, qtype dnswire.Type, clientAddr netip.Addr) (*dnswire.Message, error) {
+func (r *Resolver) lookup(ctx context.Context, name string, qtype dnswire.Type, clientAddr netip.Addr) (answer, error) {
 	name = dnswire.CanonicalName(name)
 
 	// Local zone overrides take absolute precedence (unbound local-data).
@@ -164,49 +173,45 @@ func (r *Resolver) Lookup(ctx context.Context, name string, qtype dnswire.Type, 
 	localRecs := r.local[name]
 	r.mu.Unlock()
 	if len(localRecs) > 0 {
-		var matched []dnswire.Record
-		for _, rec := range localRecs {
-			if rec.Type == qtype {
-				matched = append(matched, rec)
+		ans := answer{rcode: dnswire.RCodeNoError}
+		for i := range localRecs {
+			if localRecs[i].Type == qtype {
+				ans.addrs = append(ans.addrs, localRecs[i].Addr)
 			}
 		}
-		return r.synthesize(name, qtype, dnswire.RCodeNoError, matched), nil
+		return ans, nil
 	}
 
 	switch r.policyFor(name) {
 	case PolicyNXDomain:
-		return r.synthesize(name, qtype, dnswire.RCodeNXDomain, nil), nil
+		return answer{rcode: dnswire.RCodeNXDomain}, nil
 	case PolicyNoData:
-		return r.synthesize(name, qtype, dnswire.RCodeNoError, nil), nil
+		return answer{rcode: dnswire.RCodeNoError}, nil
 	case PolicyRefused:
-		return r.synthesize(name, qtype, dnswire.RCodeRefused, nil), nil
+		return answer{rcode: dnswire.RCodeRefused}, nil
 	case PolicyServFail:
-		return r.synthesize(name, qtype, dnswire.RCodeServFail, nil), nil
+		return answer{rcode: dnswire.RCodeServFail}, nil
 	case PolicyFormErr:
-		return r.synthesize(name, qtype, dnswire.RCodeFormErr, nil), nil
+		return answer{rcode: dnswire.RCodeFormErr}, nil
 	case PolicyTimeout:
-		return nil, dnsserver.ErrTimeout
+		return answer{}, dnsserver.ErrTimeout
 	case PolicyHijack:
-		rec := dnswire.Record{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, A: HijackAddr}
 		if qtype != dnswire.TypeA {
-			return r.synthesize(name, qtype, dnswire.RCodeNoError, nil), nil
+			return answer{rcode: dnswire.RCodeNoError}, nil
 		}
-		return r.synthesize(name, qtype, dnswire.RCodeNoError, []dnswire.Record{rec}), nil
+		return answer{rcode: dnswire.RCodeNoError, addrs: []netip.Addr{HijackAddr}}, nil
 	default:
 		// PolicyNone: resolve normally below.
 	}
 
 	key := cacheKey(name, qtype, clientAddr, r.ForwardECS)
-	msg, fl, leader := r.beginFlight(key)
-	if msg != nil {
-		return msg, nil
-	}
-	if !leader {
+	ans, fl, leader := r.beginFlight(key)
+	switch {
+	case fl == nil:
+		return ans, nil
+	case !leader:
 		<-fl.done
-		if fl.err != nil {
-			return nil, fl.err
-		}
-		return fl.msg, nil
+		return fl.ans, fl.err
 	}
 
 	q := dnswire.NewQuery(queryID(key), name, qtype)
@@ -218,55 +223,70 @@ func (r *Resolver) Lookup(ctx context.Context, name string, qtype dnswire.Type, 
 	}
 	resp, err := r.Upstream.Exchange(ctx, q)
 	if err != nil {
-		r.endFlight(key, fl, nil, err)
-		return nil, err
+		r.endFlight(key, fl, answer{}, err)
+		return answer{}, err
 	}
-	r.cachePut(key, resp)
-	r.endFlight(key, fl, resp, nil)
-	return resp, nil
+	// Keep the rcode and the addresses, under the smallest answer TTL.
+	ans.rcode = resp.Header.RCode
+	ttl := uint32(60)
+	for i := range resp.Answers {
+		rec := &resp.Answers[i]
+		ttl = min(ttl, rec.TTL)
+		if rec.Type == qtype {
+			ans.addrs = append(ans.addrs, rec.Addr)
+		}
+	}
+	if len(resp.Answers) == 0 {
+		ttl = 30 // negative-ish caching
+	}
+	dnswire.ReleaseMessage(resp)
+	r.cachePut(key, ans, ttl)
+	r.endFlight(key, fl, ans, nil)
+	return ans, nil
 }
 
 // beginFlight answers from cache, joins an in-progress upstream exchange
 // for the same key (per-key singleflight: concurrent probes behind one
 // public resolver must not stampede the upstream), or claims leadership
-// of a new exchange. Exactly one of three outcomes: msg != nil is a cache
-// hit; leader true means the caller must exchange and call endFlight;
-// leader false with msg nil means the caller waits on fl.done. Waiters
-// count as cache hits — they are served from the answer the leader
-// caches — so serial and concurrent runs report identical hit/miss totals.
-func (r *Resolver) beginFlight(key string) (*dnswire.Message, *inflight, bool) {
+// of a new exchange. Exactly one of three outcomes: fl == nil is a cache
+// hit and ans the cached answer; leader true means the caller must
+// exchange and call endFlight; leader false with fl != nil means the
+// caller waits on fl.done. Waiters count as cache hits — they are served
+// from the answer the leader caches — so serial and concurrent runs
+// report identical hit/miss totals.
+func (r *Resolver) beginFlight(key string) (ans answer, fl *inflight, leader bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.cache[key]; ok {
 		if !r.now().After(e.expiry) {
 			r.CacheHits++
-			return e.msg, nil, false
+			return e.ans, nil, false
 		}
 		delete(r.cache, key)
 	}
 	if fl, ok := r.flights[key]; ok {
 		r.CacheHits++
-		return nil, fl, false
+		return answer{}, fl, false
 	}
 	if r.flights == nil {
 		r.flights = make(map[string]*inflight)
 	}
-	fl := &inflight{done: make(chan struct{})}
+	fl = &inflight{done: make(chan struct{})}
 	r.flights[key] = fl
 	r.CacheMisses++
-	return nil, fl, true
+	return answer{}, fl, true
 }
 
 // endFlight publishes the leader's result and releases waiters.
-func (r *Resolver) endFlight(key string, fl *inflight, msg *dnswire.Message, err error) {
-	fl.msg, fl.err = msg, err
+func (r *Resolver) endFlight(key string, fl *inflight, ans answer, err error) {
+	fl.ans, fl.err = ans, err
 	r.mu.Lock()
 	delete(r.flights, key)
 	r.mu.Unlock()
 	close(fl.done)
 }
 
-// FlushCache drops every cached response (in-flight exchanges are left
+// FlushCache drops every cached answer (in-flight exchanges are left
 // alone). Campaign benchmarks use it to re-measure cold-cache runs.
 func (r *Resolver) FlushCache() {
 	r.mu.Lock()
@@ -276,32 +296,14 @@ func (r *Resolver) FlushCache() {
 
 // ResolveA returns just the A addresses for name (empty on NOERROR/no-data).
 func (r *Resolver) ResolveA(ctx context.Context, name string, clientAddr netip.Addr) ([]netip.Addr, dnswire.RCode, error) {
-	resp, err := r.Lookup(ctx, name, dnswire.TypeA, clientAddr)
-	if err != nil {
-		return nil, 0, err
-	}
-	var out []netip.Addr
-	for _, rec := range resp.Answers {
-		if rec.Type == dnswire.TypeA {
-			out = append(out, rec.A)
-		}
-	}
-	return out, resp.Header.RCode, nil
+	ans, err := r.lookup(ctx, name, dnswire.TypeA, clientAddr)
+	return slices.Clone(ans.addrs), ans.rcode, err
 }
 
 // ResolveAAAA returns the AAAA addresses for name.
 func (r *Resolver) ResolveAAAA(ctx context.Context, name string, clientAddr netip.Addr) ([]netip.Addr, dnswire.RCode, error) {
-	resp, err := r.Lookup(ctx, name, dnswire.TypeAAAA, clientAddr)
-	if err != nil {
-		return nil, 0, err
-	}
-	var out []netip.Addr
-	for _, rec := range resp.Answers {
-		if rec.Type == dnswire.TypeAAAA {
-			out = append(out, rec.AAAA)
-		}
-	}
-	return out, resp.Header.RCode, nil
+	ans, err := r.lookup(ctx, name, dnswire.TypeAAAA, clientAddr)
+	return slices.Clone(ans.addrs), ans.rcode, err
 }
 
 func (r *Resolver) now() time.Time {
@@ -311,33 +313,10 @@ func (r *Resolver) now() time.Time {
 	return time.Now()
 }
 
-func (r *Resolver) cachePut(key string, msg *dnswire.Message) {
-	ttl := uint32(60)
-	for _, rec := range msg.Answers {
-		if rec.TTL < ttl {
-			ttl = rec.TTL
-		}
-	}
-	if len(msg.Answers) == 0 {
-		ttl = 30 // negative-ish caching
-	}
+func (r *Resolver) cachePut(key string, ans answer, ttl uint32) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cache[key] = cacheEntry{msg: msg, expiry: r.now().Add(time.Duration(ttl) * time.Second)}
-}
-
-// synthesize builds a locally generated response.
-func (r *Resolver) synthesize(name string, qtype dnswire.Type, rc dnswire.RCode, answers []dnswire.Record) *dnswire.Message {
-	return &dnswire.Message{
-		Header: dnswire.Header{
-			Response:           true,
-			RecursionDesired:   true,
-			RecursionAvailable: true,
-			RCode:              rc,
-		},
-		Questions: []dnswire.Question{{Name: name, Type: qtype, Class: dnswire.ClassIN}},
-		Answers:   answers,
-	}
+	r.cache[key] = cacheEntry{ans: ans, expiry: r.now().Add(time.Duration(ttl) * time.Second)}
 }
 
 // cacheKey scopes cached answers per client /24 when ECS forwarding is on

@@ -204,6 +204,6 @@ func TestForcedIngressDoesNotChangeEgressBehaviour(t *testing.T) {
 // forcedZone builds the unbound-style local records for one ingress.
 func forcedZone(addr netip.Addr) []dnswire.Record {
 	return []dnswire.Record{{
-		Name: dnsserver.MaskDomain, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, A: addr,
+		Name: dnsserver.MaskDomain, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, Addr: addr,
 	}}
 }

@@ -26,16 +26,22 @@ import (
 // chaosKiller cancels the service's context after a fixed number of
 // DNS exchanges. Installed through PipelineConfig.WrapExchanger it
 // sits outermost — above the fault injector — so the kill lands at an
-// arbitrary point of the real exchange stream.
+// arbitrary point of the real exchange stream. With domain set, only
+// queries for that name count, so the kill lands inside that domain's
+// scan however the concurrent domain scans interleave.
 type chaosKiller struct {
 	inner  dnsserver.Exchanger
 	after  int64
+	domain string
 	n      atomic.Int64
 	cancel context.CancelFunc
 	fired  *atomic.Bool
 }
 
 func (k *chaosKiller) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	if k.domain != "" && (len(q.Questions) == 0 || q.Questions[0].Name != k.domain) {
+		return k.inner.Exchange(ctx, q)
+	}
 	if k.n.Add(1) == k.after {
 		k.fired.Store(true)
 		k.cancel()
@@ -242,7 +248,7 @@ func TestRelaydChaosDrainMidCampaign(t *testing.T) {
 	var fired atomic.Bool
 	cfg := chaosServiceConfig(dir)
 	cfg.Pipeline.WrapExchanger = func(ex dnsserver.Exchanger) dnsserver.Exchanger {
-		return &chaosKiller{inner: ex, after: 300, cancel: cancel, fired: &fired}
+		return &chaosKiller{inner: ex, after: 300, domain: dnsserver.MaskDomain, cancel: cancel, fired: &fired}
 	}
 	svc, err := New(cfg)
 	if err != nil {

@@ -1,15 +1,10 @@
 GO ?= go
 
-# Where bench-json writes its output; bench-gate points this at a temp
-# directory to get a fresh run without clobbering the committed files.
-BENCH_DIR ?= .
+.PHONY: check vet lint build test race alloc bench bench-build bench-pair chaos fuzz-smoke relayd-smoke
 
-.PHONY: check vet lint build test race alloc bench bench-build bench-json bench-gate chaos fuzz-smoke relayd-smoke
-
-# BENCH_GATE=1 appends the benchmark regression gate (a full fresh
-# bench-json run — minutes, not seconds), so plain `make check` stays
-# fast. CI always runs the gate as its own job.
-check: vet lint build race alloc bench bench-build $(if $(filter 1,$(BENCH_GATE)),bench-gate)
+# The same-box benchmark gate (bench-pair) takes minutes, so it is not
+# part of check; CI runs it as its own job.
+check: vet lint build race alloc bench bench-build
 
 vet:
 	$(GO) vet ./...
@@ -95,37 +90,10 @@ bench:
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./e2e
 
-# Machine-readable numbers for the sharded pipelines (attribution,
-# campaigns, Table 3, CSV parse) and the zero-allocation exchange path.
-# BENCH_exchange.json carries B/op and allocs/op (-benchmem): the wire
-# codec, the authoritative handler, both transports, and the scan
-# throughput bench that multiplies them.
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkAttribute$$|BenchmarkAtlasCampaign$$|BenchmarkTable3$$|BenchmarkParseCSV$$' -benchtime 10x . | $(GO) run ./cmd/benchjson > $(BENCH_DIR)/BENCH_pipeline.json
-	@cat $(BENCH_DIR)/BENCH_pipeline.json
-	{ $(GO) test -run '^$$' -bench 'BenchmarkEncodeECSQuery$$|BenchmarkEncoderReuse$$|BenchmarkDecodeResponse$$|BenchmarkDecodeInto$$' -benchtime 2000x -benchmem ./internal/dnswire/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkAuthServerHandle$$|BenchmarkExchangeMemTransport$$|BenchmarkExchangeUDP$$' -benchtime 2000x -benchmem ./internal/dnsserver/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkScanThroughput$$' -benchtime 1x -benchmem . ; } | $(GO) run ./cmd/benchjson > $(BENCH_DIR)/BENCH_exchange.json
-	@cat $(BENCH_DIR)/BENCH_exchange.json
-	{ $(GO) test -run '^$$' -bench 'BenchmarkPersistCanonicalRead$$|BenchmarkPersistSidecarLoad$$|BenchmarkDiffStreaming$$' -benchtime 10x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkPersistSidecarEncode$$' -benchtime 500x . ; } | $(GO) run ./cmd/benchjson > $(BENCH_DIR)/BENCH_persist.json
-	@cat $(BENCH_DIR)/BENCH_persist.json
-
-# Benchmark regression gate: a fresh bench-json run into a temp
-# directory, diffed against the committed baselines. cmd/benchdiff
-# exits 1 on any regression beyond the threshold, which fails the
-# chained recipe (and so the CI bench-gate job). Noisy benchmarks get
-# per-benchmark thresholds instead of threatening CI: the
-# single-iteration scan bench swings ±15% run to run, and the persist
-# benches (10 iterations of multi-ms disk-and-parse work) gate at 50% —
-# wide enough for a loaded runner, tight enough to catch the ~12×/~30×
-# wins regressing.
-bench-gate:
-	@dir=$$(mktemp -d) && \
-	$(MAKE) BENCH_DIR=$$dir bench-json && \
-	$(GO) run ./cmd/benchdiff BENCH_pipeline.json $$dir/BENCH_pipeline.json && \
-	$(GO) run ./cmd/benchdiff \
-		-threshold-for 'BenchmarkScanThroughput.*=35' \
-		BENCH_exchange.json $$dir/BENCH_exchange.json && \
-	$(GO) run ./cmd/benchdiff -threshold 50 \
-		BENCH_persist.json $$dir/BENCH_persist.json
+# Same-box regression gate: the product benchmark (bench/run.sh) on
+# BASE and on the working tree, in alternating pairs, each pair judged
+# by bench/e2e -compare against the bounds in BENCHMARK.json. Fails on
+# records that cannot be compared, or on a (workload, metric) row that
+# breaches its bound in most pairs. Needs BASE, e.g. BASE=origin/main.
+bench-pair:
+	./scripts/bench-pair.sh $(BASE)

@@ -7,7 +7,6 @@
 package privaterelay_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net/netip"
@@ -16,11 +15,9 @@ import (
 	"testing"
 
 	"github.com/relay-networks/privaterelay/internal/analysis"
-	"github.com/relay-networks/privaterelay/internal/atlas"
 	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/core"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
-	"github.com/relay-networks/privaterelay/internal/dnswire"
 	"github.com/relay-networks/privaterelay/internal/egress"
 	"github.com/relay-networks/privaterelay/internal/experiments"
 	"github.com/relay-networks/privaterelay/internal/iputil"
@@ -196,8 +193,8 @@ func BenchmarkS1ECSScanApril(b *testing.B) {
 // levels. The paper's live scan took ≈40 h for 12M /24s; this benchmark
 // tracks how far the pipeline is from wire speed. Alongside throughput
 // it reports mutex-wait nanoseconds per subnet from runtime/metrics, so
-// the trajectory files (BENCH_exchange.json) show whether a scaling
-// change came from contention or from per-op cost.
+// a run shows whether a scaling change came from contention or from
+// per-op cost.
 //
 // There is no separate BenchmarkScanCold (fresh world per iteration):
 // the answer path keeps no memo, so nothing warms between iterations
@@ -514,158 +511,4 @@ func BenchmarkExtensionGeoDBAdoption(b *testing.B) {
 		adoption = e.GeoDBAdoption(5000)
 	}
 	b.ReportMetric(adoption*100, "adoption_pct")
-}
-
-// --- Sharded pipeline benchmarks ---
-
-var (
-	benchPopOnce sync.Once
-	benchPop     *atlas.Population
-)
-
-// population returns the shared campaign-benchmark population.
-func population(b *testing.B) *atlas.Population {
-	e := env(b)
-	benchPopOnce.Do(func() {
-		benchPop = atlas.NewPopulation(e.World, netsim.MonthApr, atlas.Config{Seed: 42, N: 2000, SubnetClusters: 800, Phase: 1})
-	})
-	return benchPop
-}
-
-// BenchmarkAttribute measures the egress-attribution join (240k entries
-// against the full routing table) at several worker counts, plus the
-// pre-sharding serial baseline (per-entry locked trie walk) so the
-// speedup stays reproducible in-tree. All variants reuse one output
-// buffer: the benchmark tracks join throughput, not allocator churn.
-func BenchmarkAttribute(b *testing.B) {
-	e := env(b)
-	b.Run("serial-trie", func(b *testing.B) {
-		out := make([]egress.Attributed, len(e.List.Entries))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j, entry := range e.List.Entries {
-				a := egress.Attributed{Entry: entry}
-				if route, as, ok := e.World.Table.CoveringPrefix(entry.Prefix); ok {
-					a.AS = as
-					a.BGPPrefix = route
-				}
-				out[j] = a
-			}
-		}
-		b.ReportMetric(float64(len(out))*float64(b.N)/b.Elapsed().Seconds(), "entries/sec")
-	})
-	for _, workers := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var attributed []egress.Attributed
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				attributed = egress.AttributeInto(attributed, e.List, e.World.Table, workers)
-			}
-			b.ReportMetric(float64(len(attributed))*float64(b.N)/b.Elapsed().Seconds(), "entries/sec")
-		})
-	}
-}
-
-// BenchmarkAtlasCampaign measures a cold A-record campaign: resolver
-// caches are flushed outside the timer before every iteration, so each
-// run replays the full per-probe resolve path.
-func BenchmarkAtlasCampaign(b *testing.B) {
-	pop := population(b)
-	ctx := context.Background()
-	for _, workers := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			c := atlas.Campaign{Domain: dnsserver.MaskDomain, Type: dnswire.TypeA, Workers: workers}
-			probes := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				pop.FlushCaches()
-				b.StartTimer()
-				res, err := c.Run(ctx, pop)
-				if err != nil {
-					b.Fatal(err)
-				}
-				probes += len(res)
-			}
-			b.ReportMetric(float64(probes)/b.Elapsed().Seconds(), "probes/sec")
-		})
-	}
-}
-
-// BenchmarkTable3 measures the sharded Table 3 aggregation over the
-// attributed 240k-entry list, next to the pre-sharding serial baseline
-// (one pass inserting every entry into per-AS dedup maps).
-func BenchmarkTable3(b *testing.B) {
-	e := env(b)
-	b.Run("serial-map", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			type acc struct {
-				row   analysis.Table3Row
-				v4BGP map[netip.Prefix]bool
-				v6BGP map[netip.Prefix]bool
-				v6CCs map[string]bool
-			}
-			byAS := map[bgp.ASN]*acc{}
-			for _, a := range e.Attributed {
-				if a.AS == 0 {
-					continue
-				}
-				ac := byAS[a.AS]
-				if ac == nil {
-					ac = &acc{row: analysis.Table3Row{AS: a.AS},
-						v4BGP: map[netip.Prefix]bool{}, v6BGP: map[netip.Prefix]bool{}, v6CCs: map[string]bool{}}
-					byAS[a.AS] = ac
-				}
-				if a.Prefix.Addr().Is4() {
-					ac.row.V4Subnets++
-					ac.row.V4Addrs += uint64(1) << (32 - a.Prefix.Bits())
-					ac.v4BGP[a.BGPPrefix] = true
-				} else {
-					ac.row.V6Subnets++
-					ac.v6BGP[a.BGPPrefix] = true
-					ac.v6CCs[a.CC] = true
-				}
-			}
-			if len(byAS) == 0 {
-				b.Fatal("no rows")
-			}
-		}
-		b.ReportMetric(float64(len(e.Attributed))*float64(b.N)/b.Elapsed().Seconds(), "entries/sec")
-	})
-	for _, workers := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var rows []analysis.Table3Row
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rows = analysis.Table3N(e.Attributed, workers)
-			}
-			if len(rows) == 0 {
-				b.Fatal("no rows")
-			}
-			b.ReportMetric(float64(len(e.Attributed))*float64(b.N)/b.Elapsed().Seconds(), "entries/sec")
-		})
-	}
-}
-
-// BenchmarkParseCSV measures parsing the full generated list back from
-// Apple's CSV format.
-func BenchmarkParseCSV(b *testing.B) {
-	e := env(b)
-	var buf bytes.Buffer
-	if err := e.List.WriteCSV(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l, err := egress.ParseCSV(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(l.Entries) != len(e.List.Entries) {
-			b.Fatalf("parsed %d entries, want %d", len(l.Entries), len(e.List.Entries))
-		}
-	}
-	b.ReportMetric(float64(len(e.List.Entries))*float64(b.N)/b.Elapsed().Seconds(), "lines/sec")
 }

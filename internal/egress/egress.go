@@ -182,23 +182,10 @@ const attributeGrain = 1 << 12
 // straight into the shared preallocated slice — no merge, no locks, and
 // output identical to the sequential join at any worker count.
 func AttributeN(l *List, table *bgp.Table, workers int) []Attributed {
-	return AttributeInto(nil, l, table, workers)
-}
-
-// AttributeInto is AttributeN writing into dst, reusing its capacity
-// when it fits so repeated joins (monthly snapshots, benchmarks) don't
-// churn a fresh multi-megabyte result slice each run. Every element is
-// fully overwritten. Returns the filled slice, which may share memory
-// with dst.
-func AttributeInto(dst []Attributed, l *List, table *bgp.Table, workers int) []Attributed {
 	n := len(l.Entries)
-	if cap(dst) >= n {
-		dst = dst[:n]
-	} else {
-		dst = make([]Attributed, n)
-	}
+	out := make([]Attributed, n)
 	if n == 0 {
-		return dst
+		return out
 	}
 	idx := table.Index()
 	workpool.Run(n, attributeGrain, workers, func(_, lo, hi int) {
@@ -213,10 +200,10 @@ func AttributeInto(dst []Attributed, l *List, table *bgp.Table, workers int) []A
 			if ok {
 				a.RouteID = id + 1
 			}
-			dst[i] = a
+			out[i] = a
 		}
 	})
-	return dst
+	return out
 }
 
 // GeoDB builds a MaxMind-style geolocation database from the list,

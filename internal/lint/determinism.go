@@ -31,6 +31,7 @@ var deterministicPkgs = []string{
 	"internal/atlas",
 	"internal/faults",
 	"internal/masque",
+	"internal/relay",
 	"internal/relayd",
 	"internal/experiments",
 }

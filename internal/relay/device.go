@@ -83,10 +83,13 @@ func (d *Device) Connect(ctx context.Context) (*Tunnel, error) {
 	op := dep.SelectOperator(d.Client, d.seq)
 	egressReal, ok := d.Service.EgressAddrOf[op]
 	if !ok {
-		// Operator has no presence here after all; use the first one.
-		for as, addr := range d.Service.EgressAddrOf {
-			op, egressReal = as, addr
-			break
+		// Operator has no egress pool here after all; use the first
+		// eligible operator that does, in OperatorsAt order.
+		for _, as := range dep.OperatorsAt(d.Client) {
+			if addr, ok := d.Service.EgressAddrOf[as]; ok {
+				op, egressReal = as, addr
+				break
+			}
 		}
 	}
 	d.seq++

@@ -442,6 +442,32 @@ func TestDeviceTokenQuotaExhaustion(t *testing.T) {
 	}
 }
 
+// TestConnectFallbackOperatorDeterministic pins the egress operator a
+// device gets when SelectOperator names one with no egress pool at the
+// client's location: the first eligible operator with a listener, in
+// OperatorsAt order — never whichever key a map range yields first.
+// The world is examples/quickstart's, whose first client hits the case.
+func TestConnectFallbackOperatorDeterministic(t *testing.T) {
+	world := netsim.NewWorld(netsim.Params{Seed: 7, Scale: 0.0008})
+	dep := NewDeployment(world, egress.Generate(world, 7))
+	client := clientAddr(dep, 0)
+	svc, proto := startTestService(t, dep, client)
+	if sel := dep.SelectOperator(client, 0); svc.EgressAddrOf[sel] != "" {
+		t.Fatalf("SelectOperator picks %v, which has an egress listener: the fallback is not exercised", sel)
+	}
+	for i := 0; i < 32; i++ {
+		dev := *proto // a fresh device: connection sequence 0
+		tun, err := dev.Connect(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tun.Close()
+		if tun.Operator != netsim.ASAkamaiPR {
+			t.Fatalf("connect %d: egress operator %v, want %v", i, tun.Operator, netsim.ASAkamaiPR)
+		}
+	}
+}
+
 func TestDistanceBasedRTT(t *testing.T) {
 	dep := testDeployment(t)
 	client := clientAddr(dep, 0)

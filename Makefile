@@ -6,12 +6,17 @@ GO ?= go
 # part of check; CI runs it as its own job.
 check: vet lint build race alloc bench bench-build
 
+# vet also fails on any Go file gofmt would change. testdata/ is left
+# out: golden inputs there may be unformatted on purpose.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(find . -name '*.go' -not -path '*/testdata/*' -exec gofmt -l {} +); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
+	fi
 
 # Project-specific analyzers (pool lifecycle, determinism, atomic-field
-# discipline, enum exhaustiveness, lock ordering, goroutine termination,
-# atomic durable writes) plus the hotalloc escape gate against
+# discipline, enum exhaustiveness, atomic durable writes) plus the hotalloc escape gate against
 # lint/hotalloc.manifest. Dependency-free: relaylint is built from this
 # module with the same toolchain as the rest of the tree.
 #
@@ -19,7 +24,7 @@ vet:
 # .go files outside the analyzers' own sources (internal/lint,
 # cmd/relaylint). It may only fall: lint fails when the count exceeds
 # LINT_ALLOW_BUDGET, and a change that removes a directive lowers it.
-LINT_ALLOW_BUDGET = 7
+LINT_ALLOW_BUDGET = 6
 lint:
 	$(GO) run ./cmd/relaylint -hotalloc ./...
 	@n=$$(find . -name '*.go' -not -path './internal/lint/*' -not -path './cmd/relaylint/*' -exec grep -o '//lint:allow' {} + | wc -l); \
@@ -50,7 +55,7 @@ alloc:
 chaos:
 	$(GO) test -race \
 		-run 'Chaos|Checkpoint|Backoff|Breaker|Fault|Injector|Profile|Resilien|Retr|Resume|Dominant|Rotation|Campaign|BlockingStudy|RunDirect|RunRetries|RunDisting|ConnectWithRetry|VirtualClock' \
-		./internal/faults/ ./internal/retry/ ./internal/core/ ./internal/colstore/ ./internal/dnsserver/ ./internal/scan/ ./internal/atlas/ ./internal/masque/ ./internal/relayd/
+		./internal/faults/ ./internal/retry/ ./internal/core/ ./internal/colstore/ ./internal/dnsserver/ ./internal/scan/ ./internal/atlas/ ./internal/masque/ ./internal/sharded/ ./internal/relayd/
 
 # Five seconds of each fuzz target: every reader of bytes from disk or
 # a socket keeps its "never panics, typed rejection, accepted input

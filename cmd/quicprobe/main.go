@@ -1,7 +1,9 @@
 // Command quicprobe reproduces the §3 ingress probing over a real UDP
-// socket: the ZMap-style version-negotiation probe (answered), the
-// QScanner/curl-style standard handshake (silence) and the proprietary
-// relay handshake (accepted).
+// socket with two probes: the ZMap-style version-negotiation probe
+// (answered) and the QScanner/curl-style standard handshake (silence).
+// The third probe, the proprietary relay handshake the ingress
+// accepts, runs in-process via quicsim.RelayHandshakeProbe, which only
+// experiments.QUICProbes (cmd/report) calls.
 package main
 
 import (

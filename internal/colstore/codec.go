@@ -43,7 +43,6 @@ const (
 
 	// numSections is the column count of the on-disk layout.
 	numSections = 8
-
 )
 
 // SourceInfo fingerprints the canonical text a sidecar was built from:
@@ -121,11 +120,11 @@ func allZero(b []byte) bool {
 // alignment padding) for a dataset with the given row counts.
 func sectionSizes(v4, v6, srv int) [numSections]int {
 	return [numSections]int{
-		4 * v4, // V4Addr
-		4 * v4, // V4ASN
-		8 * v6, // V6Hi
-		8 * v6, // V6Lo
-		4 * v6, // V6ASN
+		4 * v4,  // V4Addr
+		4 * v4,  // V4ASN
+		8 * v6,  // V6Hi
+		8 * v6,  // V6Lo
+		4 * v6,  // V6ASN
 		4 * srv, // SrvClient
 		4 * srv, // SrvOp
 		8 * srv, // SrvCount

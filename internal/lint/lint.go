@@ -2,14 +2,16 @@
 // enforcing the invariants the test suite can only spot-check — pooled
 // message lifecycles (poolcheck), dataset determinism (determinism),
 // atomic-field access discipline (atomicfield), enum switch coverage
-// (exhaustive), shard-lock ordering and leaf discipline (lockorder),
-// goroutine termination evidence (goroleak) and atomic durable writes
-// (durability). An eighth check, hotalloc, is not a per-package pass: it
-// gates the compiler's escape analysis against a committed manifest of
-// zero-alloc hot functions (see hotalloc.go and cmd/relaylint
-// -hotalloc).
+// (exhaustive) and atomic durable writes (durability). A sixth check,
+// hotalloc, is not a per-package pass: it gates the compiler's escape
+// analysis against a committed manifest of zero-alloc hot functions
+// (see hotalloc.go and cmd/relaylint -hotalloc).
 //
-// The path-sensitive analyzers share the control-flow engine in cfg.go.
+// Invariants that a type, a package boundary or a runtime check can
+// hold are left to those instead: shard locks are leaves because
+// internal/sharded never runs caller code under them, and goroutines
+// terminate because internal/masque's TestMain fails on any that
+// outlive its tests.
 //
 // The suite is deliberately dependency-free: it mirrors the
 // golang.org/x/tools/go/analysis Analyzer/Pass shape on the standard
@@ -36,9 +38,6 @@ import (
 // modulePath scopes project-specific rules (enum sets, deterministic
 // packages) to this repository's types.
 const modulePath = "github.com/relay-networks/privaterelay"
-
-// dnswirePath identifies the pooled-message package poolcheck guards.
-const dnswirePath = modulePath + "/internal/dnswire"
 
 // An Analyzer is one lint pass. The shape mirrors
 // golang.org/x/tools/go/analysis so the passes could migrate to a
@@ -96,7 +95,7 @@ func (f Finding) MarshalJSON() ([]byte, error) {
 
 // All returns the full relaylint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Poolcheck, Determinism, Atomicfield, Exhaustive, Lockorder, Goroleak, Durability}
+	return []*Analyzer{Poolcheck, Determinism, Atomicfield, Exhaustive, Durability}
 }
 
 // HotallocName is the name the escape gate reports under; it is valid
@@ -237,12 +236,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
-}
-
-// isPkgFunc reports whether fn is the package-level function pkgPath.name.
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath &&
-		fn.Name() == name && fn.Type().(*types.Signature).Recv() == nil
 }
 
 // hasPathSuffix reports whether pkg path matches suffix on a path

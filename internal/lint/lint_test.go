@@ -102,15 +102,6 @@ func TestExhaustiveGolden(t *testing.T) {
 	runGolden(t, Exhaustive, "exhaustive", modulePath+"/lintdata/exhaustive")
 }
 
-func TestLockorderGolden(t *testing.T) {
-	// The fabricated path ends in internal/masque, inside the guarded set.
-	runGolden(t, Lockorder, "lockorder", modulePath+"/lintdata/internal/masque")
-}
-
-func TestGoroleakGolden(t *testing.T) {
-	runGolden(t, Goroleak, "goroleak", modulePath+"/lintdata/internal/masque")
-}
-
 func TestDurabilityGolden(t *testing.T) {
 	// The fabricated path ends in internal/relayd, inside the durable-
 	// artifact set.

@@ -24,7 +24,8 @@ import (
 //     inside the loop that acquired does not run per iteration.
 //
 // The analysis is per-function with same-package interprocedural
-// release tracking, built on the shared flow engine in cfg.go.
+// release tracking, over the path-sensitive walk at the end of this
+// file.
 // Acquired values captured by closures other than direct `go` bodies
 // are skipped (conservatively unchecked) rather than misreported.
 var Poolcheck = &Analyzer{
@@ -73,27 +74,6 @@ func poolAPIForRelease(fn *types.Func) *poolAPI {
 	for i := range poolAPIs {
 		api := &poolAPIs[i]
 		if fn.Name() == api.release && hasPathSuffix(fn.Pkg().Path(), api.pkgSuffix) {
-			return api
-		}
-	}
-	return nil
-}
-
-// poolType reports whether t is (a pointer to) one of the pooled types,
-// for goroleak's capture rule.
-func poolAPIForType(t types.Type) *poolAPI {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return nil
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return nil
-	}
-	for i := range poolAPIs {
-		api := &poolAPIs[i]
-		if hasPathSuffix(named.Obj().Pkg().Path(), api.pkgSuffix) &&
-			(named.Obj().Name() == "Message" || named.Obj().Name() == "Frame") {
 			return api
 		}
 	}
@@ -233,7 +213,7 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl, rel releaserSet) {
 			continue
 		}
 		w := &poolWalker{pass: pass, rel: rel, v: site.obj, acquire: site.stmt, api: site.api, seen: map[token.Pos]bool{}}
-		st, _ := w.engine().walkBody(fd.Body, pstate{untracked: true})
+		st, _ := w.walkStmts(fd.Body.List, pstate{untracked: true})
 		if st.live && !st.deferRel {
 			w.leak = true
 		}
@@ -349,11 +329,12 @@ func mergeState(a, b pstate) pstate {
 	}
 }
 
-// poolWalker carries the per-variable facts; the control flow itself is
-// the shared engine's. It is deliberately approximate: merges are
-// unions, loops run at most once, goto gives up — tuned so that every
-// report is a genuine "some path leaks/misuses" and quiet code stays
-// quiet.
+// poolWalker follows one pooled variable through one function (or
+// goroutine) body. It is deliberately approximate: merges are unions,
+// a loop body is walked once with its back edge and every break/
+// continue edge folded by foldLoop, and goto gives up — tuned so that
+// every report is a genuine "some path leaks/misuses" and quiet code
+// stays quiet.
 type poolWalker struct {
 	pass    *Pass
 	rel     releaserSet
@@ -362,22 +343,14 @@ type poolWalker struct {
 	api     *poolAPI
 	leak    bool
 	seen    map[token.Pos]bool
+	// loopExits holds, per enclosing loop (innermost last), the states
+	// at the break/continue edges out of its body.
+	loopExits [][]pstate
 }
 
-func (w *poolWalker) engine() *flowEngine[pstate] {
-	return newFlowEngine(flowHooks[pstate]{
-		merge:    mergeState,
-		transfer: w.transfer,
-		onReturn: w.onReturn,
-		onGoto: func(st pstate) pstate {
-			st.escaped, st.live, st.untracked, st.released = true, false, false, false
-			return st
-		},
-		foldLoop: w.foldLoop,
-	})
-}
-
-func (w *poolWalker) transfer(stmt ast.Stmt, st pstate, fc *flowCtx) pstate {
+// transfer folds one simple statement (assign, expression, defer, go,
+// decl, send, incdec, …) into the state.
+func (w *poolWalker) transfer(stmt ast.Stmt, st pstate) pstate {
 	switch s := stmt.(type) {
 	case *ast.AssignStmt:
 		if s == w.acquire {
@@ -402,7 +375,7 @@ func (w *poolWalker) transfer(stmt ast.Stmt, st pstate, fc *flowCtx) pstate {
 	case *ast.DeferStmt:
 		if i := releasingArgIndex(w.pass, w.rel, s.Call); i >= 0 && i < len(s.Call.Args) {
 			if id, ok := ast.Unparen(s.Call.Args[i]).(*ast.Ident); ok && w.isV(id) {
-				if fc.InLoop() && !w.seen[s.Pos()] {
+				if len(w.loopExits) > 0 && !w.seen[s.Pos()] {
 					// A defer never runs per iteration: with the acquire in
 					// the same loop the value stays live until return; with
 					// the acquire outside, each iteration stacks another
@@ -519,7 +492,7 @@ func (w *poolWalker) applyGo(s *ast.GoStmt, st pstate) pstate {
 	// Ownership moves to the goroutine: walk its body as a function with
 	// the value live on entry.
 	sub := &poolWalker{pass: w.pass, rel: w.rel, v: tracked, api: w.api, seen: w.seen}
-	end, term := sub.engine().walkBody(fl.Body, pstate{live: true})
+	end, term := sub.walkStmts(fl.Body.List, pstate{live: true})
 	if !term && end.live && !end.deferRel {
 		sub.leak = true
 	}
@@ -674,4 +647,144 @@ func reportUse(pass *Pass, n ast.Node, v types.Object, api *poolAPI) bool {
 		return !reported
 	})
 	return reported
+}
+
+// walkStmts walks a statement list; the bool result reports whether the
+// flow terminated (every path returned or branched away).
+func (w *poolWalker) walkStmts(list []ast.Stmt, st pstate) (pstate, bool) {
+	for _, stmt := range list {
+		var term bool
+		st, term = w.walkStmt(stmt, st)
+		if term {
+			return st, true
+		}
+	}
+	return st, false
+}
+
+func (w *poolWalker) walkStmt(stmt ast.Stmt, st pstate) (pstate, bool) {
+	switch s := stmt.(type) {
+	case *ast.ReturnStmt:
+		return w.onReturn(s, st), true
+
+	case *ast.IfStmt:
+		if s.Init != nil {
+			st, _ = w.walkStmt(s.Init, st)
+		}
+		thenSt, thenTerm := w.walkStmts(s.Body.List, st)
+		elseSt, elseTerm := st, false
+		if s.Else != nil {
+			elseSt, elseTerm = w.walkStmt(s.Else, st)
+		}
+		switch {
+		case thenTerm && elseTerm:
+			return mergeState(thenSt, elseSt), true
+		case thenTerm:
+			return elseSt, false
+		case elseTerm:
+			return thenSt, false
+		default:
+			return mergeState(thenSt, elseSt), false
+		}
+
+	case *ast.BlockStmt:
+		return w.walkStmts(s.List, st)
+
+	case *ast.ForStmt:
+		if s.Init != nil {
+			st, _ = w.walkStmt(s.Init, st)
+		}
+		return w.walkLoopBody(s.Body, st, s.Cond == nil), false
+
+	case *ast.RangeStmt:
+		return w.walkLoopBody(s.Body, st, false), false
+
+	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+		return w.walkClauses(stmt, st)
+
+	case *ast.LabeledStmt:
+		return w.walkStmt(s.Stmt, st)
+
+	case *ast.BranchStmt:
+		if s.Tok == token.GOTO {
+			// goto abandons path tracking: the value is given up.
+			st.escaped, st.live, st.untracked, st.released = true, false, false, false
+			return st, true
+		}
+		if n := len(w.loopExits); n > 0 {
+			w.loopExits[n-1] = append(w.loopExits[n-1], st)
+		}
+		return st, true
+
+	default:
+		return w.transfer(stmt, st), false
+	}
+}
+
+// walkLoopBody walks a loop body once, collecting its break/continue
+// edges, and folds them with foldLoop.
+func (w *poolWalker) walkLoopBody(body *ast.BlockStmt, st pstate, infinite bool) pstate {
+	w.loopExits = append(w.loopExits, nil)
+	endSt, term := w.walkStmts(body.List, st)
+	exits := w.loopExits[len(w.loopExits)-1]
+	w.loopExits = w.loopExits[:len(w.loopExits)-1]
+	return w.foldLoop(body, st, exits, endSt, term, infinite)
+}
+
+// walkClauses walks each clause of a switch, type switch or select from
+// the same entry state and merges the clauses that fall out; without a
+// default clause the entry state itself can fall through.
+func (w *poolWalker) walkClauses(stmt ast.Stmt, st pstate) (pstate, bool) {
+	var clauses [][]ast.Stmt
+	hasDefault := false
+	switch s := stmt.(type) {
+	case *ast.SwitchStmt:
+		for _, c := range s.Body.List {
+			cc := c.(*ast.CaseClause)
+			clauses = append(clauses, cc.Body)
+			hasDefault = hasDefault || cc.List == nil
+		}
+	case *ast.TypeSwitchStmt:
+		for _, c := range s.Body.List {
+			cc := c.(*ast.CaseClause)
+			clauses = append(clauses, cc.Body)
+			hasDefault = hasDefault || cc.List == nil
+		}
+	case *ast.SelectStmt:
+		for _, c := range s.Body.List {
+			cc := c.(*ast.CommClause)
+			clauses = append(clauses, cc.Body)
+			hasDefault = hasDefault || cc.Comm == nil
+		}
+	}
+	if len(clauses) == 0 {
+		return st, false
+	}
+	var merged pstate
+	first := true
+	allTerm := true
+	for _, body := range clauses {
+		cst, cterm := w.walkStmts(body, st)
+		if cterm {
+			continue
+		}
+		allTerm = false
+		if first {
+			merged, first = cst, false
+		} else {
+			merged = mergeState(merged, cst)
+		}
+	}
+	if !hasDefault {
+		allTerm = false
+		if first {
+			merged, first = st, false
+		} else {
+			merged = mergeState(merged, st)
+		}
+	}
+	if allTerm || first {
+		return st, true
+	}
+	return merged, false
 }

@@ -179,51 +179,3 @@ func TestChaosPlaneDrainReloadDeterministic(t *testing.T) {
 			first.rejected, second.rejected)
 	}
 }
-
-// TestChaosShardedTableChurn hammers the sharded session table from
-// concurrent owners of disjoint key ranges: the per-shard locking must
-// keep every range intact (and the race detector quiet) through
-// store/load/delete churn.
-func TestChaosShardedTableChurn(t *testing.T) {
-	const (
-		workers = 8
-		perW    = 2048
-	)
-	tbl := NewSharded[uint32, int](16, HashUint32)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := uint32(w * perW)
-			for k := uint32(0); k < perW; k++ {
-				tbl.Store(base+k, int(k))
-			}
-			for k := uint32(0); k < perW; k++ {
-				v, ok := tbl.Load(base + k)
-				if !ok || v != int(k) {
-					t.Errorf("worker %d key %d: got %v %v", w, k, v, ok)
-					return
-				}
-			}
-			for k := uint32(0); k < perW; k += 2 {
-				tbl.Delete(base + k)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got, want := tbl.Len(), workers*perW/2; got != want {
-		t.Fatalf("Len after churn = %d, want %d", got, want)
-	}
-	n := 0
-	tbl.Range(func(k uint32, v int) bool {
-		if k%2 == 0 {
-			t.Fatalf("deleted key %d still present", k)
-		}
-		n++
-		return true
-	})
-	if n != tbl.Len() {
-		t.Fatalf("Range visited %d entries, Len reports %d", n, tbl.Len())
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 )
 
 // Client is a Private Relay client: one tunnel through an ingress to an
@@ -25,20 +26,21 @@ type Client struct {
 	// Dialer opens the client→ingress leg; nil uses net.Dialer.
 	Dialer Dialer
 
-	mu      sync.Mutex
-	conn    net.Conn
-	nextID  uint32
-	demux   *demuxTable
-	readErr error
-	closed  bool
+	// closed is set once, by Close; the write path reads it without
+	// taking mu.
+	closed atomic.Bool
+
+	mu     sync.Mutex
+	conn   net.Conn
+	nextID uint32
+	demux  *demuxTable
 
 	// wmu orders tunnel writes; enc turns each frame (or burst of a
 	// Write's frames) into a single conn write, and a Write holds wmu
 	// across all of its bursts, so concurrent streams can never
-	// interleave frames. When both are needed, mu is taken and released
-	// before wmu — never nested the other way.
-	//
-	//lint:lockorder Client.mu < Client.wmu
+	// interleave frames. No function takes both mu and wmu: Dial primes
+	// enc before it publishes conn under mu, and the writers take wmu
+	// alone.
 	wmu sync.Mutex
 	enc FrameEncoder
 
@@ -95,6 +97,9 @@ func (c *Client) Dial() error {
 		conn.Close()
 		return fmt.Errorf("%w: %s", ErrAuthRejected, f.Payload)
 	}
+	// No stream exists before conn is published, so nothing writes
+	// through enc until the mu section below hands conn out.
+	c.enc.Reset(conn)
 	demux := newDemuxTable()
 	c.mu.Lock()
 	c.conn = conn
@@ -102,14 +107,10 @@ func (c *Client) Dial() error {
 	c.demux = demux
 	c.reservation = info
 	c.mu.Unlock()
-	c.wmu.Lock()
-	c.enc.Reset(conn)
-	c.wmu.Unlock()
 	// The demux loop's lifetime is the tunnel's: run exits when ReadInto
-	// fails, which Close forces by closing the conn. Joining it to a
-	// WaitGroup would make Close block on the reader observing EOF for
-	// no caller-visible benefit.
-	go c.run(br, demux) //lint:allow goroleak — terminates when Close tears down the conn and ReadInto fails
+	// fails, which Close forces by closing the conn. The package's
+	// TestMain fails if any such loop outlives the tests.
+	go c.run(br, demux)
 	return nil
 }
 
@@ -125,12 +126,10 @@ func (c *Client) Reservation() ReservationInfo {
 // Failing them here, not only when the demux loop sees the conn die,
 // also frees a demux loop blocked delivering to a full stream.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Swap(true) {
 		return nil
 	}
-	c.closed = true
+	c.mu.Lock()
 	conn, demux := c.conn, c.demux
 	c.mu.Unlock()
 	if conn == nil {
@@ -149,9 +148,6 @@ func (c *Client) run(br *bufio.Reader, demux *demuxTable) {
 	defer ReleaseFrame(f)
 	for {
 		if err := fr.ReadInto(f); err != nil {
-			c.mu.Lock()
-			c.readErr = err
-			c.mu.Unlock()
 			demux.failAll(ErrTunnelClosed)
 			return
 		}
@@ -193,11 +189,7 @@ func (c *Client) run(br *bufio.Reader, demux *demuxTable) {
 
 // writeFrame serializes one frame into the tunnel as a single write.
 func (c *Client) writeFrame(f *Frame) error {
-	c.mu.Lock()
-	conn := c.conn
-	closed := c.closed
-	c.mu.Unlock()
-	if closed || conn == nil {
+	if c.closed.Load() {
 		return ErrTunnelClosed
 	}
 	c.wmu.Lock()
@@ -222,11 +214,7 @@ const (
 // across flushes. It returns the payload bytes whose frames were
 // flushed: on error, a count that ends on a frame boundary.
 func (c *Client) writeData(id uint32, p []byte) (int, error) {
-	c.mu.Lock()
-	conn := c.conn
-	closed := c.closed
-	c.mu.Unlock()
-	if closed || conn == nil {
+	if c.closed.Load() {
 		return 0, ErrTunnelClosed
 	}
 	c.wmu.Lock()
@@ -253,32 +241,41 @@ func (c *Client) writeData(id uint32, p []byte) (int, error) {
 // tunnel and returns the stream plus the egress address the relay chose
 // for it.
 func (c *Client) Open(target string) (*Stream, netip.Addr, error) {
-	c.mu.Lock()
-	if c.closed || c.conn == nil {
-		c.mu.Unlock()
-		return nil, netip.Addr{}, ErrTunnelClosed
+	id, demux, err := c.allocID()
+	if err != nil {
+		return nil, netip.Addr{}, err
 	}
-	id := c.nextID
-	c.nextID++
 	s := newStream(c, id)
-	demux := c.demux
-	c.mu.Unlock()
 	demux.putStream(id, s)
 
 	sealed := Seal(EgressIDForAddr(c.EgressAddr), ConnectPayload(target, c.Geohash))
 	if err := c.writeFrame(&Frame{Type: FrameConnect, StreamID: id, Payload: sealed}); err != nil {
-		c.dropStream(id)
+		c.drop(id)
 		return nil, netip.Addr{}, err
 	}
 	<-s.setup
 	if s.setupErr != nil {
-		c.dropStream(id)
+		c.drop(id)
 		return nil, netip.Addr{}, s.setupErr
 	}
 	return s, s.egressAddr, nil
 }
 
-func (c *Client) dropStream(id uint32) {
+// allocID hands out the next stream ID and the demux table to register
+// it in, or ErrTunnelClosed before Dial and after Close.
+func (c *Client) allocID() (uint32, *demuxTable, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed.Load() || c.conn == nil {
+		return 0, nil, ErrTunnelClosed
+	}
+	id := c.nextID
+	c.nextID++
+	return id, c.demux, nil
+}
+
+// drop unregisters a stream or UDP flow from the demux table.
+func (c *Client) drop(id uint32) {
 	c.mu.Lock()
 	demux := c.demux
 	c.mu.Unlock()
@@ -415,7 +412,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 // Close sends a CLOSE for the stream and releases client state.
 func (s *Stream) Close() error {
 	err := s.client.writeFrame(&Frame{Type: FrameClose, StreamID: s.id})
-	s.client.dropStream(s.id)
+	s.client.drop(s.id)
 	s.closeRead()
 	if errors.Is(err, ErrTunnelClosed) {
 		return nil

@@ -1,6 +1,10 @@
 package masque
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"github.com/relay-networks/privaterelay/internal/sharded"
+)
 
 // The in-process hop. The socket Ingress → Egress pair is the relay's
 // only data path (§2's two hops, sealed CONNECTs, rotation). The Plane
@@ -45,7 +49,7 @@ const rejectCodeCount = int(RejectDraining) + 1
 // Plane is the in-process relay hop. Build with NewPlane.
 type Plane struct {
 	rs       *Reservations
-	sessions *Sharded[uint32, *PlaneSession]
+	sessions *sharded.Map[uint32, *PlaneSession]
 	nextID   atomic.Uint32
 
 	frames   atomic.Int64
@@ -60,7 +64,7 @@ func NewPlane(cfg PlaneConfig) *Plane {
 	if rs == nil {
 		rs = NewReservations(Limits{}, nil)
 	}
-	return &Plane{rs: rs, sessions: NewSharded[uint32, *PlaneSession](0, HashUint32)}
+	return &Plane{rs: rs, sessions: sharded.New[uint32, *PlaneSession](0, sharded.HashUint32)}
 }
 
 // Open admits a session for account. On RejectNone the session is live

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/relay-networks/privaterelay/internal/iputil"
+	"github.com/relay-networks/privaterelay/internal/sharded"
 	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
@@ -295,7 +297,7 @@ func (r *Reservation) release() {
 type Reservations struct {
 	clock    vclock.Clock
 	limits   atomic.Pointer[Limits]
-	table    *Sharded[string, *Reservation]
+	table    *sharded.Map[string, *Reservation]
 	draining atomic.Bool
 }
 
@@ -307,7 +309,7 @@ func NewReservations(limits Limits, clock vclock.Clock) *Reservations {
 	}
 	rs := &Reservations{
 		clock: clock,
-		table: NewSharded[string, *Reservation](0, HashString),
+		table: sharded.New[string, *Reservation](0, iputil.HashString),
 	}
 	rs.limits.Store(&limits)
 	return rs

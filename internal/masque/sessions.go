@@ -2,164 +2,9 @@ package masque
 
 import (
 	"net"
-	"sync"
-	"sync/atomic"
 
-	"github.com/relay-networks/privaterelay/internal/iputil"
+	"github.com/relay-networks/privaterelay/internal/sharded"
 )
-
-// Sharded session tables. Every stateful hop of the serving plane —
-// the plane-wide session registry, the per-account reservation
-// registry, the egress per-tunnel stream map and the client demux —
-// used to be (or would have been) one mutex-guarded map; at millions
-// of sessions that mutex is the scaling wall the scan plane already
-// hit and broke (DESIGN.md §12). Sharded spreads keys over a
-// power-of-two number of independently locked shards: a session
-// touches exactly one shard lock, so concurrent sessions contend only
-// when they hash together.
-
-// defaultShards is the shard count when a table is built with n <= 0.
-// 256 shards × a 65-byte padded shard header is 16 KiB of fixed
-// overhead, amortized instantly against millions of entries.
-const defaultShards = 256
-
-// Sharded is a power-of-two sharded, per-shard-locked map. The zero
-// value is not usable; build tables with NewSharded. K is hashed with
-// the table's hash function (see HashUint32/HashString).
-type Sharded[K comparable, V any] struct {
-	shards []tableShard[K, V]
-	mask   uint64
-	hash   func(K) uint64
-	n      atomic.Int64
-}
-
-// tableShard pads each lock+map pair to its own cache line so
-// neighbouring shard locks never false-share. The shard lock is a leaf:
-// nothing blocking and no other lock acquisition may happen under it
-// (enforced by the lockorder analyzer via the annotation below).
-type tableShard[K comparable, V any] struct {
-	mu sync.Mutex //lint:shardlock
-	m  map[K]V
-	_  [40]byte
-}
-
-// NewSharded builds a table with n shards (rounded up to a power of
-// two; n <= 0 means defaultShards) hashing keys through hash.
-func NewSharded[K comparable, V any](n int, hash func(K) uint64) *Sharded[K, V] {
-	if n <= 0 {
-		n = defaultShards
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	return &Sharded[K, V]{
-		shards: make([]tableShard[K, V], size),
-		mask:   uint64(size - 1),
-		hash:   hash,
-	}
-}
-
-// HashUint32 mixes a 32-bit key (session and stream IDs are assigned
-// sequentially — without mixing, consecutive sessions would walk the
-// shards in lockstep and batch workloads would convoy on one lock).
-func HashUint32(k uint32) uint64 { return iputil.Mix(uint64(k), 0x6d617371) }
-
-// HashString hashes a string key (account names) with FNV-1a.
-func HashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-func (t *Sharded[K, V]) shard(k K) *tableShard[K, V] {
-	return &t.shards[t.hash(k)&t.mask]
-}
-
-// Load returns the value stored for k.
-func (t *Sharded[K, V]) Load(k K) (V, bool) {
-	s := t.shard(k)
-	s.mu.Lock()
-	v, ok := s.m[k]
-	s.mu.Unlock()
-	return v, ok
-}
-
-// Store sets k to v, replacing any previous value.
-func (t *Sharded[K, V]) Store(k K, v V) {
-	s := t.shard(k)
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[K]V)
-	}
-	_, had := s.m[k]
-	s.m[k] = v
-	s.mu.Unlock()
-	if !had {
-		t.n.Add(1)
-	}
-}
-
-// LoadOrStore returns the existing value for k, or stores and returns
-// v. loaded reports whether the value was already present.
-func (t *Sharded[K, V]) LoadOrStore(k K, v V) (actual V, loaded bool) {
-	s := t.shard(k)
-	s.mu.Lock()
-	if have, ok := s.m[k]; ok {
-		s.mu.Unlock()
-		return have, true
-	}
-	if s.m == nil {
-		s.m = make(map[K]V)
-	}
-	s.m[k] = v
-	s.mu.Unlock()
-	t.n.Add(1)
-	return v, false
-}
-
-// Delete removes k, returning the removed value.
-func (t *Sharded[K, V]) Delete(k K) (V, bool) {
-	s := t.shard(k)
-	s.mu.Lock()
-	v, ok := s.m[k]
-	if ok {
-		delete(s.m, k)
-	}
-	s.mu.Unlock()
-	if ok {
-		t.n.Add(-1)
-	}
-	return v, ok
-}
-
-// Len reports the number of entries across all shards.
-func (t *Sharded[K, V]) Len() int { return int(t.n.Load()) }
-
-// Range calls f for every entry until f returns false. Each shard is
-// visited under its own lock; iteration order is unspecified, so
-// callers must accumulate order-independently (the determinism lint's
-// map-range rule applies to them as usual). Because f runs under the
-// shard lock it must not block or take locks — collect under Range,
-// act after it returns.
-//
-//lint:callback-holds tableShard.mu
-func (t *Sharded[K, V]) Range(f func(K, V) bool) {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for k, v := range s.m {
-			if !f(k, v) {
-				s.mu.Unlock()
-				return
-			}
-		}
-		s.mu.Unlock()
-	}
-}
 
 // tunnelSession is one proxied connection's egress-side state: a TCP
 // target or a UDP association, never both.
@@ -174,11 +19,11 @@ type tunnelSession struct {
 // typed table; tunnels carry few streams, so it uses a small shard
 // count rather than the plane-wide default.
 type tunnelSessions struct {
-	t *Sharded[uint32, tunnelSession]
+	t *sharded.Map[uint32, tunnelSession]
 }
 
 func newTunnelSessions() *tunnelSessions {
-	return &tunnelSessions{t: NewSharded[uint32, tunnelSession](8, HashUint32)}
+	return &tunnelSessions{t: sharded.New[uint32, tunnelSession](8, sharded.HashUint32)}
 }
 
 func (ts *tunnelSessions) putStream(id uint32, target net.Conn) {
@@ -214,16 +59,10 @@ func (ts *tunnelSessions) close(id uint32) {
 	}
 }
 
-// closeAll tears down every session (tunnel teardown). Conn Close is
-// I/O, so sessions are collected under the shard locks and closed
-// outside them.
+// closeAll tears down every session (tunnel teardown), closing a copy
+// of the table taken under the shard locks.
 func (ts *tunnelSessions) closeAll() {
-	var all []tunnelSession
-	ts.t.Range(func(id uint32, s tunnelSession) bool {
-		all = append(all, s)
-		return true
-	})
-	for _, s := range all {
+	for _, s := range ts.t.Values() {
 		if s.target != nil {
 			s.target.Close()
 		}
@@ -243,11 +82,11 @@ type demuxEntry struct {
 // demuxTable is the client's frame demultiplexer state, replacing the
 // two mutex-guarded maps the demux loop used to consult per frame.
 type demuxTable struct {
-	t *Sharded[uint32, demuxEntry]
+	t *sharded.Map[uint32, demuxEntry]
 }
 
 func newDemuxTable() *demuxTable {
-	return &demuxTable{t: NewSharded[uint32, demuxEntry](8, HashUint32)}
+	return &demuxTable{t: sharded.New[uint32, demuxEntry](8, sharded.HashUint32)}
 }
 
 func (d *demuxTable) putStream(id uint32, s *Stream) { d.t.Store(id, demuxEntry{s: s}) }
@@ -258,16 +97,10 @@ func (d *demuxTable) lookup(id uint32) demuxEntry {
 }
 func (d *demuxTable) drop(id uint32) { d.t.Delete(id) }
 
-// failAll fails every open stream and flow with err (tunnel teardown).
-// Stream.fail takes the stream lock, which must not nest under the
-// shard lock, so entries are collected under Range and failed after.
+// failAll fails every open stream and flow with err (tunnel teardown),
+// working on a copy of the table taken under the shard locks.
 func (d *demuxTable) failAll(err error) {
-	var all []demuxEntry
-	d.t.Range(func(id uint32, e demuxEntry) bool {
-		all = append(all, e)
-		return true
-	})
-	for _, e := range all {
+	for _, e := range d.t.Values() {
 		if e.s != nil {
 			e.s.fail(err)
 		}

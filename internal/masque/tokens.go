@@ -45,21 +45,27 @@ func NewTokenIssuer(secret string, dailyLimit int) *TokenIssuer {
 // Issue mints a token for account on the given day (e.g. "2022-05-11"),
 // enforcing the daily quota.
 func (ti *TokenIssuer) Issue(account, day string) (string, error) {
-	key := account + "|" + day
-	ti.mu.Lock()
-	if ti.issued[key] >= ti.DailyLimit {
-		ti.mu.Unlock()
-		return "", ErrTokenQuota
+	n, err := ti.take(account + "|" + day)
+	if err != nil {
+		return "", err
 	}
-	ti.issued[key]++
-	n := ti.issued[key]
-	ti.mu.Unlock()
-
 	body := fmt.Sprintf("%s|%s|%d", account, day, n)
 	mac := hmac.New(sha256.New, ti.secret)
 	mac.Write([]byte(body))
 	sig := base64.RawURLEncoding.EncodeToString(mac.Sum(nil))
 	return base64.RawURLEncoding.EncodeToString([]byte(body)) + "." + sig, nil
+}
+
+// take counts one more token against key's quota, returning the
+// token's sequence number.
+func (ti *TokenIssuer) take(key string) (int, error) {
+	ti.mu.Lock()
+	defer ti.mu.Unlock()
+	if ti.issued[key] >= ti.DailyLimit {
+		return 0, ErrTokenQuota
+	}
+	ti.issued[key]++
+	return ti.issued[key], nil
 }
 
 // Validate checks a token's signature. Validation is stateless: ingress

@@ -182,7 +182,7 @@ func (errTimeoutUDP) Error() string { return "masque: udp recv timeout" }
 // Close tears the association down.
 func (u *UDPFlow) Close() error {
 	err := u.client.writeFrame(&Frame{Type: FrameClose, StreamID: u.id})
-	u.client.dropUDPFlow(u.id)
+	u.client.drop(u.id)
 	u.closeInbox()
 	return err
 }
@@ -199,15 +199,14 @@ func (u *UDPFlow) closeInbox() {
 func (u *UDPFlow) deliver(p []byte) {
 	buf := append([]byte(nil), p...)
 	u.mu.Lock()
+	defer u.mu.Unlock()
 	if u.closed {
-		u.mu.Unlock()
 		return
 	}
 	select {
 	case u.inbox <- buf:
 	default: // unreliable transport: drop on backpressure, like UDP
 	}
-	u.mu.Unlock()
 }
 
 func (u *UDPFlow) setupDone(addr netip.Addr, err error) {
@@ -227,41 +226,27 @@ func (u *UDPFlow) fail(err error) {
 
 // OpenUDP establishes a proxied UDP association to target ("host:port").
 func (c *Client) OpenUDP(target string) (*UDPFlow, netip.Addr, error) {
-	c.mu.Lock()
-	if c.closed || c.conn == nil {
-		c.mu.Unlock()
-		return nil, netip.Addr{}, ErrTunnelClosed
+	id, demux, err := c.allocID()
+	if err != nil {
+		return nil, netip.Addr{}, err
 	}
-	id := c.nextID
-	c.nextID++
 	u := &UDPFlow{
 		client: c,
 		id:     id,
 		setup:  make(chan struct{}),
 		inbox:  make(chan []byte, 64),
 	}
-	demux := c.demux
-	c.mu.Unlock()
 	demux.putFlow(id, u)
 
 	sealed := Seal(EgressIDForAddr(c.EgressAddr), ConnectPayload(target, c.Geohash))
 	if err := c.writeFrame(&Frame{Type: FrameConnectUDP, StreamID: id, Payload: sealed}); err != nil {
-		c.dropUDPFlow(id)
+		c.drop(id)
 		return nil, netip.Addr{}, err
 	}
 	<-u.setup
 	if u.setupErr != nil {
-		c.dropUDPFlow(id)
+		c.drop(id)
 		return nil, netip.Addr{}, u.setupErr
 	}
 	return u, u.egressAddr, nil
-}
-
-func (c *Client) dropUDPFlow(id uint32) {
-	c.mu.Lock()
-	demux := c.demux
-	c.mu.Unlock()
-	if demux != nil {
-		demux.drop(id)
-	}
 }

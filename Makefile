@@ -51,11 +51,12 @@ alloc:
 
 # Chaos suite under the race detector: scans through the fault plane
 # converge to the fault-free dataset, killed scans resume bit-identically,
-# and the breaker/backoff/retry/campaign resilience paths hold up.
+# the breaker/backoff/retry/campaign resilience paths hold up, and the
+# egress list and deployment, built concurrently, match at any GOMAXPROCS.
 chaos:
 	$(GO) test -race \
-		-run 'Chaos|Checkpoint|Backoff|Breaker|Fault|Injector|Profile|Resilien|Retr|Resume|Dominant|Rotation|Campaign|BlockingStudy|RunDirect|RunRetries|RunDisting|ConnectWithRetry|VirtualClock' \
-		./internal/faults/ ./internal/retry/ ./internal/core/ ./internal/colstore/ ./internal/dnsserver/ ./internal/scan/ ./internal/atlas/ ./internal/masque/ ./internal/sharded/ ./internal/relayd/
+		-run 'Chaos|Checkpoint|Backoff|Breaker|Fault|Injector|Profile|Resilien|Retr|Resume|Dominant|Rotation|Campaign|BlockingStudy|RunDirect|RunRetries|RunDisting|ConnectWithRetry|VirtualClock|GOMAXPROCS' \
+		./internal/faults/ ./internal/retry/ ./internal/core/ ./internal/colstore/ ./internal/dnsserver/ ./internal/scan/ ./internal/atlas/ ./internal/masque/ ./internal/sharded/ ./internal/relayd/ ./internal/egress/ ./internal/relay/
 
 # Five seconds of each fuzz target: every reader of bytes from disk or
 # a socket keeps its "never panics, typed rejection, accepted input

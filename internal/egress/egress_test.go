@@ -3,6 +3,7 @@ package egress
 import (
 	"bytes"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -270,15 +271,22 @@ func TestGenerateSubnetsDisjoint(t *testing.T) {
 	}
 }
 
-func TestGenerateDeterminism(t *testing.T) {
+// TestGenerateSameAtAnyGOMAXPROCS: Generate builds its (AS, family)
+// parts concurrently, so the list must be the same however many Ps run
+// them, and the same as the shared list built at the default.
+func TestGenerateSameAtAnyGOMAXPROCS(t *testing.T) {
 	w, l := testList(t)
-	again := Generate(w, 17)
-	if len(again.Entries) != len(l.Entries) {
-		t.Fatal("entry counts differ across runs")
-	}
-	for i := range l.Entries {
-		if l.Entries[i] != again.Entries[i] {
-			t.Fatalf("entry %d differs", i)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		again := Generate(w, 17)
+		if len(again.Entries) != len(l.Entries) {
+			t.Fatalf("GOMAXPROCS=%d: %d entries, want %d", procs, len(again.Entries), len(l.Entries))
+		}
+		for i := range l.Entries {
+			if l.Entries[i] != again.Entries[i] {
+				t.Fatalf("GOMAXPROCS=%d: entry %d = %+v, want %+v", procs, i, again.Entries[i], l.Entries[i])
+			}
 		}
 	}
 }

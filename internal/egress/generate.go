@@ -10,6 +10,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/geo"
 	"github.com/relay-networks/privaterelay/internal/iputil"
 	"github.com/relay-networks/privaterelay/internal/netsim"
+	"github.com/relay-networks/privaterelay/internal/workpool"
 )
 
 // Generate produces the full-scale synthetic egress list (≈240 k entries)
@@ -17,22 +18,23 @@ import (
 func Generate(w *netsim.World, seed uint64) *List {
 	g := &generator{world: w, seed: seed}
 	g.buildCCSets()
-	// Each AS's v4 then v6 part, in generation order; slices.Concat
-	// sizes Entries once from their total.
-	parts := make([][]Entry, 0, 2*len(egressASes))
-	for _, as := range egressASes {
-		v4 := g.generateFamily(as, netsim.FamilyV4)
-		var v6 []Entry
-		if as == netsim.ASFastly {
-			// Fastly's IPv6 footprint mirrors IPv4 1:1 (equal subnet and
-			// city counts in Tables 3–4), so entries are mirrored rather
-			// than independently drawn.
-			v6 = g.mirrorFastlyV6(v4)
-		} else {
-			v6 = g.generateFamily(as, netsim.FamilyV6)
+	// parts[2k] and parts[2k+1] are the k-th AS's v4 and v6 entries. Each
+	// (AS, family) draws only from its own carver and hashes, so the parts
+	// build at once; slices.Concat joins them in generation order, sizing
+	// Entries once from their total.
+	parts := make([][]Entry, 2*len(egressASes))
+	workpool.Run(len(parts), 1, 0, func(_, i, _ int) {
+		as, fam := egressASes[i/2], netsim.Family(i%2)
+		if as == netsim.ASFastly && fam == netsim.FamilyV6 {
+			return // mirrored from the v4 part below
 		}
-		parts = append(parts, v4, v6)
-	}
+		parts[i] = g.generateFamily(as, fam)
+	})
+	// Fastly's IPv6 footprint mirrors IPv4 1:1 (equal subnet and city
+	// counts in Tables 3–4), so entries are mirrored rather than
+	// independently drawn.
+	fastly := 2 * slices.Index(egressASes, netsim.ASFastly)
+	parts[fastly+1] = g.mirrorFastlyV6(parts[fastly])
 	return &List{Entries: slices.Concat(parts...)}
 }
 

@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/netip"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -126,9 +127,15 @@ func (e *Env) ScanMonth(ctx context.Context, month bgp.Month, domain string) (*c
 
 // Table1 runs the four monthly dual-plane scans (T1). Its seven
 // (month, domain) scans are distinct ScanMonth keys, so they run at once
-// through workpool.Run, each into its own slot; the first error in plan
-// order is returned.
+// through workpool.Run, each into its own result index; the first error
+// in plan order is returned.
 func (e *Env) Table1(ctx context.Context) ([]analysis.Table1Row, error) {
+	return e.table1(ctx, nil)
+}
+
+// table1 is Table1 under FullReport's slot rule: with slots non-nil,
+// each scan holds one token of it while it runs.
+func (e *Env) table1(ctx context.Context, slots chan struct{}) ([]analysis.Table1Row, error) {
 	type planned struct {
 		month  bgp.Month
 		domain string
@@ -143,6 +150,10 @@ func (e *Env) Table1(ctx context.Context) ([]analysis.Table1Row, error) {
 	scans := make([]*core.Dataset, len(plan))
 	errs := make([]error, len(plan))
 	workpool.Run(len(plan), 1, 0, func(_, i, _ int) {
+		if slots != nil {
+			slots <- struct{}{}
+			defer func() { <-slots }()
+		}
 		scans[i], errs[i] = e.ScanMonth(ctx, plan[i].month, plan[i].domain)
 	})
 	def := map[bgp.Month]*colstore.Dataset{}
@@ -592,20 +603,27 @@ func (e *Env) ODoHCheck() (resolverName string, ecsPrefix netip.Prefix) {
 }
 
 // FullReport renders every experiment into one text report. The relay
-// scan waits on loopback sockets rather than the CPU, so it starts first
-// on its own goroutine and runs under Table 1's scans and the analysis
-// sections; Figure 3 joins it. Every return cancels and joins the scan,
-// and errors surface in report order: a Table 1 failure wins over a
-// relay-scan failure whatever the scheduling.
+// scan starts first on its own goroutine and runs under Table 1's scans
+// and the analysis sections; Figure 3 joins it. A relay-scan round is a
+// chain of loopback socket hops, and a P polls the network only when it
+// has nothing else to run, so the scan must not queue behind CPU-bound
+// work: of GOMAXPROCS slots, it holds one for its whole life and each
+// Table 1 scan holds one while it runs. Once the relay scan ends, Table 1
+// has every P. Every return cancels and joins the scan, and errors
+// surface in report order: a Table 1 failure wins over a relay-scan
+// failure whatever the scheduling.
 func (e *Env) FullReport(ctx context.Context) (string, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	var (
 		rs        *RelayScanResult
 		rsErr     error
 		relayDone = make(chan struct{})
+		slots     = make(chan struct{}, runtime.GOMAXPROCS(0))
 	)
+	slots <- struct{}{} // taken before Table 1 can fill the channel
 	go func() {
 		defer close(relayDone)
+		defer func() { <-slots }()
 		rs, rsErr = e.RelayScan(ctx, 96, 200)
 	}()
 	defer func() {
@@ -618,7 +636,7 @@ func (e *Env) FullReport(ctx context.Context) (string, error) {
 	fmt.Fprintf(&sb, "world: %d client ASes, %d routed /24s, %d BGP announcements\n\n",
 		len(e.World.ClientASes), e.World.ClientSlash24Count(), e.World.Table.Len())
 
-	t1, err := e.Table1(ctx)
+	t1, err := e.table1(ctx, slots)
 	if err != nil {
 		return "", err
 	}

@@ -6,13 +6,14 @@ package relay
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/egress"
 	"github.com/relay-networks/privaterelay/internal/geo"
 	"github.com/relay-networks/privaterelay/internal/iputil"
 	"github.com/relay-networks/privaterelay/internal/netsim"
+	"github.com/relay-networks/privaterelay/internal/workpool"
 )
 
 // EgressOperators lists the ASes operating egress relays.
@@ -35,29 +36,33 @@ type opCC struct {
 	cc string
 }
 
-// NewDeployment indexes the egress list against the world.
+// NewDeployment indexes the egress list against the world. The geo
+// database and the attribution join both only read the list, so they
+// build at once as two items of one fan-out.
 func NewDeployment(w *netsim.World, list *egress.List) *Deployment {
-	d := &Deployment{
-		World:  w,
-		List:   list,
-		byOpCC: make(map[opCC][]egress.Entry),
-		geoDB:  list.GeoDB(),
-
-		attributed: egress.AttributeN(list, w.Table, 0),
-	}
-	for _, a := range d.attributed {
-		if a.AS == 0 || !a.Prefix.Addr().Is4() {
-			continue
+	d := &Deployment{World: w, List: list}
+	workpool.Run(2, 1, 0, func(_, i, _ int) {
+		if i == 0 {
+			d.geoDB = list.GeoDB()
+			return
 		}
-		key := opCC{a.AS, a.CC}
-		d.byOpCC[key] = append(d.byOpCC[key], a.Entry)
-	}
-	for key := range d.byOpCC {
-		es := d.byOpCC[key]
-		sort.Slice(es, func(i, j int) bool {
-			return es[i].Prefix.Addr().Compare(es[j].Prefix.Addr()) < 0
-		})
-	}
+		d.attributed = egress.AttributeN(list, w.Table, 0)
+		d.byOpCC = make(map[opCC][]egress.Entry)
+		for _, a := range d.attributed {
+			if a.AS == 0 || !a.Prefix.Addr().Is4() {
+				continue
+			}
+			key := opCC{a.AS, a.CC}
+			d.byOpCC[key] = append(d.byOpCC[key], a.Entry)
+		}
+		// An operator's subnets are disjoint, so ordering by address
+		// alone is total.
+		for _, es := range d.byOpCC {
+			slices.SortFunc(es, func(a, b egress.Entry) int {
+				return a.Prefix.Addr().Compare(b.Prefix.Addr())
+			})
+		}
+	})
 	return d
 }
 

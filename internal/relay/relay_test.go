@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -136,6 +138,38 @@ func TestEgressPoolShape(t *testing.T) {
 		for i := range pool {
 			if pool[i] != again[i] {
 				t.Fatal("pool not deterministic")
+			}
+		}
+	}
+}
+
+// TestNewDeploymentSameAtAnyGOMAXPROCS: NewDeployment builds the geo
+// database beside the attribution join and the per-(operator, country)
+// index, so neither its lookups nor its egress pools may depend on how
+// many Ps ran them.
+func TestNewDeploymentSameAtAnyGOMAXPROCS(t *testing.T) {
+	ref := testDeployment(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		dep := NewDeployment(ref.World, ref.List)
+		want, got := ref.GeoDB(), dep.GeoDB()
+		for i, e := range ref.List.Entries {
+			wl, wok := want.Lookup(e.Prefix.Addr())
+			gl, gok := got.Lookup(e.Prefix.Addr())
+			if gl != wl || gok != wok {
+				t.Fatalf("GOMAXPROCS=%d: entry %d (%v) locates at %v/%v, want %v/%v", procs, i, e.Prefix, gl, gok, wl, wok)
+			}
+		}
+		if !slices.Equal(dep.Attributed(), ref.Attributed()) {
+			t.Fatalf("GOMAXPROCS=%d: attribution differs", procs)
+		}
+		for i := range ref.World.ClientASes {
+			c := clientAddr(ref, i)
+			for _, as := range EgressOperators {
+				if w, g := ref.EgressPool(c, as), dep.EgressPool(c, as); !slices.Equal(g, w) {
+					t.Fatalf("GOMAXPROCS=%d: client %v %v pool = %v, want %v", procs, c, as, g, w)
+				}
 			}
 		}
 	}

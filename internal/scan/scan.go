@@ -191,10 +191,14 @@ type Config struct {
 	Connector relay.Connector
 }
 
-// Run executes the scan: per round, one fresh tunnel carrying the two
-// parallel requests. A round whose tunnel cannot be established after
-// retries is recorded as Failed and the scan moves on; Run returns
-// ErrAllRoundsFailed only when every round was lost that way.
+// Run executes the scan: per round, one fresh tunnel carrying the
+// Safari-like request and then the curl-like one, each on its own
+// stream and sent one after the other. (The "parallel requests" of the
+// rotation output are these two streams of one tunnel; sending them
+// concurrently gains nothing, because a round is CPU-bound.) A round
+// whose tunnel cannot be established after retries is recorded as
+// Failed and the scan moves on; Run returns ErrAllRoundsFailed only
+// when every round was lost that way.
 func Run(ctx context.Context, cfg Config) ([]Observation, error) {
 	conn := cfg.Connector
 	if conn == nil {

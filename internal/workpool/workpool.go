@@ -15,9 +15,13 @@ import (
 // Workers is the pool size Run uses for n items claimed grain at a
 // time: the requested count (2×GOMAXPROCS when workers ≤ 0), never
 // above 2×GOMAXPROCS — a little headroom over the core count hides
-// stragglers without flooding the scheduler — nor above the ⌈n/grain⌉
-// ranges there are to claim, and never below 1. Callers size per-worker
-// state with it.
+// stragglers — nor above the ⌈n/grain⌉ ranges there are to claim, and
+// never below 1. Callers size per-worker state with it. That headroom
+// keeps every P's run queue full, and a P polls the network only when
+// it has nothing else to run: a goroutine waiting on sockets in the
+// same process then waits for sysmon's poll (about every 10 ms), so
+// such a caller must leave it a P of its own (see FullReport's slots in
+// internal/experiments).
 func Workers(n, grain, workers int) int {
 	limit := 2 * runtime.GOMAXPROCS(0)
 	if workers <= 0 || workers > limit {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test race alloc bench bench-build bench-pair chaos fuzz-smoke relayd-smoke
+.PHONY: check vet lint build test race alloc bench bench-build bench-pair chaos fuzz-smoke relayd-smoke paper-scan
 
 # The same-box benchmark gate (bench-pair) takes minutes, so it is not
 # part of check; CI runs it as its own job.
@@ -83,6 +83,13 @@ fuzz-smoke:
 # a clean drain. Mirrors the relayd-smoke CI job.
 relayd-smoke:
 	./scripts/relayd-smoke.sh
+
+# Paper-scale scan: ecsscan -scale 1.0 -seed 6 at -concurrency 1 and 2
+# must both write the pinned canonical dataset (SHA-256 1bfb8a33…);
+# wall time and ns per query are printed for information. Mirrors the
+# paper-scan CI job.
+paper-scan:
+	./scripts/paper-scan.sh
 
 # One iteration keeps CI fast; run with a larger -benchtime locally for
 # stable numbers.

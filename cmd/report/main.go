@@ -21,7 +21,7 @@ import (
 func main() {
 	var (
 		seed     = flag.Uint64("seed", 42, "world seed")
-		scale    = flag.Float64("scale", 0.002, "client-universe scale (1.0 = paper scale: about 45 s and 320 MiB on two CPUs; the real scan took 40 h)")
+		scale    = flag.Float64("scale", 0.002, "client-universe scale (1.0 = paper scale: about 25 s and 300 MiB on two CPUs; the real scan took 40 h)")
 		out      = flag.String("out", "", "also write the report to this file")
 		figures  = flag.String("figures", "", "also export every figure's raw series as CSV files into this directory")
 		profiles = profiling.Register()

@@ -96,9 +96,13 @@ const (
 // one operator/family, locations ordered by descending subnet count, and
 // the cumulative share at each rank.
 func LocationCDF(attributed []egress.Attributed, as bgp.ASN, fam netsim.Family, kind LocationKind) []CDFPoint {
-	counts := map[string]int{}
+	// Keyed by the two strings themselves: joining them would allocate
+	// a key per row.
+	type location struct{ cc, city string }
+	counts := map[location]int{}
 	total := 0
-	for _, a := range attributed {
+	for i := range attributed {
+		a := &attributed[i]
 		if a.AS != as {
 			continue
 		}
@@ -106,14 +110,12 @@ func LocationCDF(attributed []egress.Attributed, as bgp.ASN, fam netsim.Family, 
 		if (fam == netsim.FamilyV4) != isV4 {
 			continue
 		}
-		var key string
+		key := location{cc: a.CC}
 		if kind == ByCity {
 			if a.City == "" {
 				continue
 			}
-			key = a.CC + "/" + a.City
-		} else {
-			key = a.CC
+			key.city = a.City
 		}
 		counts[key]++
 		total++

@@ -47,7 +47,7 @@ func TestProcessSubnetAllocBudget(t *testing.T) {
 		breaker: newCircuitBreaker(cfg.Breaker, cfg.Clock),
 	}
 	aux := &workerAux{
-		origins4: make(map[uint32]bgp.ASN),
+		origins4: newOriginTable(),
 		origins:  make(map[netip.Addr]bgp.ASN),
 		cursor:   idx.Cursor(),
 	}
@@ -102,7 +102,7 @@ func TestScanLoopCheckpointedAllocBudget(t *testing.T) {
 		journal: j,
 	}
 	aux := &workerAux{
-		origins4: make(map[uint32]bgp.ASN),
+		origins4: newOriginTable(),
 		origins:  make(map[netip.Addr]bgp.ASN),
 		cursor:   idx.Cursor(),
 		delta:    new(journalFrame),

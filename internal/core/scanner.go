@@ -255,12 +255,13 @@ func (sh *scanShard) absorb(o *scanShard) {
 // Nothing in it is shared, so the steady-state loop never touches
 // cross-worker memory for lookups.
 type workerAux struct {
-	// origins4/origins memoize attribution of answer addresses (IPv4
-	// keyed by packed uint32 — far cheaper to probe than a netip.Addr
-	// map). Answers repeat heavily (one fleet of ~1700 addresses serves
-	// the whole universe), so after warm-up every record resolves with
-	// one small inlined map probe instead of a routing-index search.
-	origins4 map[uint32]bgp.ASN
+	// origins4/origins memoize attribution of answer addresses (IPv4 in
+	// an open-addressing table keyed by the packed address, IPv6 and
+	// 0.0.0.0 in a map). Answers repeat heavily (one fleet of ~1.6k
+	// addresses serves the whole universe), so after warm-up every A
+	// record resolves with one multiply-shift and, almost always, one
+	// slot compare instead of a routing-index search.
+	origins4 originTable
 	origins  map[netip.Addr]bgp.ASN
 	// cursor resolves each subnet's own client AS. Worker subnet
 	// sequences ascend, so the cursor's gallop replaces a full binary
@@ -290,20 +291,24 @@ type workerAux struct {
 
 // foldAddr attributes one answer address and enters it into the shard's
 // address ledger, memoizing both: after this worker's first sight of an
-// address, later folds are a single inlined uint32 probe with no
+// address, later folds are a single inlined table probe with no
 // writes (the memo is only ever filled alongside a ledger write, so a
 // hit proves the address is already in this worker's shard).
 func (w *scanWorker) foldAddr(addr netip.Addr) bgp.ASN {
 	if addr.Is4() {
 		a4 := addr.As4()
-		key := uint32(a4[0])<<24 | uint32(a4[1])<<16 | uint32(a4[2])<<8 | uint32(a4[3])
-		if as, ok := w.aux.origins4[key]; ok {
+		// 0.0.0.0 cannot enter origins4 (its key marks an empty slot)
+		// and takes the map path below.
+		if key := uint32(a4[0])<<24 | uint32(a4[1])<<16 | uint32(a4[2])<<8 | uint32(a4[3]); key != 0 {
+			s := w.aux.origins4.find(key)
+			if s.key != 0 {
+				return s.as
+			}
+			as, _ := w.st.idx.Origin(addr)
+			w.aux.origins4.fill(s, key, as)
+			w.firstSight(addr, as)
 			return as
 		}
-		as, _ := w.st.idx.Origin(addr)
-		w.aux.origins4[key] = as
-		w.firstSight(addr, as)
-		return as
 	}
 	if as, ok := w.aux.origins[addr]; ok {
 		return as
@@ -720,7 +725,7 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 	for i := range shards {
 		shards[i] = newScanShard()
 		st.auxes[i] = &workerAux{
-			origins4: make(map[uint32]bgp.ASN),
+			origins4: newOriginTable(),
 			origins:  make(map[netip.Addr]bgp.ASN),
 			cursor:   idx.Cursor(),
 		}

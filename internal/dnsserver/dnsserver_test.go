@@ -3,6 +3,8 @@ package dnsserver
 import (
 	"context"
 	"net/netip"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -487,5 +489,57 @@ func TestUDPServerConcurrentClients(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatalf("concurrent UDP exchange: %v", err)
+	}
+}
+
+// TestAuthServerAnswersAnySpelling pins the served-name fast path:
+// Handle compares the query name with the three served names as it is
+// and lowers it only otherwise, so a mixed-case or undotted spelling
+// must get exactly the answer the canonical name gets.
+func TestAuthServerAnswersAnySpelling(t *testing.T) {
+	w, srv := testSetup(t)
+	subnet := clientSubnetOf(w, 0)
+	from := netip.MustParseAddr("198.51.100.1")
+	spellings := map[string][]string{
+		MaskDomain:   {"MASK.iCloud.COM.", "mask.icloud.com", "Mask.Icloud.Com"},
+		MaskH2Domain: {"MASK-H2.ICLOUD.COM.", "mask-h2.icloud.com"},
+		WhoamiDomain: {"WhoAmI.Akamai.Example.", "whoami.akamai.example"},
+	}
+	type answer struct {
+		header  dnswire.Header
+		answers []dnswire.Record
+		ecs     *dnswire.ClientSubnet
+	}
+	ask := func(name string, qtype dnswire.Type) answer {
+		q := dnswire.NewQuery(7, name, qtype).WithECS(subnet)
+		q.Questions[0].Name = name
+		resp := srv.Handle(q, from)
+		a := answer{header: resp.Header, answers: slices.Clone(resp.Answers)}
+		for i := range a.answers {
+			// whoami echoes the query's spelling as the owner name.
+			a.answers[i].Name = dnswire.CanonicalName(a.answers[i].Name)
+		}
+		if resp.Edns != nil && resp.Edns.ClientSubnet != nil {
+			cs := *resp.Edns.ClientSubnet
+			a.ecs = &cs
+		}
+		dnswire.ReleaseMessage(resp)
+		return a
+	}
+	for canonical, others := range spellings {
+		for _, qtype := range []dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA, dnswire.TypeTXT} {
+			want := ask(canonical, qtype)
+			if want.header.RCode != dnswire.RCodeNoError {
+				t.Fatalf("%s %v: rcode %v", canonical, qtype, want.header.RCode)
+			}
+			for _, name := range others {
+				if got := ask(name, qtype); !reflect.DeepEqual(got, want) {
+					t.Errorf("%q %v answered\n%+v\nwant (as %q)\n%+v", name, qtype, got, canonical, want)
+				}
+			}
+		}
+	}
+	if got := ask("MASK.icloud.com.evil.", dnswire.TypeA); got.header.RCode != dnswire.RCodeNXDomain {
+		t.Fatalf("unserved name: rcode %v, want NXDOMAIN", got.header.RCode)
 	}
 }

@@ -80,10 +80,9 @@ func (s *AuthServer) Handle(query *dnswire.Message, from netip.Addr) *dnswire.Me
 		return s.failure(query, dnswire.RCodeFormErr)
 	}
 	q := query.Questions[0]
-	name := dnswire.CanonicalName(q.Name)
 
 	var proto netsim.Proto
-	switch name {
+	switch servedName(q.Name) {
 	case MaskDomain:
 		proto = netsim.ProtoDefault
 	case MaskH2Domain:
@@ -106,6 +105,17 @@ func (s *AuthServer) Handle(query *dnswire.Message, from netip.Addr) *dnswire.Me
 		m.Edns = nil
 		return m
 	}
+}
+
+// servedName returns name in canonical form. A query spelled exactly as
+// one of the served names — every query the scanners send — is compared
+// as it is; any other spelling is lowered and dot-terminated first.
+func servedName(name string) string {
+	switch name {
+	case MaskDomain, MaskH2Domain, WhoamiDomain:
+		return name
+	}
+	return dnswire.CanonicalName(name)
 }
 
 // zoneName returns the canonical owner name records are served under,

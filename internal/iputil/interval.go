@@ -107,14 +107,24 @@ func sweep[V any](spans []Span[V], famBits int) Intervals {
 		i     int32
 	}
 	order := make([]ent, 0, len(spans))
-	for i, s := range spans {
-		if s.Prefix.Addr().Is4() == (famBits == 32) {
-			order = append(order, ent{KeyOf(s.Prefix.Addr()), int32(s.Prefix.Bits()), int32(i)})
+	for i := range spans {
+		// Index access: a Span with a large payload is not copied.
+		if p := spans[i].Prefix; p.Addr().Is4() == (famBits == 32) {
+			order = append(order, ent{KeyOf(p.Addr()), int32(p.Bits()), int32(i)})
 		}
 	}
+	// Early-exit compares: most pairs differ in the first field, and
+	// cmp.Or would evaluate all four.
 	slices.SortFunc(order, func(a, b ent) int {
-		return cmp.Or(cmp.Compare(a.start.Hi, b.start.Hi), cmp.Compare(a.start.Lo, b.start.Lo),
-			cmp.Compare(a.bits, b.bits), cmp.Compare(a.i, b.i))
+		switch {
+		case a.start.Hi != b.start.Hi:
+			return cmp.Compare(a.start.Hi, b.start.Hi)
+		case a.start.Lo != b.start.Lo:
+			return cmp.Compare(a.start.Lo, b.start.Lo)
+		case a.bits != b.bits:
+			return cmp.Compare(a.bits, b.bits)
+		}
+		return cmp.Compare(a.i, b.i)
 	})
 	maxKey := Key{lowMask(famBits - 64), lowMask(famBits)}
 	iv := Intervals{

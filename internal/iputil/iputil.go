@@ -203,21 +203,20 @@ func Overlaps(a, b netip.Prefix) bool {
 // relies on for reproducible assignment decisions.
 func HashAddr(addr netip.Addr) uint64 {
 	addr = Canonical(addr)
-	const offset = 14695981039346656037
-	const prime = 1099511628211
-	h := uint64(offset)
 	if addr.Is4() {
 		b := addr.As4()
-		for _, c := range b {
-			h ^= uint64(c)
-			h *= prime
-		}
-		return h
+		return fnv1a(b[:])
 	}
 	b := addr.As16()
+	return fnv1a(b[:])
+}
+
+// fnv1a returns the 64-bit FNV-1a hash of b.
+func fnv1a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
 	for _, c := range b {
 		h ^= uint64(c)
-		h *= prime
+		h *= 1099511628211
 	}
 	return h
 }
@@ -225,8 +224,19 @@ func HashAddr(addr netip.Addr) uint64 {
 // HashPrefix returns a deterministic 64-bit hash of the prefix, combining
 // the masked network address with the prefix length.
 func HashPrefix(p netip.Prefix) uint64 {
-	p = CanonicalPrefix(p)
-	h := HashAddr(p.Addr())
+	var h uint64
+	if a, bits := p.Addr(), p.Bits(); a.Is4() && bits >= 0 {
+		// Plain IPv4 — every /24 the scan asks about — is already
+		// canonical: clear the host bits in place and hash the four
+		// bytes as HashAddr does, without rebuilding the prefix. For
+		// bits 0 the shift yields 0, so the mask clears every bit.
+		b := a.As4()
+		binary.BigEndian.PutUint32(b[:], binary.BigEndian.Uint32(b[:])&^(uint32(1)<<(32-bits)-1))
+		h = fnv1a(b[:])
+	} else {
+		p = CanonicalPrefix(p)
+		h = HashAddr(p.Addr())
+	}
 	h ^= uint64(p.Bits()) * 0x9e3779b97f4a7c15
 	h ^= h >> 29
 	h *= 0xbf58476d1ce4e5b9

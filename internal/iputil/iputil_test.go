@@ -469,3 +469,36 @@ func TestNthSubnetV6LargeHostOffsets(t *testing.T) {
 		t.Fatalf("NthSubnet(/32→/48, 3) = %s", got)
 	}
 }
+
+// hashPrefixCanonical is HashPrefix's general path: canonicalize the
+// prefix, then hash its address and length.
+func hashPrefixCanonical(p netip.Prefix) uint64 {
+	p = CanonicalPrefix(p)
+	h := HashAddr(p.Addr())
+	h ^= uint64(p.Bits()) * 0x9e3779b97f4a7c15
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 32
+	return h
+}
+
+// Property: HashPrefix's IPv4 fast path, which masks the packed address
+// instead of canonicalizing the prefix, hashes every IPv4 prefix —
+// masked or not, /0 through /32 — as the general path does.
+func TestPropertyHashPrefixIPv4FastPath(t *testing.T) {
+	f := func(b [4]byte, bitsRaw uint8) bool {
+		p := netip.PrefixFrom(netip.AddrFrom4(b), int(bitsRaw%33))
+		return HashPrefix(p) == hashPrefixCanonical(p) && HashPrefix(p) == HashPrefix(p.Masked())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"0.0.0.0/0", "255.255.255.255/0", "255.255.255.255/32", "192.0.2.77/24", "2001:db8::/48", "::ffff:192.0.2.0/120"} {
+		if p := mustPrefix(t, s); HashPrefix(p) != hashPrefixCanonical(p) {
+			t.Fatalf("HashPrefix(%v) differs from the general path", p)
+		}
+	}
+	if got := HashPrefix(netip.Prefix{}); got != hashPrefixCanonical(netip.Prefix{}) {
+		t.Fatalf("HashPrefix(invalid) = %#x", got)
+	}
+}

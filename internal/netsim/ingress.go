@@ -55,33 +55,54 @@ func (w *World) fleetSize(month bgp.Month, proto Proto) FleetSizes {
 	return w.Params.DefaultFleet[month]
 }
 
-// monthIndex returns the scan index of month (0 for January 2022).
+// monthIndex returns the scan index of month (0 for January 2022, and
+// for any month that is not a scan month).
 func monthIndex(m bgp.Month) int {
-	for i, sm := range ScanMonths {
-		if sm == m {
-			return i
-		}
-	}
-	return 0
+	i, _ := scanMonthIndex(m)
+	return i
 }
 
-// fleetKey names one prebuilt fleet: the unshifted (phase 0) window of
-// one operator in one scan month, plane and family.
-type fleetKey struct {
-	as    bgp.ASN
-	month bgp.Month
-	proto Proto
-	fam   Family
+// scanMonthIndex returns month's position in ScanMonths.
+func scanMonthIndex(m bgp.Month) (int, bool) {
+	for i, sm := range ScanMonths {
+		if sm == m {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// fleetIndex returns the slot of one prebuilt fleet — the unshifted
+// (phase 0) window of one operator in one scan month, plane and family
+// — in World.fleets, laid out operator × scan month × plane × family.
+// It reports false for any other combination.
+func fleetIndex(as bgp.ASN, month bgp.Month, proto Proto, fam Family) (int, bool) {
+	var op int
+	switch as {
+	case ASApple:
+		op = 0
+	case ASAkamaiPR:
+		op = 1
+	default:
+		return 0, false
+	}
+	m, ok := scanMonthIndex(month)
+	if !ok || uint(proto) > 1 || uint(fam) > 1 {
+		return 0, false
+	}
+	return ((op*len(ScanMonths)+m)*2+int(proto))*2 + int(fam), true
 }
 
 // buildFleets materializes the phase-0 fleet of every operator, scan
 // month, plane and family — the only fleets the answer path asks for.
 func (w *World) buildFleets() {
+	w.fleets = make([][]netip.Addr, 2*len(ScanMonths)*2*2)
 	for _, as := range []bgp.ASN{ASApple, ASAkamaiPR} {
 		for _, month := range ScanMonths {
 			for _, proto := range []Proto{ProtoDefault, ProtoFallback} {
 				for _, fam := range []Family{FamilyV4, FamilyV6} {
-					w.fleets[fleetKey{as, month, proto, fam}] = w.buildIngressFleet(as, month, proto, fam, 0)
+					i, _ := fleetIndex(as, month, proto, fam)
+					w.fleets[i] = w.buildIngressFleet(as, month, proto, fam, 0)
 				}
 			}
 		}
@@ -99,8 +120,8 @@ func (w *World) buildFleets() {
 // Anything else is computed on demand.
 func (w *World) IngressFleet(as bgp.ASN, month bgp.Month, proto Proto, fam Family, phase int) []netip.Addr {
 	if phase == 0 {
-		if fleet, ok := w.fleets[fleetKey{as, month, proto, fam}]; ok {
-			return fleet
+		if i, ok := fleetIndex(as, month, proto, fam); ok {
+			return w.fleets[i]
 		}
 	}
 	return w.buildIngressFleet(as, month, proto, fam, phase)

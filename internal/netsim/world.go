@@ -43,8 +43,10 @@ type World struct {
 	// Ingress relay address pools (superset of any month's fleet).
 	pools map[poolKey][]netip.Addr
 
-	clientIdx map[bgp.ASN]int
-	seed      uint64
+	// clientRuns locates each serve group's client ASes in ClientASes;
+	// see clientIndex.
+	clientRuns []clientRun
+	seed       uint64
 
 	// routes is Table flattened once at the end of NewWorld: the answer
 	// path resolves a client subnet's covering route with one lock-free
@@ -52,8 +54,17 @@ type World struct {
 	routes *bgp.Index
 
 	// fleets holds the unshifted fleet of every (operator, scan month,
-	// plane, family); see buildFleets.
-	fleets map[fleetKey][]netip.Addr
+	// plane, family) at its fleetIndex; see buildFleets.
+	fleets [][]netip.Addr
+}
+
+// clientRun is one serve group's client ASes: their ASNs are numbered
+// consecutively from base and sit consecutively in ClientASes from
+// start.
+type clientRun struct {
+	base  bgp.ASN
+	start int
+	count int
 }
 
 type serviceKey struct {
@@ -88,9 +99,7 @@ func NewWorld(params Params) *World {
 		egressPfx:  make(map[serviceKey][]netip.Prefix),
 		unusedPfx:  make(map[serviceKey][]netip.Prefix),
 		pools:      make(map[poolKey][]netip.Addr),
-		clientIdx:  make(map[bgp.ASN]int),
 		seed:       p.Seed,
-		fleets:     make(map[fleetKey][]netip.Addr),
 	}
 	w.buildServicePrefixes()
 	w.buildClientUniverse()
@@ -127,6 +136,7 @@ func (w *World) buildClientUniverse() {
 		{GroupBoth, asnBaseBoth, w.scaledCount(paperBothASes), int64(float64(paperBothPop) * w.Params.Scale), 8},
 	}
 	for _, spec := range specs {
+		w.clientRuns = append(w.clientRuns, clientRun{base: bgp.ASN(spec.asnBase), start: len(w.ClientASes), count: spec.count})
 		ases := make([]bgp.ASN, 0, spec.count)
 		for i := 0; i < spec.count; i++ {
 			asn := bgp.ASN(spec.asnBase + uint32(i))
@@ -155,7 +165,6 @@ func (w *World) buildClientUniverse() {
 				w.Table.Announce(pfx, asn)
 				prefixes = append(prefixes, pfx)
 			}
-			w.clientIdx[asn] = len(w.ClientASes)
 			w.ClientASes = append(w.ClientASes, ClientAS{
 				ASN:      asn,
 				Group:    spec.group,
@@ -329,10 +338,16 @@ func (w *World) ClientOf(addr netip.Addr) (ClientAS, bool) {
 	return w.ClientASes[idx], true
 }
 
-// clientIndex maps a client ASN back to its slice index.
+// clientIndex maps a client ASN back to its slice index, by arithmetic
+// on the serve group's run rather than a hash probe: it runs once per
+// answered query.
 func (w *World) clientIndex(as bgp.ASN) (int, bool) {
-	i, ok := w.clientIdx[as]
-	return i, ok
+	for _, r := range w.clientRuns {
+		if off := as - r.base; off < bgp.ASN(r.count) {
+			return r.start + int(off), true
+		}
+	}
+	return 0, false
 }
 
 // IsServiceAS reports whether as is one of the five operator ASes.

@@ -26,14 +26,16 @@ import (
 	"github.com/relay-networks/privaterelay/internal/relay"
 )
 
-// WebServer is the scan's own logging web server: it records every
-// requester address and answers a minimal HTTP-ish response.
+// WebServer is the scan's own logging web server: it logs every
+// requester and answers a minimal HTTP-ish response. The log keeps only
+// what a scan round reads — the newest requester address and the count.
 type WebServer struct {
 	ln net.Listener
 	wg sync.WaitGroup
 
-	mu  sync.Mutex
-	log []netip.Addr
+	mu     sync.Mutex
+	last   netip.Addr
+	logged int
 }
 
 // StartWebServer launches the server on loopback.
@@ -54,11 +56,12 @@ func (ws *WebServer) Addr() string { return ws.ln.Addr().String() }
 // Close stops the server.
 func (ws *WebServer) Close() { ws.ln.Close(); ws.wg.Wait() }
 
-// Log returns the requester addresses observed so far.
-func (ws *WebServer) Log() []netip.Addr {
+// Last returns the newest requester address and the number of requests
+// logged so far.
+func (ws *WebServer) Last() (netip.Addr, int) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	return append([]netip.Addr(nil), ws.log...)
+	return ws.last, ws.logged
 }
 
 func (ws *WebServer) serve() {
@@ -78,7 +81,7 @@ func (ws *WebServer) serve() {
 				return
 			}
 			ws.mu.Lock()
-			ws.log = append(ws.log, src)
+			ws.last, ws.logged = src, ws.logged+1
 			ws.mu.Unlock()
 			// Consume the request line, then answer.
 			if _, err := br.ReadString('\n'); err != nil {
@@ -224,7 +227,7 @@ func Run(ctx context.Context, cfg Config) ([]Observation, error) {
 		}
 		obs.Operator = tun.Operator
 
-		before := len(cfg.Web.Log())
+		_, before := cfg.Web.Last()
 		// Safari-like request: fetch from the logging web server.
 		if s, _, err := tun.Open(cfg.Web.Addr()); err != nil {
 			obs.SafariErr = fmt.Errorf("scan: safari request: %w", err)
@@ -233,9 +236,8 @@ func Run(ctx context.Context, cfg Config) ([]Observation, error) {
 			_, _ = io.ReadAll(s)
 			s.Close()
 		}
-		logNow := cfg.Web.Log()
-		if len(logNow) > before {
-			obs.SafariEgress = logNow[len(logNow)-1]
+		if last, logged := cfg.Web.Last(); logged > before {
+			obs.SafariEgress = last
 		} else if obs.SafariErr == nil {
 			obs.SafariErr = errors.New("scan: safari request: server logged no egress address")
 		}

@@ -17,6 +17,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/dnswire"
+	"github.com/relay-networks/privaterelay/internal/faults"
 	"github.com/relay-networks/privaterelay/internal/iputil"
 	"github.com/relay-networks/privaterelay/internal/netsim"
 	"github.com/relay-networks/privaterelay/internal/vclock"
@@ -68,6 +69,73 @@ func TestProcessSubnetAllocBudget(t *testing.T) {
 	})
 	if avg > budget {
 		t.Fatalf("processSubnet: %.2f allocs/op, budget %d", avg, budget)
+	}
+}
+
+// TestProcessSubnetFaultedAllocBudget pins the same loop under the
+// harsh fault profile, on the path a faulted scan takes: fresh /24s,
+// each run a batch of 64, through the injector with the resilience
+// stack (retries, backoff, breaker) on a virtual clock. Failure
+// responses are pooled and ledger entries are carved from the shard's
+// chunks, so a fault costs no allocation; a new chunk every 256 runs of
+// faults stays, amortized, under one allocation per batch.
+func TestProcessSubnetFaultedAllocBudget(t *testing.T) {
+	const budget = 0
+	profile, err := faults.Parse("harsh,seed=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, inj, _ := resilientConfig(testWorld(t), aprDefault, profile, 1)
+	cfg.RespectScope = false // query every subnet, as in TestProcessSubnetAllocBudget
+
+	idx := cfg.Attribution.Index()
+	st := &scanState{
+		cfg:     &cfg,
+		idx:     idx,
+		clock:   cfg.Clock,
+		limiter: newTokenBucket(cfg.QPS, pacerBatch, cfg.Clock),
+		breaker: newCircuitBreaker(cfg.Breaker, cfg.Clock),
+	}
+	aux := &workerAux{
+		origins4: newOriginTable(),
+		origins:  make(map[netip.Addr]bgp.ASN),
+		cursor:   idx.Cursor(),
+	}
+	worker := &scanWorker{st: st, sh: newScanShard(), aux: aux}
+	const warm, runs = 16, 100
+	var refs []subnetRef
+	const need = (warm + runs + 1) * workBatchSize // AllocsPerRun adds one warm-up run
+	for _, route := range cfg.Universe {
+		iputil.Subnets(route, 24, func(p netip.Prefix) bool {
+			refs = append(refs, subnetRef{p: p, idx: int64(len(refs))})
+			return len(refs) < need
+		})
+		if len(refs) == need {
+			break
+		}
+	}
+	if len(refs) < need {
+		t.Fatalf("universe has %d /24s, need %d", len(refs), need)
+	}
+	ctx := context.Background()
+	runBatch := func() {
+		for _, ref := range refs[:workBatchSize] {
+			worker.processSubnet(ctx, ref)
+		}
+		refs = refs[workBatchSize:]
+		worker.deferred = worker.deferred[:0]
+	}
+	for range warm { // prime the message pool, the shard maps and the slab
+		runBatch()
+	}
+	faulted := inj.Stats.Total()
+	avg := testing.AllocsPerRun(runs, runBatch)
+	if faulted = inj.Stats.Total() - faulted; faulted < runs*workBatchSize/10 {
+		t.Fatalf("%d faults over %d subnets: the profile did not bite", faulted, runs*workBatchSize)
+	}
+	if avg > budget {
+		t.Fatalf("faulted processSubnet: %.2f allocs per %d /24s (%d faults over the runs), budget %d",
+			avg, workBatchSize, faulted, budget)
 	}
 }
 

@@ -3,9 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"net/netip"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -172,6 +176,68 @@ func TestScanChaosConvergesToFaultFreeDataset(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFaultedScanStatsPinned pins every fault decision of one faulted
+// scan: harsh,seed=5 at one worker on the scan's own virtual clock (a
+// shared clock would make the counters depend on how scans interleave).
+// The digest covers the sorted ledger — subnet, the five per-kind
+// counts, Attempts, LastKind, Recovered — and the path counters:
+// queries, retries, deferrals, per-kind attempts, passes and breaker
+// trips. Faults change the path, never the dataset; this test holds the
+// path itself, so a change to the injector or the ledger that re-rolls
+// a single attempt, or drops or merges one, fails here.
+func TestFaultedScanStatsPinned(t *testing.T) {
+	const want = "e38ec2d7d186eaae9e341dc2d99140b6caf3452b467c7025b004b45d6a4c1ba9"
+	profile, err := faults.Parse("harsh,seed=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, _, clock := resilientConfig(testWorld(t), aprDefault, profile, 1)
+	ds, err := Scan(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &ds.Stats
+	// The scan must outlive harsh's SERVFAIL burst, so the pin covers
+	// attempts inside the burst window and after it.
+	if b := profile.Bursts[0]; clock.Elapsed() < b.Start+b.Len {
+		t.Fatalf("scan spanned %v of virtual time, before the burst ends at %v", clock.Elapsed(), b.Start+b.Len)
+	}
+
+	entries := make([]*SubnetFault, 0, len(st.Ledger))
+	for _, e := range st.Ledger {
+		entries = append(entries, e)
+	}
+	slices.SortFunc(entries, func(a, b *SubnetFault) int { return a.Subnet.Addr().Compare(b.Subnet.Addr()) })
+	var b []byte
+	for _, e := range entries {
+		b = e.Subnet.Addr().AppendTo(b)
+		b = append(b, byte(e.Subnet.Bits()))
+		for _, n := range []int32{e.Timeouts, e.ServFails, e.Refused, e.Truncated, e.Stale, e.Attempts} {
+			b = binary.BigEndian.AppendUint32(b, uint32(n))
+		}
+		b = append(b, byte(e.LastKind))
+		if e.Recovered {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	for _, n := range []int64{
+		st.QueriesSent, st.Retries, st.Deferrals,
+		st.TimeoutAttempts, st.ServFailAttempts, st.RefusedAttempts, st.TruncatedAttempts, st.StaleAttempts,
+		st.Passes, st.BreakerTrips,
+	} {
+		b = binary.BigEndian.AppendUint64(b, uint64(n))
+	}
+	sum := sha256.Sum256(b)
+	got := hex.EncodeToString(sum[:])
+	t.Logf("%d ledger entries, %d queries, %d retries, %d deferrals, %d fault attempts, %d passes, %d breaker trips",
+		len(entries), st.QueriesSent, st.Retries, st.Deferrals, st.FaultAttempts(), st.Passes, st.BreakerTrips)
+	if got != want {
+		t.Fatalf("faulted scan path digest %s, want %s", got, want)
 	}
 }
 

@@ -397,8 +397,8 @@ func (sh *scanShard) apply(fr *journalFrame, done *bitset) {
 	for _, s := range fr.serving {
 		sh.servingOf(s.client)[s.op] += s.n
 	}
-	for i := range fr.ledger {
-		mergeLedgerEntry(sh.ledger, &fr.ledger[i])
+	for _, e := range fr.ledger {
+		sh.appendFault(e)
 	}
 	sh.counters.add(&fr.counters)
 }
@@ -546,7 +546,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		UniverseTotal: rp.total,
 		Addresses:     rp.shard.addrs,
 		Serving:       rp.shard.serving,
-		Ledger:        rp.shard.ledger,
+		Ledger:        ledgerOf([]*scanShard{rp.shard}),
 		Counters:      make(map[string]int64, nCounters),
 	}
 	for i, name := range counterNames {

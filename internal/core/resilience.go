@@ -206,17 +206,6 @@ func (f *SubnetFault) merge(o *SubnetFault) {
 	f.Recovered = f.Recovered || o.Recovered
 }
 
-// mergeLedgerEntry folds e into dst's entry for the same subnet, or
-// enters a copy.
-func mergeLedgerEntry(dst map[netip.Prefix]*SubnetFault, e *SubnetFault) {
-	if have, ok := dst[e.Subnet]; ok {
-		have.merge(e)
-	} else {
-		cp := *e
-		dst[e.Subnet] = &cp
-	}
-}
-
 // bitset tracks completed /24 universe indices for checkpointing.
 type bitset struct {
 	words []uint64

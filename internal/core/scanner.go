@@ -207,17 +207,25 @@ type subnetRef struct {
 // scan, or the state a resumed journal replays into. Workers never
 // share mutable state on the steady-state path.
 type scanShard struct {
-	addrs    map[netip.Addr]bgp.ASN
-	serving  map[bgp.ASN]map[bgp.ASN]int64 // client AS → operator → /24s
-	ledger   map[netip.Prefix]*SubnetFault
+	addrs   map[netip.Addr]bgp.ASN
+	serving map[bgp.ASN]map[bgp.ASN]int64 // client AS → operator → /24s
+	// faults is the shard's failure ledger in the order it was written:
+	// one entry per run of consecutive faults of a /24, so recording a
+	// fault is a compare with the last entry, not a map probe. A /24
+	// deferred to a later pass may own several entries; ledgerOf folds
+	// them. Entries are carved from chunks of faultChunkLen, so a
+	// faulted /24 costs no heap object of its own.
+	faults   [][]SubnetFault
 	counters scanCounters
 }
+
+// faultChunkLen is how many ledger entries one chunk holds.
+const faultChunkLen = 256
 
 func newScanShard() *scanShard {
 	return &scanShard{
 		addrs:   make(map[netip.Addr]bgp.ASN),
 		serving: make(map[bgp.ASN]map[bgp.ASN]int64),
-		ledger:  make(map[netip.Prefix]*SubnetFault),
 	}
 }
 
@@ -232,7 +240,58 @@ func (sh *scanShard) servingOf(client bgp.ASN) map[bgp.ASN]int64 {
 	return ops
 }
 
-// absorb folds another shard into sh.
+// fault returns the ledger entry for subnet's current run of faults:
+// the last entry when it is subnet's, else a new, empty one.
+func (sh *scanShard) fault(subnet netip.Prefix) *SubnetFault {
+	if n := len(sh.faults); n > 0 {
+		last := sh.faults[n-1]
+		if e := &last[len(last)-1]; e.Subnet == subnet {
+			return e
+		}
+	}
+	return sh.appendFault(SubnetFault{Subnet: subnet})
+}
+
+// appendFault adds a copy of e to the ledger and returns it.
+func (sh *scanShard) appendFault(e SubnetFault) *SubnetFault {
+	n := len(sh.faults)
+	if n == 0 || len(sh.faults[n-1]) == faultChunkLen {
+		sh.faults = append(sh.faults, make([]SubnetFault, 0, faultChunkLen))
+		n++
+	}
+	chunk := append(sh.faults[n-1], e)
+	sh.faults[n-1] = chunk
+	return &chunk[len(chunk)-1]
+}
+
+// ledgerOf folds the shards' ledger entries into one entry per /24, in
+// shard order and, within a shard, in the order they were written. The
+// map adopts the entries; it needs no copies.
+func ledgerOf(shards []*scanShard) map[netip.Prefix]*SubnetFault {
+	n := 0
+	for _, sh := range shards {
+		for _, chunk := range sh.faults {
+			n += len(chunk)
+		}
+	}
+	ledger := make(map[netip.Prefix]*SubnetFault, n)
+	for _, sh := range shards {
+		for _, chunk := range sh.faults {
+			for i := range chunk {
+				e := &chunk[i]
+				if have, ok := ledger[e.Subnet]; ok {
+					have.merge(e)
+				} else {
+					ledger[e.Subnet] = e
+				}
+			}
+		}
+	}
+	return ledger
+}
+
+// absorb folds another shard's addresses, serving counts and counters
+// into sh; ledgerOf folds the ledgers.
 func (sh *scanShard) absorb(o *scanShard) {
 	for addr, as := range o.addrs {
 		sh.addrs[addr] = as
@@ -242,9 +301,6 @@ func (sh *scanShard) absorb(o *scanShard) {
 		for op, n := range ops {
 			dst[op] += n
 		}
-	}
-	for _, e := range o.ledger {
-		mergeLedgerEntry(sh.ledger, e)
 	}
 	sh.counters.add(&o.counters)
 }
@@ -518,12 +574,7 @@ var outcomeFault = [...]struct {
 // ledgerFail records one failed attempt for the subnet.
 func (w *scanWorker) ledgerFail(subnet netip.Prefix, out attemptOutcome) {
 	f := outcomeFault[out]
-	e := w.sh.ledger[subnet]
-	if e == nil {
-		e = &SubnetFault{Subnet: subnet}
-		w.sh.ledger[subnet] = e
-	}
-	e.note(f.kind)
+	w.sh.fault(subnet).note(f.kind)
 	w.sh.counters[f.counter]++
 	if d := w.aux.delta; d != nil {
 		d.fault(subnet).note(f.kind)
@@ -767,13 +818,14 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 		}
 	}
 
-	// Merge the worker shards (and, on a resume, the replayed one), then
-	// lay the result out as sorted columns — the tree's one map-to-columns
-	// step.
-	merged := newScanShard()
-	for _, sh := range shards {
+	// Merge the other worker shards (and, on a resume, the replayed one)
+	// into the first, then lay the result out as sorted columns — the
+	// tree's one map-to-columns step. A one-worker scan merges nothing.
+	merged := shards[0]
+	for _, sh := range shards[1:] {
 		merged.absorb(sh)
 	}
+	ledger := ledgerOf(shards)
 	for addr, as := range merged.addrs {
 		ds.AppendAddr(addr, as)
 	}
@@ -796,7 +848,7 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 	ds.Stats.TruncatedAttempts = c[cTruncatedAttempts]
 	ds.Stats.StaleAttempts = c[cStaleAttempts]
 	ds.Stats.BreakerTrips = st.breaker.tripCount()
-	ds.Stats.Ledger = merged.ledger
+	ds.Stats.Ledger = ledger
 	ds.Stats.Errors = c[cTermErrors]
 
 	// Recovery is decided here, not during the scan: a subnet is
@@ -806,12 +858,12 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 	unrecovered := make(map[netip.Prefix]bool, len(pending))
 	for _, ref := range pending {
 		unrecovered[ref.p] = true
-		if _, ok := merged.ledger[ref.p]; !ok {
+		if _, ok := ledger[ref.p]; !ok {
 			// Deferred before any attempt (breaker denial, cancellation).
-			merged.ledger[ref.p] = &SubnetFault{Subnet: ref.p}
+			ledger[ref.p] = &SubnetFault{Subnet: ref.p}
 		}
 	}
-	for p, e := range merged.ledger {
+	for p, e := range ledger {
 		if !unrecovered[p] {
 			e.Recovered = true
 			continue

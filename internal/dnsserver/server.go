@@ -32,10 +32,10 @@ type Handler interface {
 	Handle(query *dnswire.Message, from netip.Addr) *dnswire.Message
 }
 
-// Stats counts server activity; all fields are updated atomically.
+// Stats counts the queries the server drops for its rate limit and those
+// it answers NXDOMAIN, atomically. Answered queries are not counted:
+// every scan worker would write the same cache line once per query.
 type Stats struct {
-	Queries     atomic.Int64
-	Answered    atomic.Int64
 	RateLimited atomic.Int64
 	NXDomain    atomic.Int64
 }
@@ -71,7 +71,6 @@ func (s *AuthServer) SetMonth(m bgp.Month) { s.month = m }
 
 // Handle implements Handler.
 func (s *AuthServer) Handle(query *dnswire.Message, from netip.Addr) *dnswire.Message {
-	s.Stats.Queries.Add(1)
 	if s.limiter != nil && !s.limiter.Allow(from) {
 		s.Stats.RateLimited.Add(1)
 		return nil // dropped: client times out
@@ -102,7 +101,7 @@ func (s *AuthServer) Handle(query *dnswire.Message, from netip.Addr) *dnswire.Me
 	default:
 		// Authoritative for the name but no data of this type.
 		m := s.respond(query)
-		m.Edns = nil
+		m.DropEDNS()
 		return m
 	}
 }
@@ -135,7 +134,7 @@ func (s *AuthServer) answerA(query *dnswire.Message, from netip.Addr, proto nets
 	subnet, hadECS := clientSubnet(query, from)
 	m := s.respond(query)
 	if !subnet.IsValid() {
-		m.Edns = nil
+		m.DropEDNS()
 		return m
 	}
 	ac := s.world.AnswerClass(subnet, s.month, proto)
@@ -157,7 +156,7 @@ func (s *AuthServer) answerA(query *dnswire.Message, from netip.Addr, proto nets
 		}
 		ecsEcho(m, uint8(subnet.Bits()), scope, subnet.Addr())
 	} else {
-		m.Edns = nil
+		m.DropEDNS()
 	}
 	return m
 }
@@ -179,7 +178,7 @@ func (s *AuthServer) answerAAAA(query *dnswire.Message, from netip.Addr, proto n
 		// Scope zero: the answer is valid for the entire address space.
 		ecsEcho(m, cs.SourcePrefixLen, 0, cs.Addr)
 	} else {
-		m.Edns = nil
+		m.DropEDNS()
 	}
 	return m
 }
@@ -190,7 +189,7 @@ func (s *AuthServer) answerAAAA(query *dnswire.Message, from netip.Addr, proto n
 func (s *AuthServer) whoami(query *dnswire.Message, from netip.Addr) *dnswire.Message {
 	q := query.Questions[0]
 	m := s.respond(query)
-	m.Edns = nil
+	m.DropEDNS()
 	from = iputil.Canonical(from)
 	if (q.Type == dnswire.TypeA && from.Is4()) || (q.Type == dnswire.TypeAAAA && from.Is6()) {
 		setAddrRecord(&m.GrowAnswers(1)[0], q.Name, q.Type, 0, from)
@@ -209,9 +208,8 @@ func setAddrRecord(r *dnswire.Record, name string, t dnswire.Type, ttl uint32, a
 // respond starts a NOERROR authoritative response in a pooled message;
 // callers add answers with GrowAnswers. The returned message's Edns
 // field still holds pool scratch: every caller must either fill it
-// (ecsEcho) or set it to nil before the response leaves the server.
+// (ecsEcho) or drop it (DropEDNS) before the response leaves the server.
 func (s *AuthServer) respond(query *dnswire.Message) *dnswire.Message {
-	s.Stats.Answered.Add(1)
 	m := dnswire.AcquireMessage()
 	m.Header = dnswire.Header{
 		ID:               query.Header.ID,
@@ -250,7 +248,7 @@ func (s *AuthServer) failure(query *dnswire.Message, rc dnswire.RCode) *dnswire.
 		RCode:         rc,
 	}
 	m.Questions = query.Questions
-	m.Edns = nil
+	m.DropEDNS()
 	return m
 }
 

@@ -423,6 +423,26 @@ func TestPooledAnswerStorage(t *testing.T) {
 	}
 }
 
+// TestDropEDNSKeepsScratch pins that a response sent without an OPT
+// record keeps its EDNS scratch for the message's next life: DropEDNS
+// hides it from the response, and ReleaseMessage hands it on zeroed.
+func TestDropEDNSKeepsScratch(t *testing.T) {
+	m := AcquireMessage()
+	m.SetECS(netip.MustParsePrefix("10.1.2.0/24"))
+	edns, cs := m.Edns, m.Edns.ClientSubnet
+	m.DropEDNS()
+	if m.Edns != nil {
+		t.Fatal("DropEDNS left Edns set")
+	}
+	ReleaseMessage(m)
+	if m.Edns != edns || m.Edns.ClientSubnet != cs {
+		t.Fatal("released message lost the EDNS scratch DropEDNS kept")
+	}
+	if m.Edns.UDPSize != 0 || m.Edns.UnknownOptions != nil || *cs != (ClientSubnet{}) {
+		t.Fatalf("kept EDNS scratch not zeroed: %+v %+v", *m.Edns, *cs)
+	}
+}
+
 // Property: any query built from valid inputs round-trips unchanged.
 func TestPropertyQueryRoundTrip(t *testing.T) {
 	f := func(id uint16, l1, l2 uint8, v4 [4]byte, bits uint8) bool {

@@ -19,8 +19,9 @@ import (
 //   - ReleaseMessage recycles only messages that came from
 //     AcquireMessage; anything else is a no-op. Consumers may therefore
 //     release every response they finish with, without tracking where it
-//     came from — a test fake's static message or a fault injector's
-//     synthesized failure simply falls through to the GC.
+//     came from — a test fake's static message simply falls through to
+//     the GC. The fault injector's synthesized failures are pooled
+//     messages like the server's answers, and go back to the pool.
 //   - After ReleaseMessage the message must not be touched — nor may a
 //     copy of its Answers slice: the answer storage and the EDNS scratch
 //     stay with the message and are rewritten by the next owner.
@@ -56,7 +57,7 @@ func MessagePoolStats() (acquires, misses int64) {
 // AcquireMessage returns a pooled Message. Its section slices are nil
 // and its Header is zero; Edns may point at scratch EDNS/ClientSubnet
 // structs from a previous life — overwrite them (e.g. via SetECS or
-// DecodeInto) or set Edns to nil before use. Answer storage from a
+// DecodeInto) or drop it with DropEDNS before use. Answer storage from a
 // previous life is retained and reused by GrowAnswers / DecodeInto.
 func AcquireMessage() *Message {
 	poolAcquires.Add(1)
@@ -82,6 +83,9 @@ func ReleaseMessage(m *Message) {
 	}
 	clear(buf)
 	edns := m.Edns
+	if edns == nil {
+		edns = m.ednsSpare
+	}
 	if edns != nil {
 		cs := edns.ClientSubnet
 		*edns = EDNS{ClientSubnet: cs}
@@ -91,6 +95,16 @@ func ReleaseMessage(m *Message) {
 	}
 	*m = Message{Edns: edns, answerBuf: buf[:0]}
 	msgPool.Put(m)
+}
+
+// DropEDNS clears Edns for a message that carries no OPT record. On a
+// pooled message the EDNS scratch stays with the message, and
+// ReleaseMessage hands it to the next owner.
+func (m *Message) DropEDNS() {
+	if m.Edns != nil {
+		m.ednsSpare = m.Edns
+		m.Edns = nil
+	}
 }
 
 // GrowAnswers readies n records of message-owned answer storage,

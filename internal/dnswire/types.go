@@ -183,6 +183,11 @@ type Message struct {
 	// decodes responses without allocating a record slice.
 	answerBuf []Record
 
+	// ednsSpare keeps a pooled message's EDNS scratch while Edns is nil
+	// (see DropEDNS), so a response without an OPT record does not cost
+	// the next owner a fresh EDNS and ClientSubnet.
+	ednsSpare *EDNS
+
 	// pooled marks messages that came from AcquireMessage, so
 	// ReleaseMessage never recycles a message it does not own.
 	pooled bool

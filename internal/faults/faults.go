@@ -57,9 +57,23 @@ type Injector struct {
 	// origin attributes an ECS client subnet to its AS for blackouts;
 	// nil disables blackout matching.
 	origin func(netip.Addr) (bgp.ASN, bool)
+	// steps are the steady per-attempt rates in draw order.
+	steps [5]rateStep
+	// windowsEnd is when the last burst or blackout window closes after
+	// the epoch. Clocks never run backwards, so once an exchange sees
+	// the clock past it, windowsOver is set for good and decide stops
+	// reading the clock.
+	windowsEnd  time.Duration
+	windowsOver atomic.Bool
 
 	// Stats exposes the injected-fault counters.
 	Stats Stats
+}
+
+// rateStep is one steady fault rate and the kind it injects.
+type rateStep struct {
+	rate float64
+	kind Kind
 }
 
 // NewInjector builds the injector. A nil profile passes everything
@@ -72,6 +86,20 @@ func NewInjector(inner dnsserver.Exchanger, profile *Profile, clock vclock.Clock
 	inj := &Injector{inner: inner, clock: clock, epoch: clock.Now(), origin: origin}
 	if profile != nil {
 		inj.profile = *profile
+	}
+	p := &inj.profile
+	inj.steps = [...]rateStep{
+		{p.Timeout, KindTimeout},
+		{p.ServFail, KindServFail},
+		{p.Refused, KindRefused},
+		{p.Truncate, KindTruncate},
+		{p.Stale, KindStale},
+	}
+	for _, b := range p.Bursts {
+		inj.windowsEnd = max(inj.windowsEnd, b.Start+b.Len)
+	}
+	for _, b := range p.Blackouts {
+		inj.windowsEnd = max(inj.windowsEnd, b.Until)
 	}
 	return inj
 }
@@ -99,24 +127,12 @@ func (inj *Injector) Exchange(ctx context.Context, query *dnswire.Message) (*dns
 // steady per-attempt rates.
 func (inj *Injector) decide(query *dnswire.Message) (kind Kind, fault, delay bool) {
 	p := &inj.profile
-	var since time.Duration
-	if len(p.Bursts) > 0 || len(p.Blackouts) > 0 {
-		since = inj.clock.Now().Sub(inj.epoch)
-	}
-	if len(p.Blackouts) > 0 && inj.origin != nil {
-		if sub, ok := querySubnet(query); ok {
-			if as, ok := inj.origin(sub.Addr()); ok {
-				for _, b := range p.Blackouts {
-					if b.AS == as && since < b.Until {
-						return b.Kind, true, false
-					}
-				}
-			}
-		}
-	}
-	for _, b := range p.Bursts {
-		if since >= b.Start && since < b.Start+b.Len {
-			return b.Kind, true, false
+	if !inj.windowsOver.Load() {
+		since := inj.clock.Now().Sub(inj.epoch)
+		if since >= inj.windowsEnd {
+			inj.windowsOver.Store(true)
+		} else if kind, ok := inj.window(query, since); ok {
+			return kind, true, false
 		}
 	}
 
@@ -125,22 +141,36 @@ func (inj *Injector) decide(query *dnswire.Message) (kind Kind, fault, delay boo
 	// regenerate it), so retries re-roll while staying replayable.
 	h := iputil.Mix(p.Seed, iputil.Mix(queryKey(query), uint64(query.Header.ID)))
 	u := float64(h>>11) / float64(1<<53)
-	for _, step := range []struct {
-		rate float64
-		kind Kind
-	}{
-		{p.Timeout, KindTimeout},
-		{p.ServFail, KindServFail},
-		{p.Refused, KindRefused},
-		{p.Truncate, KindTruncate},
-		{p.Stale, KindStale},
-	} {
+	for _, step := range &inj.steps {
 		if u < step.rate {
 			return step.kind, true, false
 		}
 		u -= step.rate
 	}
 	return 0, false, p.LatencyRate > 0 && u < p.LatencyRate
+}
+
+// window reports the fault of a blackout or burst open since after the
+// epoch, blackouts first.
+func (inj *Injector) window(query *dnswire.Message, since time.Duration) (Kind, bool) {
+	p := &inj.profile
+	if len(p.Blackouts) > 0 && inj.origin != nil {
+		if sub, ok := querySubnet(query); ok {
+			if as, ok := inj.origin(sub.Addr()); ok {
+				for _, b := range p.Blackouts {
+					if b.AS == as && since < b.Until {
+						return b.Kind, true
+					}
+				}
+			}
+		}
+	}
+	for _, b := range p.Bursts {
+		if since >= b.Start && since < b.Start+b.Len {
+			return b.Kind, true
+		}
+	}
+	return 0, false
 }
 
 // inject synthesizes the fault. Failure responses echo the query's
@@ -168,25 +198,36 @@ func (inj *Injector) inject(kind Kind, query *dnswire.Message) (*dnswire.Message
 	}
 }
 
+// response builds a failure response in a pooled message, the way the
+// authoritative server does: the question section is the query's own,
+// and every consumer hands the message back with ReleaseMessage.
 func response(query *dnswire.Message, rcode dnswire.RCode, truncated bool) *dnswire.Message {
-	return &dnswire.Message{
-		Header: dnswire.Header{
-			ID:        query.Header.ID,
-			Response:  true,
-			OpCode:    query.Header.OpCode,
-			Truncated: truncated,
-			RCode:     rcode,
-		},
-		Questions: append([]dnswire.Question(nil), query.Questions...),
+	m := dnswire.AcquireMessage()
+	m.Header = dnswire.Header{
+		ID:        query.Header.ID,
+		Response:  true,
+		OpCode:    query.Header.OpCode,
+		Truncated: truncated,
+		RCode:     rcode,
 	}
+	m.Questions = query.Questions
+	m.DropEDNS()
+	return m
 }
 
 // queryKey derives the stable identity of a query independent of its
 // per-attempt transaction ID: the ECS client subnet when present (the
 // scanner's case), else the question name.
 func queryKey(query *dnswire.Message) uint64 {
-	if sub, ok := querySubnet(query); ok {
-		return iputil.HashPrefix(sub)
+	if query.Edns != nil && query.Edns.ClientSubnet != nil {
+		// The hash of ClientSubnet.Prefix without its Masked: HashPrefix
+		// clears the host bits itself, and Masked of an invalid prefix
+		// is the zero Prefix.
+		cs := query.Edns.ClientSubnet
+		if p := netip.PrefixFrom(iputil.Canonical(cs.Addr), int(cs.SourcePrefixLen)); p.IsValid() {
+			return iputil.HashPrefix(p)
+		}
+		return iputil.HashPrefix(netip.Prefix{})
 	}
 	if len(query.Questions) > 0 {
 		return iputil.HashString(query.Questions[0].Name)

@@ -10,6 +10,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/dnswire"
+	"github.com/relay-networks/privaterelay/internal/iputil"
 	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
@@ -232,6 +233,29 @@ func TestParsePresetsAndErrors(t *testing.T) {
 	for _, bad := range []string{"nope=1", "timeout=1.5", "timeout=NaN", "burst=zap:1s+1s", "latency=0.5", "blackout=1:2"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
+		}
+	}
+}
+
+// TestInjectorQueryKeyMatchesSubnetPrefix holds queryKey to the hash of
+// the ECS option's Prefix — the query identity every steady-state fate
+// is keyed on — for well-formed, mapped, IPv6 and ill-formed options.
+func TestInjectorQueryKeyMatchesSubnetPrefix(t *testing.T) {
+	for _, cs := range []dnswire.ClientSubnet{
+		{SourcePrefixLen: 24, Addr: netip.MustParseAddr("10.1.2.0")},
+		{SourcePrefixLen: 24, Addr: netip.MustParseAddr("10.1.2.77")},
+		{SourcePrefixLen: 0, Addr: netip.MustParseAddr("10.1.2.3")},
+		{SourcePrefixLen: 32, Addr: netip.MustParseAddr("10.1.2.3")},
+		{SourcePrefixLen: 24, Addr: netip.MustParseAddr("::ffff:10.1.2.3")},
+		{SourcePrefixLen: 56, Addr: netip.MustParseAddr("2001:db8::1")},
+		{SourcePrefixLen: 33, Addr: netip.MustParseAddr("10.1.2.3")},
+		{SourcePrefixLen: 200, Addr: netip.MustParseAddr("2001:db8::1")},
+		{SourcePrefixLen: 24},
+	} {
+		q := dnswire.NewQuery(1, "mask.icloud.com.", dnswire.TypeA)
+		q.Edns = &dnswire.EDNS{UDPSize: 1232, ClientSubnet: &cs}
+		if got, want := queryKey(q), iputil.HashPrefix(cs.Prefix()); got != want {
+			t.Errorf("queryKey(%v/%d) = %#x, want HashPrefix(Prefix()) = %#x", cs.Addr, cs.SourcePrefixLen, got, want)
 		}
 	}
 }

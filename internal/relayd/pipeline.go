@@ -259,8 +259,9 @@ func (p *Pipeline) scanConfig(month bgp.Month, domain, ckpt string) core.ScanCon
 		Checkpoint:   &core.CheckpointConfig{Path: ckpt, Every: p.cfg.CheckpointEvery, Resume: true},
 	}
 	if p.profile != nil {
-		attr := p.world.Table.Snapshot()
-		origin := func(a netip.Addr) (bgp.ASN, bool) { return attr.Origin(a) }
+		// Blackouts attribute through the table's memoized index, the
+		// snapshot the scan itself attributes with: no per-scan copy.
+		origin := p.world.Table.Index().Origin
 		cfg.Exchanger = faults.NewInjector(cfg.Exchanger, p.profile, p.cfg.Clock, origin)
 		cfg.Retries = 4
 		cfg.MaxPasses = 10
@@ -519,8 +520,7 @@ func (p *Pipeline) RunAtlas(ctx context.Context, month bgp.Month) error {
 		Seed: p.cfg.Seed, N: p.cfg.AtlasProbes, SubnetClusters: p.cfg.AtlasClusters, Phase: 1,
 	}
 	if p.profile != nil {
-		attr := p.world.Table.Snapshot()
-		origin := func(a netip.Addr) (bgp.ASN, bool) { return attr.Origin(a) }
+		origin := p.world.Table.Index().Origin
 		popCfg.WrapTransport = func(ex dnsserver.Exchanger) dnsserver.Exchanger {
 			return faults.NewInjector(ex, p.profile, p.cfg.Clock, origin)
 		}

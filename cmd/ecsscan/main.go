@@ -6,11 +6,13 @@
 // DNS exchange onto a real loopback UDP socket, exercising the full wire
 // format end to end.
 //
-// The resilience plane rides on three flag groups: -fault-profile
-// injects deterministic DNS faults (timeouts, SERVFAIL, bursts) into the
-// exchange path, -retries/-max-passes let the orchestrator absorb them,
-// and -checkpoint/-resume persist progress so a killed scan continues
-// where it stopped and converges to the same dataset.
+// The scan is core.MonthScan, the one configuration relayd and the
+// report run too. -fault-profile injects deterministic DNS faults
+// (timeouts, SERVFAIL, bursts) into the exchange path and switches on
+// that configuration's resilience policy — retries, deferral passes,
+// backoff and a circuit breaker — on a virtual clock, so backoff costs
+// no wall time. -checkpoint/-resume persist progress so a killed scan
+// continues where it stopped and converges to the same dataset.
 package main
 
 import (
@@ -18,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/netip"
 	"os"
 	"slices"
 
@@ -29,6 +30,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/faults"
 	"github.com/relay-networks/privaterelay/internal/netsim"
 	"github.com/relay-networks/privaterelay/internal/profiling"
+	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
 func main() {
@@ -41,13 +43,11 @@ func main() {
 		noSkip  = flag.Bool("no-scope-skip", false, "disable the ECS scope skip optimization (ablation)")
 		listAll = flag.Bool("list", false, "print every discovered address")
 		conc    = flag.Int("concurrency", 16, "parallel query workers (results are concurrency-independent)")
-		qps     = flag.Float64("qps", 0, "client-side query rate limit (0 = unlimited)")
+		qps     = flag.Float64("qps", 0, "client-side query rate limit (0 = unlimited; on the virtual clock under -fault-profile)")
 		outPath = flag.String("out", "", "save the dataset to this file as canonical text, with a .col sidecar beside it")
 		diffOld = flag.String("diff", "", "diff the new dataset against a previously saved canonical one")
 
-		retries      = flag.Int("retries", 1, "per-subnet in-pass query attempts")
-		maxPasses    = flag.Int("max-passes", 1, "scan passes over failed subnets (raise with -fault-profile)")
-		faultProfile = flag.String("fault-profile", "", "inject DNS faults: preset[,k=v...] (e.g. 'mild', 'harsh,seed=7', 'timeout=0.1,servfail=0.05')")
+		faultProfile = flag.String("fault-profile", "", "inject DNS faults: preset[,k=v...] (e.g. 'mild', 'harsh,seed=7', 'timeout=0.1,servfail=0.05'); the scan then runs on a virtual clock")
 		ckptPath     = flag.String("checkpoint", "", "periodically checkpoint scan progress to this file")
 		ckptEvery    = flag.Int64("checkpoint-every", 0, "checkpoint flush interval in completed /24s (0 = default)")
 		resume       = flag.Bool("resume", false, "resume from an existing -checkpoint file instead of starting over")
@@ -66,43 +66,33 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "generating world (seed=%d scale=%g)...\n", *seed, *scale)
 	w := netsim.NewWorld(netsim.Params{Seed: *seed, Scale: *scale})
-	srv := dnsserver.NewAuthServer(w, m, nil)
 
-	var exchanger dnsserver.Exchanger = &dnsserver.MemTransport{
-		Handler: srv, Source: netip.MustParseAddr("198.51.100.53"),
-	}
+	var transport dnsserver.Exchanger // nil: MonthScan's in-memory transport
 	if *useUDP {
-		us, err := dnsserver.ListenUDP("127.0.0.1:0", srv)
+		us, err := dnsserver.ListenUDP("127.0.0.1:0", dnsserver.NewAuthServer(w, m, nil))
 		if err != nil {
 			log.Fatalf("udp listen: %v", err)
 		}
 		defer us.Close()
-		exchanger = &dnsserver.UDPClient{ServerAddr: us.Addr().String(), Retries: 2}
+		transport = &dnsserver.UDPClient{ServerAddr: us.Addr().String(), Retries: 2}
 		fmt.Fprintf(os.Stderr, "authoritative server on %s\n", us.Addr())
 	}
 
-	var inj *faults.Injector
-	if *faultProfile != "" {
-		profile, err := faults.Parse(*faultProfile)
-		if err != nil {
-			log.Fatalf("fault-profile: %v", err)
-		}
-		inj = faults.NewInjector(exchanger, profile, nil, w.Table.Origin)
-		exchanger = inj
+	profile, err := faults.Parse(*faultProfile)
+	if err != nil {
+		log.Fatalf("fault-profile: %v", err)
+	}
+	var clock vclock.Clock
+	elapsedOn := ""
+	if profile != nil {
+		clock, elapsedOn = vclock.NewVirtualClock(), " of virtual time"
 		fmt.Fprintf(os.Stderr, "fault injection: %s\n", profile)
 	}
-
-	cfg := core.ScanConfig{
-		Exchanger:    exchanger,
-		Domain:       *domain,
-		Universe:     w.RoutedV4Prefixes(),
-		Attribution:  w.Table,
-		RespectScope: !*noSkip,
-		Concurrency:  *conc,
-		Retries:      *retries,
-		MaxPasses:    *maxPasses,
-		QPS:          *qps,
-	}
+	cfg := core.MonthScan(w, m, *domain, transport, profile, clock)
+	inj, _ := cfg.Exchanger.(*faults.Injector)
+	cfg.RespectScope = !*noSkip
+	cfg.Concurrency = *conc
+	cfg.QPS = *qps
 	if *ckptPath != "" {
 		cfg.Checkpoint = &core.CheckpointConfig{Path: *ckptPath, Every: *ckptEvery, Resume: *resume}
 	}
@@ -111,7 +101,7 @@ func main() {
 		log.Fatalf("scan: %v", err)
 	}
 
-	fmt.Printf("scan %s %s: %d ingress addresses in %v\n", m, *domain, ds.Addrs(), ds.Stats.Elapsed)
+	fmt.Printf("scan %s %s: %d ingress addresses in %v%s\n", m, *domain, ds.Addrs(), ds.Stats.Elapsed, elapsedOn)
 	fmt.Printf("queries=%d skipped=%d timeouts=%d (universe %d /24s)\n",
 		ds.Stats.QueriesSent, ds.Stats.SubnetsSkipped, ds.Stats.Timeouts, ds.Stats.SubnetsTotal)
 	if ds.Stats.ResumedSubnets > 0 {

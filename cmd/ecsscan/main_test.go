@@ -88,6 +88,23 @@ func TestECSScanSmoke(t *testing.T) {
 		t.Errorf("operator lines missing or out of ASN order:\n%s", outA)
 	}
 
+	// Under a fault profile alone the scan runs the one resilience
+	// policy: every subnet recovers, so the saved dataset is the clean
+	// one, byte for byte, at any worker count.
+	for _, conc := range []string{"1", "8"} {
+		f := filepath.Join(dir, "harsh-"+conc+".ds")
+		out, stderr, err := runECSScan(t, bin, "-fault-profile", "harsh,seed=7", "-concurrency", conc, "-out", f)
+		if err != nil {
+			t.Fatalf("-fault-profile at -concurrency %s: %v\n%s", conc, err, stderr)
+		}
+		if !strings.Contains(out, " 0 subnets lost\n") {
+			t.Errorf("-fault-profile at -concurrency %s lost subnets:\n%s", conc, out)
+		}
+		if !bytes.Equal(readFile(t, f), readFile(t, a)) || !bytes.Equal(readFile(t, f+".col"), readFile(t, a+".col")) {
+			t.Errorf("-fault-profile at -concurrency %s saved a dataset unlike the clean scan's", conc)
+		}
+	}
+
 	// Diffing a scan against its own saved dataset finds no change.
 	out, stderr, err := runECSScan(t, bin, "-diff", a)
 	if err != nil {

@@ -36,6 +36,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/dnswire"
 	"github.com/relay-networks/privaterelay/internal/faults"
 	"github.com/relay-networks/privaterelay/internal/iputil"
+	"github.com/relay-networks/privaterelay/internal/netsim"
 	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
@@ -79,7 +80,8 @@ type ScanConfig struct {
 	Concurrency int
 	// Retries is the number of in-pass re-attempts after a retryable
 	// failure (timeout, SERVFAIL, REFUSED, truncation, stale ID) before
-	// the subnet is deferred to a later pass (default 1).
+	// the subnet is deferred to a later pass. The zero value makes none;
+	// negative values count as zero. MonthScan sets 1.
 	Retries int
 	// QPS rate-limits the client side; zero disables limiting.
 	QPS float64
@@ -99,6 +101,39 @@ type ScanConfig struct {
 	// Workers record the same way either way; with a journal each batch
 	// is additionally encoded as a delta frame.
 	Checkpoint *CheckpointConfig
+}
+
+// MonthScan is the paper's monthly ECS scan (§3) of domain over w as of
+// month: the one configuration relayd, the report and ecsscan run. The
+// queries go in memory to the month's authoritative server unless
+// transport is non-nil (ecsscan's loopback UDP client). A non-nil
+// profile puts a fault injector over the transport and adds the one
+// resilience policy — 4 in-pass retries, 10 passes, 50 ms backoff, a
+// 16-failure breaker — with injector and policy on clock (nil: wall).
+// Callers set only what is theirs: workers, pacing, journal, wrappers.
+func MonthScan(w *netsim.World, month bgp.Month, domain string, transport dnsserver.Exchanger, profile *faults.Profile, clock vclock.Clock) ScanConfig {
+	if transport == nil {
+		srv := dnsserver.NewAuthServer(w, month, nil)
+		transport = &dnsserver.MemTransport{Handler: srv, Source: netip.MustParseAddr("198.51.100.53")}
+	}
+	cfg := ScanConfig{
+		Exchanger:    transport,
+		Domain:       domain,
+		Universe:     w.RoutedV4Prefixes(),
+		Attribution:  w.Table,
+		RespectScope: true,
+		Retries:      1,
+		Clock:        clock,
+	}
+	if profile != nil {
+		// Blackouts attribute through the table's memoized index, the
+		// snapshot the scan itself attributes with: no per-scan copy.
+		cfg.Exchanger = faults.NewInjector(transport, profile, clock, w.Table.Index().Origin)
+		cfg.Retries, cfg.MaxPasses = 4, 10
+		cfg.Backoff = BackoffConfig{Base: 50 * time.Millisecond}
+		cfg.Breaker = BreakerConfig{Threshold: 16, Cooldown: 2 * time.Second}
+	}
+	return cfg
 }
 
 // ScanStats counts scanner activity.

@@ -33,6 +33,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/resolver"
 	"github.com/relay-networks/privaterelay/internal/scan"
 	"github.com/relay-networks/privaterelay/internal/trace"
+	"github.com/relay-networks/privaterelay/internal/vclock"
 	"github.com/relay-networks/privaterelay/internal/workpool"
 )
 
@@ -52,9 +53,9 @@ type Env struct {
 	// FaultProfile, when non-nil, routes every DNS exchange the
 	// environment builds — ECS scans, the relay device's resolver and the
 	// Atlas probe transports — through a faults.Injector with this
-	// profile. Scans then run with retries and multiple passes, so the
-	// published numbers stay identical to a fault-free run (the chaos
-	// tests pin this equivalence).
+	// profile. Scans then run core.MonthScan's resilience policy on a
+	// virtual clock, so the published numbers stay identical to a
+	// fault-free run (the chaos tests pin this equivalence).
 	FaultProfile *faults.Profile
 	// ConnectRetries shapes tunnel-establishment retries for the
 	// through-relay scans. The zero value uses the library defaults
@@ -100,21 +101,14 @@ func (e *Env) ScanMonth(ctx context.Context, month bgp.Month, domain string) (*c
 		return ds, nil
 	}
 	e.mu.Unlock()
-	srv := dnsserver.NewAuthServer(e.World, month, nil)
-	cfg := core.ScanConfig{
-		Exchanger:    &dnsserver.MemTransport{Handler: srv, Source: netip.MustParseAddr("198.51.100.53")},
-		Domain:       domain,
-		Universe:     e.World.RoutedV4Prefixes(),
-		Attribution:  e.World.Table,
-		RespectScope: true,
-		Concurrency:  e.ScanConcurrency,
-		Retries:      1,
-	}
+	// A faulted scan gets its own virtual clock: backoff costs no wall
+	// time, and concurrent scans do not move each other's fault windows.
+	var clock vclock.Clock
 	if e.FaultProfile != nil {
-		cfg.Exchanger = faults.NewInjector(cfg.Exchanger, e.FaultProfile, nil, e.World.Table.Origin)
-		cfg.Retries = 4
-		cfg.MaxPasses = 8
+		clock = vclock.NewVirtualClock()
 	}
+	cfg := core.MonthScan(e.World, month, domain, nil, e.FaultProfile, clock)
+	cfg.Concurrency = e.ScanConcurrency
 	ds, err := core.Scan(ctx, cfg)
 	if err != nil {
 		return nil, err

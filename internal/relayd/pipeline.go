@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/netip"
 	"os"
 	"path/filepath"
-	"time"
 
 	"github.com/relay-networks/privaterelay/internal/analysis"
 	"github.com/relay-networks/privaterelay/internal/atlas"
@@ -58,9 +56,6 @@ type PipelineConfig struct {
 	// four 2022 scan months over both service domains.
 	Months  []bgp.Month
 	Domains []string
-	// CheckpointEvery is how many completed /24s trigger a scan snapshot
-	// (default 64 — small worlds still checkpoint mid-scan).
-	CheckpointEvery int64
 	// AtlasProbes / AtlasClusters size the per-month Atlas validation
 	// campaign; zero probes disables it.
 	AtlasProbes   int
@@ -92,9 +87,6 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	}
 	if len(cfg.Domains) == 0 {
 		cfg.Domains = []string{dnsserver.MaskDomain, dnsserver.MaskH2Domain}
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 64
 	}
 	profile, err := faults.Parse(cfg.FaultProfile)
 	if err != nil {
@@ -242,32 +234,13 @@ func (p *Pipeline) runScan(ctx context.Context, month bgp.Month, domain string) 
 	return nil
 }
 
-// scanConfig assembles the per-scan config: MemTransport to the month's
-// authoritative server, optional fault injection with the resilience
-// stack, optional outermost wrapper, checkpointing on p's clock.
+// scanConfig is the month's scan (core.MonthScan) with what is relayd's
+// own: the worker count, the journal at ckpt under core's group-commit
+// rule, and the optional outermost exchanger wrapper.
 func (p *Pipeline) scanConfig(month bgp.Month, domain, ckpt string) core.ScanConfig {
-	srv := dnsserver.NewAuthServer(p.world, month, nil)
-	cfg := core.ScanConfig{
-		Exchanger:    &dnsserver.MemTransport{Handler: srv, Source: netip.MustParseAddr("198.51.100.53")},
-		Domain:       domain,
-		Universe:     p.world.RoutedV4Prefixes(),
-		Attribution:  p.world.Table,
-		RespectScope: true,
-		Concurrency:  p.cfg.Concurrency,
-		Retries:      1,
-		Clock:        p.cfg.Clock,
-		Checkpoint:   &core.CheckpointConfig{Path: ckpt, Every: p.cfg.CheckpointEvery, Resume: true},
-	}
-	if p.profile != nil {
-		// Blackouts attribute through the table's memoized index, the
-		// snapshot the scan itself attributes with: no per-scan copy.
-		origin := p.world.Table.Index().Origin
-		cfg.Exchanger = faults.NewInjector(cfg.Exchanger, p.profile, p.cfg.Clock, origin)
-		cfg.Retries = 4
-		cfg.MaxPasses = 10
-		cfg.Backoff = core.BackoffConfig{Base: 50 * time.Millisecond}
-		cfg.Breaker = core.BreakerConfig{Threshold: 16, Cooldown: 2 * time.Second}
-	}
+	cfg := core.MonthScan(p.world, month, domain, nil, p.profile, p.cfg.Clock)
+	cfg.Concurrency = p.cfg.Concurrency
+	cfg.Checkpoint = &core.CheckpointConfig{Path: ckpt, Resume: true}
 	if p.cfg.WrapExchanger != nil {
 		cfg.Exchanger = p.cfg.WrapExchanger(cfg.Exchanger)
 	}

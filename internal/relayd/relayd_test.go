@@ -13,7 +13,11 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/relay-networks/privaterelay/internal/bgp"
+	"github.com/relay-networks/privaterelay/internal/core"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
+	"github.com/relay-networks/privaterelay/internal/experiments"
+	"github.com/relay-networks/privaterelay/internal/faults"
 	"github.com/relay-networks/privaterelay/internal/netsim"
 	"github.com/relay-networks/privaterelay/internal/vclock"
 )
@@ -309,4 +313,53 @@ func getBody(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestMonthScanFaultedSameBytesAcrossDrivers: relayd's scan and the
+// report's are one configuration (core.MonthScan), so for one world
+// relayd's April mask.icloud.com. dataset file and the canonical text of
+// the report's April scan are the same bytes — clean, and under a harsh
+// fault profile whose every subnet the shared policy recovers.
+func TestMonthScanFaultedSameBytesAcrossDrivers(t *testing.T) {
+	base := testServiceConfig("").Pipeline
+	for _, spec := range []string{"", "harsh,seed=5"} {
+		cfg := base
+		cfg.StateDir = t.TempDir()
+		cfg.Clock = vclock.NewVirtualClock()
+		cfg.FaultProfile = spec
+		cfg.Months = []bgp.Month{netsim.MonthApr}
+		cfg.Domains = []string{dnsserver.MaskDomain}
+		pipe, err := NewPipeline(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pipe.RunScanCampaign(context.Background(), netsim.MonthApr); err != nil {
+			t.Fatalf("%q: relayd scan: %v", spec, err)
+		}
+		fromRelayd, err := os.ReadFile(pipe.DatasetPath(dnsserver.MaskDomain, netsim.MonthApr))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		env := experiments.NewEnv(cfg.Seed, cfg.Scale)
+		if env.FaultProfile, err = faults.Parse(spec); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := env.ScanMonth(context.Background(), netsim.MonthApr, dnsserver.MaskDomain)
+		if err != nil {
+			t.Fatalf("%q: report scan: %v", spec, err)
+		}
+		var fromReport bytes.Buffer
+		if err := core.WriteCanonical(&fromReport, &ds.Dataset); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fromRelayd, fromReport.Bytes()) {
+			t.Errorf("%q: relayd's April dataset (%d bytes) differs from the report's scan (%d bytes)",
+				spec, len(fromRelayd), fromReport.Len())
+		}
+		if faulted := ds.Stats.FaultAttempts() > 0; faulted != (spec != "") || ds.Stats.FailedSubnets != 0 {
+			t.Errorf("%q: the report's scan met %d faults and lost %d subnets",
+				spec, ds.Stats.FaultAttempts(), ds.Stats.FailedSubnets)
+		}
+	}
 }

@@ -47,7 +47,7 @@ race:
 # report noise, so these files carry a `//go:build !race` tag and get
 # their own non-race invocation (CI runs this in the chaos job).
 alloc:
-	$(GO) test -run 'ZeroAlloc|AllocBudget' ./internal/dnsserver/ ./internal/dnswire/ ./internal/core/ ./internal/masque/ ./internal/geo/ ./internal/egress/ ./internal/faults/
+	$(GO) test -run 'ZeroAlloc|AllocBudget' ./internal/dnsserver/ ./internal/dnswire/ ./internal/core/ ./internal/masque/ ./internal/geo/ ./internal/egress/ ./internal/faults/ ./internal/bgp/
 
 # Chaos suite under the race detector: scans through the fault plane
 # converge to the fault-free dataset, killed scans resume bit-identically,

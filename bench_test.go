@@ -395,8 +395,8 @@ func BenchmarkAblationScopeSkip(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLPM compares the radix-trie longest-prefix match with
-// a linear scan over the announcement list.
+// BenchmarkAblationLPM compares the flattened-index longest-prefix match
+// with a linear scan over the announcement list.
 func BenchmarkAblationLPM(b *testing.B) {
 	e := env(b)
 	var announcements []bgp.Announcement
@@ -409,7 +409,7 @@ func BenchmarkAblationLPM(b *testing.B) {
 		c := e.World.ClientASes[i%len(e.World.ClientASes)]
 		addrs[i] = iputil.AddrAtIndex(c.Prefixes[0], uint64(i))
 	}
-	b.Run("radix-trie", func(b *testing.B) {
+	b.Run("flat-index", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, ok := e.World.Table.Origin(addrs[i%len(addrs)]); !ok {

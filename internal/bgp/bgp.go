@@ -27,17 +27,18 @@ type Announcement struct {
 }
 
 // Table is a BGP routing table supporting concurrent lookups after build.
+// Every lookup answers from the flattened Index; the routes map holds
+// the announcements themselves.
 type Table struct {
 	mu     sync.RWMutex
-	trie   iputil.Trie[ASN]
+	routes map[netip.Prefix]ASN
 	byAS   map[ASN][]netip.Prefix
-	counts struct{ v4, v6 int }
 	idx    *Index // memoized flattened snapshot; nil until Index() is called
 }
 
 // NewTable returns an empty routing table.
 func NewTable() *Table {
-	return &Table{byAS: make(map[ASN][]netip.Prefix)}
+	return &Table{routes: make(map[netip.Prefix]ASN), byAS: make(map[ASN][]netip.Prefix)}
 }
 
 // Announce inserts a prefix announcement. Re-announcing the same prefix
@@ -50,7 +51,7 @@ func (t *Table) Announce(p netip.Prefix, origin ASN) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.idx = nil
-	if prev, ok := t.trie.Get(p); ok {
+	if prev, ok := t.routes[p]; ok {
 		// Replace: remove from the previous AS's list.
 		lst := t.byAS[prev]
 		for i, q := range lst {
@@ -59,32 +60,19 @@ func (t *Table) Announce(p netip.Prefix, origin ASN) {
 				break
 			}
 		}
-		t.trie.Insert(p, origin)
-		t.byAS[origin] = append(t.byAS[origin], p)
-		return
 	}
-	t.trie.Insert(p, origin)
+	t.routes[p] = origin
 	t.byAS[origin] = append(t.byAS[origin], p)
-	if p.Addr().Is4() {
-		t.counts.v4++
-	} else {
-		t.counts.v6++
-	}
 }
 
 // Origin returns the origin AS of the most-specific prefix covering addr.
 func (t *Table) Origin(addr netip.Addr) (ASN, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, as, ok := t.trie.Lookup(addr)
-	return as, ok
+	return t.Index().Origin(addr)
 }
 
 // Route returns the matched prefix and origin for addr.
 func (t *Table) Route(addr netip.Addr) (netip.Prefix, ASN, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.trie.Lookup(addr)
+	return t.Index().Route(addr)
 }
 
 // Reader is an immutable snapshot of a Table supporting lock-free
@@ -92,44 +80,26 @@ func (t *Table) Route(addr netip.Addr) (netip.Prefix, ASN, bool) {
 // take one snapshot up front instead of paying the table's read lock on
 // every probe. A nil Reader answers every lookup with "not found".
 type Reader struct {
-	trie *iputil.Trie[ASN]
+	ix *Index
 }
 
-// Snapshot returns an immutable copy of the table's current routes.
+// Snapshot returns a read view of the table's current routes: the
+// memoized Index, which later announcements replace rather than mutate.
 func (t *Table) Snapshot() *Reader {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return &Reader{trie: t.trie.Clone()}
+	return &Reader{ix: t.Index()}
 }
 
 // Origin returns the origin AS of the most-specific prefix covering addr.
 func (r *Reader) Origin(addr netip.Addr) (ASN, bool) {
+	return r.Index().Origin(addr)
+}
+
+// Index returns the snapshot's flattened routes (nil for a nil Reader).
+func (r *Reader) Index() *Index {
 	if r == nil {
-		return 0, false
+		return nil
 	}
-	_, as, ok := r.trie.Lookup(addr)
-	return as, ok
-}
-
-// Route returns the matched prefix and origin for addr.
-func (r *Reader) Route(addr netip.Addr) (netip.Prefix, ASN, bool) {
-	if r == nil {
-		return netip.Prefix{}, 0, false
-	}
-	return r.trie.Lookup(addr)
-}
-
-// CoveringPrefix returns the announced BGP prefix containing p, mirroring
-// Table.CoveringPrefix on the lock-free snapshot.
-func (r *Reader) CoveringPrefix(p netip.Prefix) (netip.Prefix, ASN, bool) {
-	return r.Route(iputil.CanonicalPrefix(p).Addr())
-}
-
-// IsRouted reports whether addr falls inside any announced prefix. The ECS
-// scanner uses this to skip unrouted space (an ethics measure in §7).
-func (t *Table) IsRouted(addr netip.Addr) bool {
-	_, ok := t.Origin(addr)
-	return ok
+	return r.ix
 }
 
 // PrefixesOf returns the prefixes originated by as, sorted.
@@ -137,47 +107,45 @@ func (t *Table) PrefixesOf(as ASN) []netip.Prefix {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := append([]netip.Prefix(nil), t.byAS[as]...)
-	sortPrefixes(out)
+	slices.SortFunc(out, comparePrefixes)
 	return out
-}
-
-// PrefixCounts returns the number of announced IPv4 and IPv6 prefixes.
-func (t *Table) PrefixCounts() (v4, v6 int) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.counts.v4, t.counts.v6
 }
 
 // Len returns the total number of announcements.
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.trie.Len()
+	return len(t.routes)
 }
 
-// Walk visits all announcements, stopping early if fn returns false.
+// Walk visits all announcements in (address, length) order, IPv4 before
+// IPv6, stopping early if fn returns false.
 func (t *Table) Walk(fn func(Announcement) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	t.trie.Walk(func(p netip.Prefix, as ASN) bool {
-		return fn(Announcement{Prefix: p, Origin: as})
-	})
+	ix := t.Index()
+	// The index holds one span per announcement: routes lists each
+	// prefix once.
+	for i := range int32(ix.flat.Prefixes()) {
+		r := ix.flat.At(i)
+		if !fn(Announcement{Prefix: r.Prefix, Origin: r.Val}) {
+			return
+		}
+	}
 }
 
 // CoveringPrefix returns the announced BGP prefix containing p (the prefix
 // matched by p's network address) — used to aggregate egress subnets into
 // routed BGP prefixes as in Table 3.
 func (t *Table) CoveringPrefix(p netip.Prefix) (netip.Prefix, ASN, bool) {
-	return t.Route(iputil.CanonicalPrefix(p).Addr())
+	return t.Index().CoveringPrefix(p)
 }
 
-func sortPrefixes(ps []netip.Prefix) {
-	slices.SortFunc(ps, func(a, b netip.Prefix) int {
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c
-		}
-		return a.Bits() - b.Bits()
-	})
+// comparePrefixes orders prefixes by address (IPv4 before IPv6), then
+// by length: the order Walk visits and Index numbers routes in.
+func comparePrefixes(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return a.Bits() - b.Bits()
 }
 
 // Month is a calendar month used by the visibility history.
@@ -238,13 +206,6 @@ func (h *History) Record(m Month, as ASN) {
 		})
 	}
 	set[as] = true
-}
-
-// Visible reports whether as was visible in month m.
-func (h *History) Visible(m Month, as ASN) bool {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.visible[m][as]
 }
 
 // FirstSeen returns the earliest month in which as was visible.

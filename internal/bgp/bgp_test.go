@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -67,30 +68,24 @@ func TestInvalidPrefixIgnored(t *testing.T) {
 	}
 }
 
-func TestPrefixCountsAndWalk(t *testing.T) {
+// TestWalkOrder pins the order Walk visits announcements in: IPv4
+// before IPv6, then address, then length — the order Index numbers its
+// routes and netsim's RoutedV4Prefixes lists the scan universe in.
+func TestWalkOrder(t *testing.T) {
 	tbl := NewTable()
-	tbl.Announce(netip.MustParsePrefix("10.0.0.0/8"), 1)
-	tbl.Announce(netip.MustParsePrefix("2001:db8::/32"), 1)
-	tbl.Announce(netip.MustParsePrefix("192.0.2.0/24"), 2)
-	v4, v6 := tbl.PrefixCounts()
-	if v4 != 2 || v6 != 1 {
-		t.Fatalf("counts = %d/%d", v4, v6)
+	for _, p := range []string{"2001:db8::/32", "192.0.2.0/24", "10.1.0.0/16", "10.0.0.0/8", "10.0.0.0/16"} {
+		tbl.Announce(netip.MustParsePrefix(p), 1)
+	}
+	var got []string
+	tbl.Walk(func(a Announcement) bool { got = append(got, a.Prefix.String()); return true })
+	want := []string{"10.0.0.0/8", "10.0.0.0/16", "10.1.0.0/16", "192.0.2.0/24", "2001:db8::/32"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Walk order = %v, want %v", got, want)
 	}
 	n := 0
-	tbl.Walk(func(a Announcement) bool { n++; return true })
-	if n != 3 {
-		t.Fatalf("Walk visited %d", n)
-	}
-}
-
-func TestIsRoutedForScanner(t *testing.T) {
-	tbl := NewTable()
-	tbl.Announce(netip.MustParsePrefix("203.0.113.0/24"), 64500)
-	if !tbl.IsRouted(netip.MustParseAddr("203.0.113.200")) {
-		t.Fatal("routed address reported unrouted")
-	}
-	if tbl.IsRouted(netip.MustParseAddr("203.0.114.1")) {
-		t.Fatal("unrouted address reported routed")
+	tbl.Walk(func(Announcement) bool { n++; return n < 2 })
+	if n != 2 {
+		t.Fatalf("Walk early stop visited %d, want 2", n)
 	}
 }
 
@@ -137,8 +132,8 @@ func TestReaderSnapshot(t *testing.T) {
 	if as, ok := r.Origin(netip.MustParseAddr("17.248.1.1")); !ok || as != 714 {
 		t.Fatalf("Reader.Origin = %v,%v want AS714", as, ok)
 	}
-	if p, as, ok := r.Route(netip.MustParseAddr("17.248.1.1")); !ok || as != 714 || p != netip.MustParsePrefix("17.0.0.0/8") {
-		t.Fatalf("Reader.Route = %v,%v,%v", p, as, ok)
+	if p, as, ok := r.Index().Route(netip.MustParseAddr("17.248.1.1")); !ok || as != 714 || p != netip.MustParsePrefix("17.0.0.0/8") {
+		t.Fatalf("Reader.Index().Route = %v,%v,%v", p, as, ok)
 	}
 
 	tbl.Announce(netip.MustParsePrefix("23.32.0.0/11"), 36183)
@@ -153,8 +148,37 @@ func TestReaderSnapshot(t *testing.T) {
 	if _, ok := nilReader.Origin(netip.MustParseAddr("17.0.0.1")); ok {
 		t.Fatal("nil Reader found a route")
 	}
-	if _, _, ok := nilReader.Route(netip.MustParseAddr("17.0.0.1")); ok {
+	if _, _, ok := nilReader.Index().Route(netip.MustParseAddr("17.0.0.1")); ok {
 		t.Fatal("nil Reader found a route")
+	}
+}
+
+// TestSnapshotSurvivesReannounce re-announces an existing prefix to
+// another AS: a Reader and an Index taken before it keep answering with
+// the old origin, while the table answers with the new one.
+func TestSnapshotSurvivesReannounce(t *testing.T) {
+	tbl := NewTable()
+	p := netip.MustParsePrefix("172.224.0.0/12")
+	tbl.Announce(netip.MustParsePrefix("17.0.0.0/8"), 714)
+	tbl.Announce(p, 36183)
+	r, ix := tbl.Snapshot(), tbl.Index()
+
+	tbl.Announce(p, 13335)
+	addr := netip.MustParseAddr("172.224.5.1")
+	if as, ok := r.Origin(addr); !ok || as != 36183 {
+		t.Fatalf("Reader.Origin after re-announce = %v,%v, want AS36183", as, ok)
+	}
+	if route, as, ok := ix.Route(addr); !ok || as != 36183 || route != p {
+		t.Fatalf("old Index.Route after re-announce = %v,%v,%v, want %v AS36183", route, as, ok, p)
+	}
+	if as, ok := tbl.Origin(addr); !ok || as != 13335 {
+		t.Fatalf("Table.Origin after re-announce = %v,%v, want AS13335", as, ok)
+	}
+	if got := tbl.Index(); got == ix {
+		t.Fatal("Announce did not invalidate the memoized Index")
+	}
+	if as, _ := ix.Origin(netip.MustParseAddr("17.1.1.1")); as != 714 {
+		t.Fatalf("old Index lost an untouched route: %v", as)
 	}
 }
 
@@ -195,9 +219,6 @@ func TestHistoryFirstSeen(t *testing.T) {
 	}
 	if _, ok := h.FirstSeen(99999); ok {
 		t.Fatal("unknown AS has FirstSeen")
-	}
-	if !h.Visible(Month{2021, 6}, 36183) || h.Visible(Month{2021, 5}, 36183) {
-		t.Fatal("Visible boundary wrong")
 	}
 	months := h.Months()
 	if len(months) == 0 || months[0] != (Month{2016, 1}) {

@@ -2,37 +2,28 @@ package bgp
 
 import (
 	"net/netip"
+	"slices"
 
 	"github.com/relay-networks/privaterelay/internal/iputil"
 )
 
-// Index is a routing table flattened for the attribution hot loop: the
-// trie's announcements swept into an iputil.Flat — what the egress
-// attribution join wants when it resolves hundreds of thousands of
-// prefixes against a table that never changes mid-run. Lookup results
-// are identical to the trie's longest-prefix match. A nil Index answers
-// every lookup with "not found".
+// Index is a routing table flattened for lookup: the announcements swept
+// into an iputil.Flat, so a longest-prefix match is a binary search over
+// plain integers — what every origin attribution wants against a table
+// that never changes mid-run. A nil Index answers every lookup with "not
+// found".
 //
 // Each announcement's dense ID (see Cursor.CoveringRoute) is its position
-// in the trie walk, IPv4 before IPv6; the walk visits prefixes in
-// (address, length) order, so equal tables always number their routes
-// identically.
+// in (address, length) order, IPv4 before IPv6, so equal tables always
+// number their routes identically.
 type Index struct {
 	flat iputil.Flat[ASN]
-}
-
-// Index flattens the snapshot's routes into interval form.
-func (r *Reader) Index() *Index {
-	if r == nil || r.trie == nil {
-		return &Index{}
-	}
-	return buildIndex(r.trie)
 }
 
 // Index returns a flattened snapshot of the table's current routes. The
 // snapshot is memoized — analysis pipelines call Index once per run on a
 // table that stopped changing at build time — and invalidated by the
-// next Announce.
+// next Announce, which leaves the snapshot itself untouched.
 func (t *Table) Index() *Index {
 	t.mu.RLock()
 	ix := t.idx
@@ -43,22 +34,19 @@ func (t *Table) Index() *Index {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.idx == nil {
-		t.idx = buildIndex(&t.trie)
+		// A fresh slice: an earlier Index still holds its own spans.
+		spans := make([]iputil.Span[ASN], 0, len(t.routes))
+		for p, as := range t.routes {
+			spans = append(spans, iputil.Span[ASN]{Prefix: p, Val: as})
+		}
+		slices.SortFunc(spans, func(a, b iputil.Span[ASN]) int { return comparePrefixes(a.Prefix, b.Prefix) })
+		t.idx = &Index{flat: iputil.Flatten(spans)}
 	}
 	return t.idx
 }
 
-func buildIndex(tr *iputil.Trie[ASN]) *Index {
-	var spans []iputil.Span[ASN]
-	tr.Walk(func(p netip.Prefix, as ASN) bool {
-		spans = append(spans, iputil.Span[ASN]{Prefix: p, Val: as})
-		return true
-	})
-	return &Index{flat: iputil.Flatten(spans)}
-}
-
-// Route returns the matched prefix and origin for addr, identical to the
-// trie's longest-prefix match.
+// Route returns the matched prefix and origin for addr: the longest
+// announced prefix containing it.
 func (ix *Index) Route(addr netip.Addr) (netip.Prefix, ASN, bool) {
 	if ix == nil {
 		return netip.Prefix{}, 0, false
@@ -143,8 +131,8 @@ func (c *Cursor) CoveringRoute(p netip.Prefix) (pfx netip.Prefix, origin ASN, id
 	return r.Prefix, r.Val, i, true
 }
 
-// CoveringPrefix returns the announced BGP prefix containing p, mirroring
-// Table.CoveringPrefix. The canonicalized network address is passed to
+// CoveringPrefix returns the announced BGP prefix containing p: the route
+// matched by p's network address. The canonicalized address is passed to
 // the lookup core directly, skipping Route's redundant re-canonicalize.
 func (ix *Index) CoveringPrefix(p netip.Prefix) (netip.Prefix, ASN, bool) {
 	if ix == nil {

@@ -75,9 +75,7 @@ func resilientConfig(w *netsim.World, in scanInput, profile *faults.Profile, wor
 	cfg.Backoff = BackoffConfig{Base: 50 * time.Millisecond}
 	cfg.Breaker = BreakerConfig{Threshold: 16, Cooldown: 2 * time.Second}
 	cfg.Clock = clock
-	attr := w.Table.Snapshot()
-	origin := func(a netip.Addr) (bgp.ASN, bool) { return attr.Origin(a) }
-	inj := faults.NewInjector(cfg.Exchanger, profile, clock, origin)
+	inj := faults.NewInjector(cfg.Exchanger, profile, clock, w.Table.Index().Origin)
 	cfg.Exchanger = inj
 	return cfg, inj, clock
 }

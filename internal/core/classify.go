@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 
 	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/colstore"
@@ -46,7 +48,7 @@ func (c TrafficClass) String() string {
 // classifier's lifetime.
 type Classifier struct {
 	ingress []*colstore.Dataset
-	egress  iputil.Trie[bgp.ASN]
+	egress  iputil.Flat[bgp.ASN]
 }
 
 // NewClassifier builds a classifier from an ingress dataset (nil for
@@ -56,9 +58,19 @@ func NewClassifier(ingress *colstore.Dataset, egressSubnets map[netip.Prefix]bgp
 	if ingress != nil {
 		c.ingress = append(c.ingress, ingress)
 	}
+	spans := make([]iputil.Span[bgp.ASN], 0, len(egressSubnets))
 	for pfx, as := range egressSubnets {
-		c.egress.Insert(pfx, as)
+		if pfx = iputil.CanonicalPrefix(pfx); pfx.IsValid() {
+			spans = append(spans, iputil.Span[bgp.ASN]{Prefix: pfx, Val: as})
+		}
 	}
+	// Sorted so the flattened index does not depend on map order; of two
+	// keys that canonicalize to one prefix, the higher AS wins.
+	slices.SortFunc(spans, func(a, b iputil.Span[bgp.ASN]) int {
+		return cmp.Or(a.Prefix.Addr().Compare(b.Prefix.Addr()),
+			cmp.Compare(a.Prefix.Bits(), b.Prefix.Bits()), cmp.Compare(a.Val, b.Val))
+	})
+	c.egress = iputil.Flatten(spans)
 	return c
 }
 
@@ -87,7 +99,7 @@ func (c *Classifier) Classify(src, dst netip.Addr) (TrafficClass, bgp.ASN) {
 	if as, ok := c.lookupIngress(iputil.Canonical(dst)); ok {
 		return ClassToIngress, as
 	}
-	if _, as, ok := c.egress.Lookup(src); ok {
+	if as, ok := c.lookupEgress(src); ok {
 		return ClassFromEgress, as
 	}
 	return ClassUnrelated, 0
@@ -101,6 +113,20 @@ func (c *Classifier) IsIngress(addr netip.Addr) bool {
 
 // IsEgress reports whether addr falls in a published egress subnet.
 func (c *Classifier) IsEgress(addr netip.Addr) bool {
-	_, _, ok := c.egress.Lookup(addr)
+	_, ok := c.lookupEgress(addr)
 	return ok
+}
+
+// lookupEgress resolves addr to the operator AS of the most-specific
+// published egress subnet containing it.
+func (c *Classifier) lookupEgress(addr netip.Addr) (bgp.ASN, bool) {
+	addr = iputil.Canonical(addr)
+	if !addr.IsValid() {
+		return 0, false
+	}
+	i := c.egress.Lookup(addr)
+	if i < 0 {
+		return 0, false
+	}
+	return c.egress.At(i).Val, true
 }

@@ -394,7 +394,7 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 // TestAttributeEquivalentAcrossWorkers proves the fanned-out join is
-// bit-identical to the sequential per-entry trie walk at any worker count.
+// bit-identical to sequential per-entry table lookups at any worker count.
 func TestAttributeEquivalentAcrossWorkers(t *testing.T) {
 	w, full := testList(t)
 	// A slice of the real list plus hand-placed unrouted entries, so both
@@ -405,7 +405,7 @@ func TestAttributeEquivalentAcrossWorkers(t *testing.T) {
 	}, full.Entries[:20000]...)}
 
 	// Reference: the pre-sharding algorithm, entry by entry against the
-	// locked trie.
+	// table.
 	want := make([]Attributed, len(l.Entries))
 	for i, e := range l.Entries {
 		want[i] = Attributed{Entry: e}

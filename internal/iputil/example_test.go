@@ -7,15 +7,17 @@ import (
 	"github.com/relay-networks/privaterelay/internal/iputil"
 )
 
-func ExampleTrie() {
-	var table iputil.Trie[string]
-	table.Insert(netip.MustParsePrefix("23.0.0.0/8"), "AkamaiEdge")
-	table.Insert(netip.MustParsePrefix("23.32.0.0/11"), "AkamaiPR")
+func ExampleFlatten() {
+	spans := []iputil.Span[string]{
+		{Prefix: netip.MustParsePrefix("23.0.0.0/8"), Val: "AkamaiEdge"},
+		{Prefix: netip.MustParsePrefix("23.32.0.0/11"), Val: "AkamaiPR"},
+	}
+	table := iputil.Flatten(spans)
 
-	pfx, origin, _ := table.Lookup(netip.MustParseAddr("23.34.5.6"))
-	fmt.Println(pfx, origin)
-	pfx, origin, _ = table.Lookup(netip.MustParseAddr("23.200.0.1"))
-	fmt.Println(pfx, origin)
+	for _, addr := range []string{"23.34.5.6", "23.200.0.1"} {
+		route := table.At(table.Lookup(netip.MustParseAddr(addr)))
+		fmt.Println(route.Prefix, route.Val)
+	}
 	// Output:
 	// 23.32.0.0/11 AkamaiPR
 	// 23.0.0.0/8 AkamaiEdge

@@ -68,8 +68,8 @@ type Span[V any] struct {
 // Flat is a set of spans of both families flattened for longest-prefix
 // lookup: each family's prefixes are swept into disjoint boundary
 // intervals sorted by start key, so a lookup is a binary search over
-// plain integers — no pointer chasing, no lock — with results identical
-// to a trie's. Lookups return the matched span's index in the slice
+// plain integers — no pointer chasing, no lock — that returns the
+// longest prefix containing the address. Lookups return the matched span's index in the slice
 // Flatten was given. The zero value is empty.
 type Flat[V any] struct {
 	spans  []Span[V]
@@ -89,16 +89,15 @@ type Intervals struct {
 
 // Flatten sweeps spans (every prefix canonical, as CanonicalPrefix
 // returns) into a Flat. spans is retained, not copied or reordered.
-// A prefix listed more than once resolves to its last span, as a trie
-// re-insert would.
+// A prefix listed more than once resolves to its last span.
 func Flatten[V any](spans []Span[V]) Flat[V] {
 	return Flat[V]{spans: spans, v4: sweep(spans, 32), v6: sweep(spans, 128)}
 }
 
 // sweep flattens the spans of one family (famBits 32 or 128). They are
 // sorted by (start, length): at equal start the shorter prefix comes
-// first, so a more-specific emitted at the same key replaces it —
-// exactly the trie's most-specific-wins semantics. A stack of open
+// first, so a more-specific emitted at the same key replaces it: the
+// most specific prefix wins. A stack of open
 // prefixes restores the enclosing one when a nested prefix ends.
 func sweep[V any](spans []Span[V], famBits int) Intervals {
 	type ent struct {

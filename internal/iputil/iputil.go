@@ -1,6 +1,7 @@
 // Package iputil provides IP address and prefix arithmetic used throughout
 // the measurement toolkit: subnet enumeration, address indexing inside
-// prefixes, deterministic hashing, and a longest-prefix-match radix trie.
+// prefixes, deterministic hashing, and longest-prefix match over prefix
+// sets flattened into sorted intervals (Flatten).
 //
 // All functions operate on net/netip types. IPv4 addresses are handled in
 // their native 4-byte form; Is4In6 inputs are unmapped before use so that

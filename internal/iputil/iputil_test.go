@@ -275,165 +275,98 @@ func TestPropertyHashCanonicalInvariance(t *testing.T) {
 	}
 }
 
-func TestTrieInsertGet(t *testing.T) {
-	var tr Trie[int]
-	if !tr.Insert(mustPrefix(t, "10.0.0.0/8"), 1) {
-		t.Fatal("first insert should be fresh")
-	}
-	if tr.Insert(mustPrefix(t, "10.0.0.0/8"), 2) {
-		t.Fatal("second insert should replace, not add")
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", tr.Len())
-	}
-	v, ok := tr.Get(mustPrefix(t, "10.0.0.0/8"))
-	if !ok || v != 2 {
-		t.Fatalf("Get = %d,%v want 2,true", v, ok)
-	}
-	if _, ok := tr.Get(mustPrefix(t, "10.0.0.0/9")); ok {
-		t.Fatal("Get of absent prefix should miss")
-	}
-}
-
-func TestTrieLongestPrefixMatch(t *testing.T) {
-	var tr Trie[string]
-	tr.Insert(mustPrefix(t, "10.0.0.0/8"), "eight")
-	tr.Insert(mustPrefix(t, "10.1.0.0/16"), "sixteen")
-	tr.Insert(mustPrefix(t, "10.1.2.0/24"), "twentyfour")
-
-	cases := []struct {
-		addr string
-		want string
-		pfx  string
-	}{
-		{"10.1.2.3", "twentyfour", "10.1.2.0/24"},
-		{"10.1.9.9", "sixteen", "10.1.0.0/16"},
-		{"10.200.0.1", "eight", "10.0.0.0/8"},
-	}
-	for _, c := range cases {
-		p, v, ok := tr.Lookup(mustAddr(t, c.addr))
-		if !ok || v != c.want || p.String() != c.pfx {
-			t.Errorf("Lookup(%s) = %v,%q,%v want %s,%q", c.addr, p, v, ok, c.pfx, c.want)
-		}
-	}
-	if _, _, ok := tr.Lookup(mustAddr(t, "11.0.0.1")); ok {
-		t.Fatal("Lookup outside table should miss")
-	}
-}
-
-func TestTrieDualStackSeparation(t *testing.T) {
-	var tr Trie[int]
-	tr.Insert(mustPrefix(t, "0.0.0.0/0"), 4)
-	tr.Insert(mustPrefix(t, "::/0"), 6)
-	if _, v, _ := tr.Lookup(mustAddr(t, "8.8.8.8")); v != 4 {
-		t.Fatalf("v4 default route: got %d", v)
-	}
-	if _, v, _ := tr.Lookup(mustAddr(t, "2001:db8::1")); v != 6 {
-		t.Fatalf("v6 default route: got %d", v)
-	}
-}
-
-func TestTrieDelete(t *testing.T) {
-	var tr Trie[int]
-	p := mustPrefix(t, "192.0.2.0/24")
-	tr.Insert(p, 7)
-	if !tr.Delete(p) {
-		t.Fatal("Delete of present prefix should succeed")
-	}
-	if tr.Delete(p) {
-		t.Fatal("second Delete should fail")
-	}
-	if _, _, ok := tr.Lookup(mustAddr(t, "192.0.2.1")); ok {
-		t.Fatal("Lookup after delete should miss")
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d after delete, want 0", tr.Len())
-	}
-}
-
-func TestTrieDeleteAbsentBranch(t *testing.T) {
-	var tr Trie[int]
-	tr.Insert(mustPrefix(t, "10.0.0.0/8"), 1)
-	if tr.Delete(mustPrefix(t, "10.128.0.0/9")) {
-		t.Fatal("Delete of absent longer prefix should fail")
-	}
-	if tr.Delete(mustPrefix(t, "2001:db8::/32")) {
-		t.Fatal("Delete in empty family should fail")
-	}
-}
-
-func TestTrieWalkAndPrefixes(t *testing.T) {
-	var tr Trie[int]
-	inputs := []string{"10.0.0.0/8", "10.1.0.0/16", "192.0.2.0/24", "2001:db8::/32"}
-	for i, s := range inputs {
-		tr.Insert(mustPrefix(t, s), i)
-	}
-	got := tr.Prefixes()
-	if len(got) != len(inputs) {
-		t.Fatalf("Prefixes len = %d, want %d", len(got), len(inputs))
-	}
-	want := []string{"10.0.0.0/8", "10.1.0.0/16", "192.0.2.0/24", "2001:db8::/32"}
-	for i := range want {
-		if got[i].String() != want[i] {
-			t.Errorf("Prefixes[%d] = %s, want %s", i, got[i], want[i])
-		}
-	}
-	n := 0
-	tr.Walk(func(netip.Prefix, int) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Fatalf("Walk early stop visited %d, want 2", n)
-	}
-}
-
-func TestTrieInvalidInputs(t *testing.T) {
-	var tr Trie[int]
-	if tr.Insert(netip.Prefix{}, 1) {
-		t.Fatal("Insert of invalid prefix should fail")
-	}
-	if _, ok := tr.Get(netip.Prefix{}); ok {
-		t.Fatal("Get of invalid prefix should miss")
-	}
-	if _, _, ok := tr.Lookup(netip.Addr{}); ok {
-		t.Fatal("Lookup of invalid addr should miss")
-	}
-}
-
-// Property: LPM result always equals the longest stored prefix that
-// contains the address (checked against a linear scan oracle).
-func TestPropertyTrieMatchesLinearScan(t *testing.T) {
+// Property: Flatten's longest-prefix match equals a linear scan over the
+// spans — the longest containing prefix, and of a prefix listed more than
+// once its last span — over random dual-stack sets that mix /0 routes,
+// duplicates, nesting and prefixes ending at the family's last address.
+func TestPropertyFlatMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var tr Trie[int]
-	var stored []netip.Prefix
-	for i := 0; i < 300; i++ {
-		var b [4]byte
-		rng.Read(b[:])
-		bits := 8 + rng.Intn(17)
-		p := netip.PrefixFrom(netip.AddrFrom4(b), bits).Masked()
-		if tr.Insert(p, i) {
-			stored = append(stored, p)
+	// Bytes drawn from a few values nest and abut the prefixes, and the
+	// all-ones byte puts some at the top of their family.
+	randByte := func() byte {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return 0x0a
+		case 2:
+			return 0xff
 		}
+		return byte(rng.Intn(256))
 	}
-	for i := 0; i < 2000; i++ {
-		var b [4]byte
-		rng.Read(b[:])
-		addr := netip.AddrFrom4(b)
-		bestBits := -1
-		for _, p := range stored {
-			if p.Contains(addr) && p.Bits() > bestBits {
-				bestBits = p.Bits()
+	randPrefix := func() netip.Prefix {
+		if rng.Intn(2) == 0 {
+			var b [4]byte
+			for i := range b {
+				b[i] = randByte()
+			}
+			return netip.PrefixFrom(netip.AddrFrom4(b), rng.Intn(33)).Masked()
+		}
+		var b [16]byte
+		for i := range b {
+			b[i] = randByte()
+		}
+		return netip.PrefixFrom(netip.AddrFrom16(b), rng.Intn(129)).Masked()
+	}
+	// oracle returns the index of the span the linear scan picks, or -1.
+	oracle := func(spans []Span[int], addr netip.Addr) int32 {
+		best, bestBits := int32(-1), -1
+		for i, s := range spans {
+			// >=: two containing prefixes of one length are the same
+			// prefix, and the later span replaces the earlier.
+			if s.Prefix.Contains(addr) && s.Prefix.Bits() >= bestBits {
+				best, bestBits = int32(i), s.Prefix.Bits()
 			}
 		}
-		gotP, _, ok := tr.Lookup(addr)
-		if bestBits < 0 {
-			if ok {
-				t.Fatalf("Lookup(%v) matched %v, oracle says none", addr, gotP)
+		return best
+	}
+	for set := 0; set < 400; set++ {
+		var spans []Span[int]
+		for i := 0; i < 1+rng.Intn(40); i++ {
+			p := randPrefix()
+			switch {
+			case len(spans) > 0 && rng.Intn(5) == 0:
+				p = spans[rng.Intn(len(spans))].Prefix // re-listed: the last span wins
+			case rng.Intn(20) == 0:
+				p = netip.PrefixFrom(p.Addr(), 0).Masked() // a default route
 			}
-			continue
+			spans = append(spans, Span[int]{Prefix: p, Val: i})
 		}
-		if !ok || gotP.Bits() != bestBits {
-			t.Fatalf("Lookup(%v) = %v,%v; oracle wants /%d", addr, gotP, ok, bestBits)
+		f := Flatten(spans)
+		probe := func(addr netip.Addr) {
+			t.Helper()
+			if got, want := f.Lookup(addr), oracle(spans, addr); got != want {
+				t.Fatalf("set %d: Lookup(%v) = span %d, linear scan says %d (spans %v)", set, addr, got, want, spans)
+			}
+		}
+		for _, s := range spans {
+			first, last := s.Prefix.Addr(), lastAddr(s.Prefix)
+			for _, a := range []netip.Addr{first, first.Prev(), last, last.Next()} {
+				if a.IsValid() {
+					probe(a)
+				}
+			}
+		}
+		for q := 0; q < 32; q++ {
+			probe(randPrefix().Addr())
 		}
 	}
+}
+
+// lastAddr returns the last address inside p.
+func lastAddr(p netip.Prefix) netip.Addr {
+	b := p.Addr().As16()
+	off := 0
+	if p.Addr().Is4() {
+		off = 96
+	}
+	for bit := off + p.Bits(); bit < 128; bit++ {
+		b[bit/8] |= 0x80 >> (bit % 8)
+	}
+	if p.Addr().Is4() {
+		return netip.AddrFrom16(b).Unmap()
+	}
+	return netip.AddrFrom16(b)
 }
 
 func TestNthSubnetV6LargeHostOffsets(t *testing.T) {

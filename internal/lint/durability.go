@@ -9,7 +9,7 @@ import (
 )
 
 // Durability guards the crash-safety discipline PR 8 established: every
-// durable artifact — datasets, checkpoints, diffs, sidecars, squashes,
+// durable artifact — datasets, checkpoints, diffs, sidecars,
 // exported reports — must reach disk through internal/atomicio's
 // temp-file + fsync + rename + directory-fsync sequence, so a crash can
 // never leave a torn file behind a canonical name.

@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"net/netip"
 	"slices"
 	"testing"
@@ -537,6 +540,26 @@ func TestRoutedV4PrefixesCoversClientsAndServices(t *testing.T) {
 		if !p.Addr().Is4() {
 			t.Fatalf("non-v4 prefix in v4 universe: %v", p)
 		}
+	}
+}
+
+// TestRoutedV4PrefixesOrderPinned pins the scan universe's order, which
+// checkpoint journals index /24s by: ascending (address, length), and at
+// seed 6, scale 0.0008, the exact list a digest records.
+func TestRoutedV4PrefixesOrderPinned(t *testing.T) {
+	ps := NewWorld(Params{Seed: 6, Scale: 0.0008}).RoutedV4Prefixes()
+	for i := 1; i < len(ps); i++ {
+		if c := ps[i-1].Addr().Compare(ps[i].Addr()); c > 0 || (c == 0 && ps[i-1].Bits() >= ps[i].Bits()) {
+			t.Fatalf("RoutedV4Prefixes[%d..%d] = %v, %v out of (address, length) order", i-1, i, ps[i-1], ps[i])
+		}
+	}
+	h := sha256.New()
+	for _, p := range ps {
+		fmt.Fprintln(h, p)
+	}
+	const want = "e1a395b651f234e534931cadc8a65cd6e7216bcf5ee4725e825907fd36be254b"
+	if got := hex.EncodeToString(h.Sum(nil)); len(ps) != 773 || got != want {
+		t.Fatalf("RoutedV4Prefixes: %d prefixes, digest %s; want 773, %s", len(ps), got, want)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/relay-networks/privaterelay/internal/core"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/dnswire"
 	"github.com/relay-networks/privaterelay/internal/netsim"
@@ -290,7 +291,8 @@ func TestRelaydChaosDrainMidCampaign(t *testing.T) {
 }
 
 // TestDiffFormatRoundTrip pins the diff wire format: write → read →
-// write is byte-stable and truncation is rejected.
+// write is byte-stable, and truncation, a missing month header and a
+// misplaced diff header are rejected.
 func TestDiffFormatRoundTrip(t *testing.T) {
 	dir := sharedBaseline(t)
 	pipe, err := NewPipeline(chaosServiceConfig(dir).Pipeline)
@@ -348,6 +350,23 @@ func TestDiffFormatRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(rendered.Bytes(), onDisk) {
 		t.Fatal("recomputed gen 1 differs from persisted bytes")
+	}
+
+	// A diff missing a month header (its zero month would not re-read)
+	// or whose first line is not the diff header is rejected as corrupt.
+	for name, bad := range map[string][]byte{
+		"missing from header": bytes.Replace(onDisk, []byte("# from "+months[0].String()+"\n"), nil, 1),
+		"missing to header":   bytes.Replace(onDisk, []byte("# to "+months[1].String()+"\n"), nil, 1),
+		"leading blank line":  append([]byte("\n"), bytes.Replace(onDisk, []byte("# diff v1\n"), nil, 1)...),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if len(bad) == len(onDisk) {
+				t.Fatal("the case did not alter gen 1")
+			}
+			if d, err := ReadDiff(bytes.NewReader(bad)); !errors.Is(err, core.ErrCheckpointCorrupt) || d != nil {
+				t.Fatalf("ReadDiff = %+v, %v; want a corrupt rejection", d, err)
+			}
+		})
 	}
 }
 

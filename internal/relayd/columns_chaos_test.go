@@ -284,231 +284,3 @@ func TestRelaydChaosSidecarResume(t *testing.T) {
 	}
 	compare("corrupt")
 }
-
-// retentionConfig is a synthetic 12-month single-domain pipeline with
-// retention enabled; datasets are written directly (no scans).
-func retentionConfig(t *testing.T, dir string, keep int) (PipelineConfig, []*core.Dataset) {
-	t.Helper()
-	months := make([]bgp.Month, 12)
-	for i := range months {
-		months[i] = bgp.Month{Year: 2022, M: i + 1}
-	}
-	cfg := PipelineConfig{
-		Seed:                6,
-		Scale:               0.0008,
-		StateDir:            dir,
-		Months:              months,
-		Domains:             []string{dnsserver.MaskDomain},
-		KeepDiffGenerations: keep,
-	}
-	return cfg, synthMonths(t, 12, 1200)
-}
-
-func writeSynthDatasets(t *testing.T, pipe *Pipeline, data []*core.Dataset) {
-	t.Helper()
-	for i, m := range pipe.Months() {
-		path := pipe.DatasetPath(dnsserver.MaskDomain, m)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := core.SaveCanonicalFile(path, data[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestRetentionCompactionKillResume: retention keeps the diff directory
-// bounded, the squash diff equals the direct months[0]→months[frontier]
-// transition, and a kill at any stage of compaction (after squash
-// write, before deletions; with a corrupt squash; with the whole diffs
-// tree lost) converges back to the same durable bytes.
-func TestRetentionCompactionKillResume(t *testing.T) {
-	const keep = 3
-	gen := 11 // 12 months → generations 1..11
-
-	// Reference: straight-through run.
-	refDir := t.TempDir()
-	refCfg, data := retentionConfig(t, refDir, keep)
-	ref, err := NewPipeline(refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeSynthDatasets(t, ref, data)
-	if err := ref.EnsureDiffs(gen); err != nil {
-		t.Fatal(err)
-	}
-	want := durableTree(t, refDir)
-
-	// Shape: squash covering gen-keep, only the newest keep generations
-	// as individual files.
-	target := gen - keep
-	sq, err := LoadSquashFile(refDir, dnsserver.MaskDomain)
-	if err != nil {
-		t.Fatalf("squash missing after retention run: %v", err)
-	}
-	if sq.Covers != target || sq.Gen != target {
-		t.Fatalf("squash covers %d (gen %d), want %d", sq.Covers, sq.Gen, target)
-	}
-	for g := 1; g <= gen; g++ {
-		_, err := os.Stat(diffPath(refDir, dnsserver.MaskDomain, g))
-		if g <= target && err == nil {
-			t.Fatalf("retired gen %d still on disk", g)
-		}
-		if g > target && err != nil {
-			t.Fatalf("kept gen %d missing: %v", g, err)
-		}
-	}
-	// The squash is the direct first→frontier transition.
-	ca, err := ref.LoadColumns(dnsserver.MaskDomain, ref.Months()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := ref.LoadColumns(dnsserver.MaskDomain, ref.Months()[target])
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := ComputeDiff(target, ref.Months()[0], ref.Months()[target], ca, cb)
-	direct.Covers = target
-	var directBuf, sqBuf bytes.Buffer
-	if err := direct.Write(&directBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := sq.Write(&sqBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(directBuf.Bytes(), sqBuf.Bytes()) {
-		t.Fatal("squash diff differs from the direct first→frontier transition")
-	}
-
-	compareAfter := func(stage, dir string, pipe *Pipeline) {
-		t.Helper()
-		if err := pipe.EnsureDiffs(gen); err != nil {
-			t.Fatalf("%s: EnsureDiffs: %v", stage, err)
-		}
-		got := durableTree(t, dir)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d durable files, want %d", stage, len(got), len(want))
-		}
-		for rel, b := range want {
-			if !bytes.Equal(got[rel], b) {
-				t.Fatalf("%s: %s differs from reference", stage, rel)
-			}
-		}
-	}
-
-	// Kill scenario 1: crash after the squash write, before deletions —
-	// redundant covered files remain and must be swept on resume.
-	dir1 := t.TempDir()
-	cfg1, _ := retentionConfig(t, dir1, keep)
-	p1, err := NewPipeline(cfg1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeSynthDatasets(t, p1, data)
-	// First materialize every generation without retention...
-	cfg1NoKeep := cfg1
-	cfg1NoKeep.KeepDiffGenerations = 0
-	p1nk, err := NewPipeline(cfg1NoKeep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p1nk.EnsureDiffs(gen); err != nil {
-		t.Fatal(err)
-	}
-	// ...then plant the squash as if the crash hit mid-compaction.
-	planted := *direct
-	if err := WriteSquashFile(dir1, &planted); err != nil {
-		t.Fatal(err)
-	}
-	compareAfter("post-squash kill", dir1, p1)
-
-	// Kill scenario 2: the squash itself was torn mid-write.
-	dir2 := t.TempDir()
-	cfg2, _ := retentionConfig(t, dir2, keep)
-	p2, err := NewPipeline(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeSynthDatasets(t, p2, data)
-	if err := p2.EnsureDiffs(gen); err != nil {
-		t.Fatal(err)
-	}
-	sqPath := squashPath(dir2, dnsserver.MaskDomain)
-	raw, err := os.ReadFile(sqPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(sqPath, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.EnsureDiffs(gen); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(sqPath + ".corrupt"); err != nil {
-		t.Fatalf("torn squash not quarantined: %v", err)
-	}
-	if err := os.Remove(sqPath + ".corrupt"); err != nil {
-		t.Fatal(err)
-	}
-	compareAfter("torn squash", dir2, p2)
-
-	// Kill scenario 3: the whole diffs tree is lost; everything is
-	// rebuilt from the retained datasets.
-	dir3 := t.TempDir()
-	cfg3, _ := retentionConfig(t, dir3, keep)
-	p3, err := NewPipeline(cfg3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeSynthDatasets(t, p3, data)
-	if err := p3.EnsureDiffs(gen); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.RemoveAll(filepath.Join(dir3, "diffs")); err != nil {
-		t.Fatal(err)
-	}
-	compareAfter("diffs tree lost", dir3, p3)
-}
-
-// TestDiffCoversRoundTrip pins the squash header extension: write →
-// read preserves Covers, plain diffs stay covers-free, and a malformed
-// covers line is rejected as corrupt — as are a diff missing a month
-// header (its zero month would not re-read) and one whose first line
-// is not the diff header.
-func TestDiffCoversRoundTrip(t *testing.T) {
-	d := &DatasetDiff{
-		Domain: dnsserver.MaskDomain, Gen: 4,
-		From: bgp.Month{Year: 2022, M: 1}, To: bgp.Month{Year: 2022, M: 5},
-		Covers:   4,
-		Appeared: []DiffEntry{{Addr: netip.MustParseAddr("192.0.2.1"), NewASN: 714}},
-	}
-	var buf bytes.Buffer
-	if err := d.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDiff(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Covers != 4 || got.Gen != 4 {
-		t.Fatalf("covers %d gen %d after round trip, want 4/4", got.Covers, got.Gen)
-	}
-	var again bytes.Buffer
-	if err := got.Write(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
-		t.Fatal("squash diff not byte-stable across write→read→write")
-	}
-
-	for name, bad := range map[string][]byte{
-		"malformed covers line": bytes.Replace(buf.Bytes(), []byte("# covers 4"), []byte("# covers zero"), 1),
-		"missing from header":   bytes.Replace(buf.Bytes(), []byte("# from 2022-01\n"), nil, 1),
-		"missing to header":     bytes.Replace(buf.Bytes(), []byte("# to 2022-05\n"), nil, 1),
-		"leading blank line":    append([]byte("\n"), bytes.Replace(buf.Bytes(), []byte("# diff v1\n"), nil, 1)...),
-	} {
-		if d, err := ReadDiff(bytes.NewReader(bad)); err == nil || d != nil {
-			t.Fatalf("%s accepted: %+v", name, d)
-		}
-	}
-}

@@ -40,10 +40,6 @@ type DatasetDiff struct {
 	Domain   string
 	Gen      int
 	From, To bgp.Month
-	// Covers, when non-zero, marks this as a squash diff: it represents
-	// the accumulated transition months[0] → months[Covers] and replaces
-	// the retired generation files 1..Covers (retention compaction).
-	Covers   int
 	Appeared []DiffEntry // in To, not in From
 	Vanished []DiffEntry // in From, not in To
 	MovedAS  []DiffEntry // in both, origin AS changed
@@ -82,18 +78,12 @@ func ComputeDiff(gen int, from, to bgp.Month, a, b *colstore.Dataset) *DatasetDi
 //	~ addr,oldasn,newasn
 //	# end 3
 //
-// Squash diffs (retention compaction) additionally carry `# covers N`
-// after `# to`, declaring they replace generation files 1..N.
-//
 // Rows sort within each section by address; the footer pins the row
 // count so truncated writes are detectable, same as checkpoints.
 func (d *DatasetDiff) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# diff v1\n# gen %06d\n# domain %s\n# from %s\n# to %s\n",
 		d.Gen, d.Domain, d.From, d.To)
-	if d.Covers > 0 {
-		fmt.Fprintf(bw, "# covers %d\n", d.Covers)
-	}
 	for _, e := range d.Appeared {
 		fmt.Fprintf(bw, "+ %s,%d\n", e.Addr, e.NewASN)
 	}
@@ -166,12 +156,6 @@ func ReadDiff(r io.Reader) (*DatasetDiff, error) {
 				return nil, bad("%v", err)
 			}
 			d.To, sawTo = m, true
-		case strings.HasPrefix(text, "# covers "):
-			n, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(text, "# covers ")))
-			if err != nil || n < 1 {
-				return nil, bad("bad covers: %q", text)
-			}
-			d.Covers = n
 		case strings.HasPrefix(text, "# end "):
 			want, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(text, "# end ")))
 			if err != nil {
@@ -252,50 +236,6 @@ func domainSlug(domain string) string {
 // diffPath locates generation gen of domain's diff sequence under dir.
 func diffPath(dir, domain string, gen int) string {
 	return filepath.Join(dir, "diffs", domainSlug(domain), fmt.Sprintf("gen-%06d.diff", gen))
-}
-
-// squashPath locates domain's squash diff — the single accumulated
-// transition that replaces retired leading generations. There is at
-// most one per domain; compaction atomically overwrites it in place.
-func squashPath(dir, domain string) string {
-	return filepath.Join(dir, "diffs", domainSlug(domain), "squash.diff")
-}
-
-// WriteSquashFile persists a squash diff (Covers > 0) atomically.
-func WriteSquashFile(dir string, d *DatasetDiff) error {
-	if d.Covers < 1 {
-		return fmt.Errorf("relayd: squash diff must cover at least one generation")
-	}
-	path := squashPath(dir, d.Domain)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return atomicio.WriteFile(path, d.Write)
-}
-
-// LoadSquashFile reads domain's squash diff back. Missing squash
-// surfaces as os.ErrNotExist (retention never ran or nothing retired
-// yet); a corrupt one reports core.ErrCheckpointCorrupt with the path
-// attached, like LoadDiffFile.
-func LoadSquashFile(dir, domain string) (*DatasetDiff, error) {
-	path := squashPath(dir, domain)
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	d, err := ReadDiff(f)
-	if err != nil {
-		if corrupt, ok := errAsCorrupt(err); ok {
-			corrupt.Path = path
-			return nil, corrupt
-		}
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if d.Covers < 1 {
-		return nil, &core.CorruptError{Path: path, Reason: "squash diff missing `# covers` header"}
-	}
-	return d, nil
 }
 
 // WriteDiffFile persists the diff atomically and durably under dir.

@@ -60,11 +60,6 @@ type PipelineConfig struct {
 	// campaign; zero probes disables it.
 	AtlasProbes   int
 	AtlasClusters int
-	// KeepDiffGenerations bounds the diff directory: when > 0, only the
-	// newest K generation files are kept individually and everything
-	// older is compacted into one squash diff (months[0] → the retired
-	// frontier). 0 keeps every generation forever.
-	KeepDiffGenerations int
 }
 
 // Pipeline owns the world and runs campaigns against the state dir.
@@ -297,16 +292,10 @@ func (p *Pipeline) recordScanStats(domain string, st core.ScanStats) {
 // valid generations are left untouched; corrupt ones are quarantined
 // with a *.corrupt rename and recomputed from the canonical datasets —
 // through the columnar sidecars and the streaming merge, which
-// reproduces the map-era bytes exactly. Generations already retired
-// into the squash diff are skipped, and retention compaction (if
-// configured) runs at the end of each pass.
+// reproduces the map-era bytes exactly.
 func (p *Pipeline) EnsureDiffs(gen int) error {
 	for _, domain := range p.cfg.Domains {
-		floor, err := p.squashCovers(domain)
-		if err != nil {
-			return err
-		}
-		for g := floor + 1; g <= gen; g++ {
+		for g := 1; g <= gen; g++ {
 			_, err := LoadDiffFile(p.cfg.StateDir, domain, g)
 			if err == nil {
 				continue
@@ -333,9 +322,6 @@ func (p *Pipeline) EnsureDiffs(gen int) error {
 				p.cfg.Registry.Counter("relayd_diff_generations_total", "domain", domain).Add(1)
 			}
 		}
-		if err := p.CompactDiffs(domain, gen); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -354,87 +340,6 @@ func (p *Pipeline) diffGeneration(domain string, g int) (*DatasetDiff, error) {
 		return nil, err
 	}
 	return ComputeDiff(g, from, to, a, b), nil
-}
-
-// squashCovers reports how many leading generations domain's squash
-// diff has retired (0 when retention never compacted). A corrupt squash
-// is quarantined *.corrupt and treated as absent: every covered
-// generation is recomputable from the retained canonical datasets, so
-// the next compaction pass rebuilds the squash byte-identically.
-func (p *Pipeline) squashCovers(domain string) (int, error) {
-	sq, err := LoadSquashFile(p.cfg.StateDir, domain)
-	switch {
-	case err == nil:
-		return sq.Covers, nil
-	case errors.Is(err, os.ErrNotExist):
-		return 0, nil
-	case errors.Is(err, core.ErrCheckpointCorrupt):
-		path := squashPath(p.cfg.StateDir, domain)
-		if p.cfg.Registry != nil {
-			p.cfg.Registry.Counter("relayd_diff_corrupt_total", "domain", domain).Add(1)
-		}
-		if renameErr := os.Rename(path, path+".corrupt"); renameErr != nil {
-			return 0, fmt.Errorf("relayd: quarantining corrupt squash: %w", renameErr)
-		}
-		return 0, nil
-	default:
-		return 0, err
-	}
-}
-
-// CompactDiffs enforces the retention policy for domain at diff
-// frontier gen: with KeepDiffGenerations = K > 0, generations older
-// than gen-K are retired into the squash diff (one accumulated
-// months[0] → months[gen-K] transition, computed directly from the
-// canonical datasets) and their files deleted. The order is what makes
-// a kill at any instant safe: the squash is written atomically first,
-// and only then are covered files removed — a crash in between leaves
-// redundant generation files that the next pass deletes, never a gap.
-// Idempotent and convergent: re-running after any kill ends in the same
-// durable tree.
-func (p *Pipeline) CompactDiffs(domain string, gen int) error {
-	keep := p.cfg.KeepDiffGenerations
-	if keep <= 0 {
-		return nil
-	}
-	covers, err := p.squashCovers(domain)
-	if err != nil {
-		return err
-	}
-	if target := gen - keep; target > covers {
-		from, to := p.cfg.Months[0], p.cfg.Months[target]
-		a, err := p.LoadColumns(domain, from)
-		if err != nil {
-			return err
-		}
-		b, err := p.LoadColumns(domain, to)
-		if err != nil {
-			return err
-		}
-		d := ComputeDiff(target, from, to, a, b)
-		d.Covers = target
-		if err := WriteSquashFile(p.cfg.StateDir, d); err != nil {
-			return err
-		}
-		covers = target
-		if p.cfg.Registry != nil {
-			p.cfg.Registry.Counter("relayd_diff_compactions_total", "domain", domain).Add(1)
-		}
-	}
-	for g := 1; g <= covers; g++ {
-		path := diffPath(p.cfg.StateDir, domain, g)
-		err := os.Remove(path)
-		if errors.Is(err, os.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if p.cfg.Registry != nil {
-			p.cfg.Registry.Counter("relayd_diff_retired_total", "domain", domain).Add(1)
-		}
-	}
-	return nil
 }
 
 // WriteReport renders Table 1 over every completed month into

@@ -395,7 +395,7 @@ func (sh *scanShard) apply(fr *journalFrame, done *bitset) {
 		sh.addrs[a.addr] = a.as
 	}
 	for _, s := range fr.serving {
-		sh.servingOf(s.client)[s.op] += s.n
+		sh.servingOf(s.client).add(s.op, s.n)
 	}
 	for _, e := range fr.ledger {
 		sh.appendFault(e)
@@ -545,7 +545,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		Domain:        rp.domain,
 		UniverseTotal: rp.total,
 		Addresses:     rp.shard.addrs,
-		Serving:       rp.shard.serving,
+		Serving:       rp.shard.servingMap(),
 		Ledger:        ledgerOf([]*scanShard{rp.shard}),
 		Counters:      make(map[string]int64, nCounters),
 	}

@@ -243,7 +243,7 @@ type subnetRef struct {
 // share mutable state on the steady-state path.
 type scanShard struct {
 	addrs   map[netip.Addr]bgp.ASN
-	serving map[bgp.ASN]map[bgp.ASN]int64 // client AS → operator → /24s
+	serving map[bgp.ASN]*opCounts // client AS → operator → /24s
 	// faults is the shard's failure ledger in the order it was written:
 	// one entry per run of consecutive faults of a /24, so recording a
 	// fault is a compare with the last entry, not a map probe. A /24
@@ -260,19 +260,54 @@ const faultChunkLen = 256
 func newScanShard() *scanShard {
 	return &scanShard{
 		addrs:   make(map[netip.Addr]bgp.ASN),
-		serving: make(map[bgp.ASN]map[bgp.ASN]int64),
+		serving: make(map[bgp.ASN]*opCounts),
 	}
 }
 
-// servingOf returns client's per-operator counter map, creating it on
+// opCounts is one client AS's served-/24 counters, one entry per
+// operator in first-served order. A client AS sees only a handful of
+// operators, so a bump is a short scan of a dense list, not a map
+// probe.
+type opCounts []opCount
+
+type opCount struct {
+	op bgp.ASN
+	n  int64
+}
+
+// add counts n more /24s served by op.
+func (c *opCounts) add(op bgp.ASN, n int64) {
+	for i := range *c {
+		if e := &(*c)[i]; e.op == op {
+			e.n += n
+			return
+		}
+	}
+	*c = append(*c, opCount{op, n})
+}
+
+// servingOf returns client's per-operator counters, creating them on
 // first sight.
-func (sh *scanShard) servingOf(client bgp.ASN) map[bgp.ASN]int64 {
+func (sh *scanShard) servingOf(client bgp.ASN) *opCounts {
 	ops := sh.serving[client]
 	if ops == nil {
-		ops = make(map[bgp.ASN]int64)
+		ops = new(opCounts)
 		sh.serving[client] = ops
 	}
 	return ops
+}
+
+// servingMap copies the shard's serving counters out as nested maps.
+func (sh *scanShard) servingMap() map[bgp.ASN]map[bgp.ASN]int64 {
+	out := make(map[bgp.ASN]map[bgp.ASN]int64, len(sh.serving))
+	for client, ops := range sh.serving {
+		m := make(map[bgp.ASN]int64, len(*ops))
+		for _, e := range *ops {
+			m[e.op] = e.n
+		}
+		out[client] = m
+	}
+	return out
 }
 
 // fault returns the ledger entry for subnet's current run of faults:
@@ -333,8 +368,8 @@ func (sh *scanShard) absorb(o *scanShard) {
 	}
 	for clientAS, ops := range o.serving {
 		dst := sh.servingOf(clientAS)
-		for op, n := range ops {
-			dst[op] += n
+		for _, e := range *ops {
+			dst.add(e.op, e.n)
 		}
 	}
 	sh.counters.add(&o.counters)
@@ -365,11 +400,11 @@ type workerAux struct {
 	scopeOp          bgp.ASN
 	// Route-range accounting memo (see scanWorker.account): the address
 	// range of the last covering client route, its client AS and the
-	// per-operator counter map it resolved to in the worker's shard (nil
-	// = no memo).
+	// per-operator counters it resolved to in the worker's shard (nil =
+	// no memo).
 	accLo, accHi uint32
 	accClient    bgp.ASN
-	accOps       map[bgp.ASN]int64
+	accOps       *opCounts
 	// grant is the worker's outstanding pacer tranche.
 	grant pacerGrant
 
@@ -423,7 +458,7 @@ func (w *scanWorker) firstSight(addr netip.Addr, as bgp.ASN) {
 // account attributes one served /24 to the subnet's own client AS under
 // the given operator. Consecutive subnets overwhelmingly share one
 // covering client route (routes span 4–1024 /24s), so the last route's
-// address range and its per-operator counter map are memoized in the
+// address range and its per-operator counters are memoized in the
 // worker aux: the steady state is one range check and one counter
 // bump.
 func (w *scanWorker) account(subnet netip.Prefix, operator bgp.ASN) {
@@ -440,7 +475,7 @@ func (w *scanWorker) account(subnet netip.Prefix, operator bgp.ASN) {
 			aux.accLo, aux.accHi = 1, 0 // empty range: never hits
 		}
 	}
-	aux.accOps[operator]++
+	aux.accOps.add(operator, 1)
 	if aux.delta != nil {
 		aux.delta.serve(aux.accClient, operator)
 	}
@@ -865,8 +900,8 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 		ds.AppendAddr(addr, as)
 	}
 	for clientAS, ops := range merged.serving {
-		for op, n := range ops {
-			ds.AppendServing(clientAS, op, n)
+		for _, e := range *ops {
+			ds.AppendServing(clientAS, e.op, e.n)
 		}
 	}
 	if err := ds.Normalize(); err != nil {

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"maps"
 	"net/netip"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +16,7 @@ import (
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/dnswire"
 	"github.com/relay-networks/privaterelay/internal/faults"
+	"github.com/relay-networks/privaterelay/internal/iputil"
 	"github.com/relay-networks/privaterelay/internal/netsim"
 	"github.com/relay-networks/privaterelay/internal/vclock"
 )
@@ -338,6 +342,116 @@ func TestTokenBucketGrantConservation(t *testing.T) {
 		if got := tb.next.Load(); got != wantNext {
 			t.Errorf("batch=%d: booked timeline = %d ns (%d slots), want %d ns (%d slots)",
 				batch, got, got/tb.interval, wantNext, workers*sendsPerWorker)
+		}
+	}
+}
+
+// operatorExchanger answers every /24 on its own (scope /24) with one
+// address of ops[i], i picked by hashing the subnet, so neighbouring
+// /24s of one client route flip between operators.
+type operatorExchanger struct{ ops []netip.Addr }
+
+func (x operatorExchanger) pick(subnet netip.Prefix) netip.Addr {
+	return x.ops[iputil.Mix(iputil.HashPrefix(subnet), 0x5E27)%uint64(len(x.ops))]
+}
+
+func (x operatorExchanger) Exchange(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	subnet := q.Edns.ClientSubnet.Prefix()
+	return &dnswire.Message{
+		Header:    dnswire.Header{ID: q.Header.ID, Response: true, Authoritative: true},
+		Questions: q.Questions,
+		Answers:   []dnswire.Record{{Name: q.Questions[0].Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, Addr: x.pick(subnet)}},
+		Edns: &dnswire.EDNS{UDPSize: 1232, ClientSubnet: &dnswire.ClientSubnet{
+			SourcePrefixLen: 24, ScopePrefixLen: 24, Addr: subnet.Addr(),
+		}},
+	}, nil
+}
+
+// TestServingCountersEveryOperator pins the per-client serving counters
+// at their widest: one client AS served by every operator the world
+// answers with — the ingress operators, the egress-only ASes, and 0 for
+// an answer no route covers — must come out, folded across worker
+// shards, through the journal's batch deltas and through a resume's
+// replay, as exactly the rows a map counted per /24 gives.
+func TestServingCountersEveryOperator(t *testing.T) {
+	const client bgp.ASN = 64600
+	table := bgp.NewTable()
+	route := netip.MustParsePrefix("10.0.0.0/16")
+	table.Announce(route, client)
+	x := operatorExchanger{}
+	for i, op := range []bgp.ASN{netsim.ASApple, netsim.ASAkamaiPR, netsim.ASAkamaiEdge, netsim.ASCloudflare, netsim.ASFastly, 0} {
+		addr := netip.AddrFrom4([4]byte{byte(100 + i), 1, 2, 3})
+		if op != 0 {
+			table.Announce(netip.PrefixFrom(addr, 16).Masked(), op)
+		}
+		x.ops = append(x.ops, addr)
+	}
+	var universe []netip.Prefix
+	iputil.Subnets(route, 20, func(p netip.Prefix) bool {
+		universe = append(universe, p)
+		return true
+	})
+
+	// The map-based count the dense counters must reproduce.
+	want := map[bgp.ASN]map[bgp.ASN]int64{client: {}}
+	iputil.Subnets(route, 24, func(s netip.Prefix) bool {
+		op, _ := table.Index().Origin(x.pick(s))
+		want[client][op]++
+		return true
+	})
+	if len(want[client]) != len(x.ops) {
+		t.Fatalf("the scripted answers reach %d operators, want all %d", len(want[client]), len(x.ops))
+	}
+	type row struct {
+		client, op bgp.ASN
+		n          int64
+	}
+	var wantRows []row
+	for op, n := range want[client] {
+		wantRows = append(wantRows, row{client, op, n})
+	}
+	slices.SortFunc(wantRows, func(a, b row) int { return cmp.Compare(a.op, b.op) })
+	rowsOf := func(ds *Dataset) []row {
+		var rows []row
+		for i := range ds.SrvClient {
+			rows = append(rows, row{ds.SrvClient[i], ds.SrvOp[i], ds.SrvCount[i]})
+		}
+		return rows
+	}
+
+	for _, workers := range []int{1, 4, 16} {
+		path := filepath.Join(t.TempDir(), "scan.ckpt")
+		cfg := ScanConfig{
+			Exchanger:    x,
+			Domain:       dnsserver.MaskDomain,
+			Universe:     universe,
+			Attribution:  table,
+			RespectScope: true,
+			Concurrency:  workers,
+			Checkpoint:   &CheckpointConfig{Path: path, Every: 16},
+		}
+		ds, err := Scan(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowsOf(ds); !slices.Equal(got, wantRows) {
+			t.Fatalf("workers=%d: serving rows %v, want %v", workers, got, wantRows)
+		}
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.EqualFunc(ck.Serving, want, maps.Equal) {
+			t.Fatalf("workers=%d: journalled serving %v, want %v", workers, ck.Serving, want)
+		}
+		cfg.Checkpoint.Resume = true
+		resumed, err := Scan(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed.Stats.ResumedSubnets != 256 || !slices.Equal(rowsOf(resumed), wantRows) {
+			t.Fatalf("workers=%d: resume replayed %d /24s, serving rows %v, want 256 and %v",
+				workers, resumed.Stats.ResumedSubnets, rowsOf(resumed), wantRows)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -440,6 +441,114 @@ func TestDropEDNSKeepsScratch(t *testing.T) {
 	}
 	if m.Edns.UDPSize != 0 || m.Edns.UnknownOptions != nil || *cs != (ClientSubnet{}) {
 		t.Fatalf("kept EDNS scratch not zeroed: %+v %+v", *m.Edns, *cs)
+	}
+}
+
+// TestReleaseClearsWrittenAnswers pins that ReleaseMessage zeroes the
+// records a use wrote and then cut off — by a shorter GrowAnswers, or a
+// decode that failed partway — like the ones still in view, so no
+// retained record keeps a name or rdata alive for the next owner. A
+// release that clears only what is in view would fail it.
+func TestReleaseClearsWrittenAnswers(t *testing.T) {
+	rec := Record{Name: "mask.icloud.com.", Type: TypeA, Class: ClassIN, TTL: 60, Addr: netip.MustParseAddr("17.0.0.1")}
+	full := &Message{Header: Header{ID: 7, Response: true}}
+	for i := 0; i < 8; i++ {
+		full.Answers = append(full.Answers, rec)
+	}
+	wire, err := full.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut inside the fourth answer: three records decode, the fourth
+	// fails on its truncated rdata.
+	cut := wire[:len(wire)-5*16+10]
+
+	fill := func(m *Message, n int) {
+		for i := range m.GrowAnswers(n) {
+			m.answerBuf[i] = rec
+		}
+	}
+	cases := []struct {
+		name string
+		use  func(t *testing.T, m *Message)
+	}{
+		{"grow 8 then 2", func(t *testing.T, m *Message) {
+			fill(m, 8)
+			fill(m, 2)
+		}},
+		{"failed decode", func(t *testing.T, m *Message) {
+			if err := DecodeInto(cut, m); err == nil {
+				t.Fatal("DecodeInto accepted a truncated answer section")
+			}
+			if len(m.answerBuf) != 3 {
+				t.Fatalf("truncated decode kept %d answers, want 3", len(m.answerBuf))
+			}
+		}},
+		{"grow 8 then failed decode", func(t *testing.T, m *Message) {
+			fill(m, 8)
+			if err := DecodeInto(cut, m); err == nil {
+				t.Fatal("DecodeInto accepted a truncated answer section")
+			}
+		}},
+		{"decode 8 then grow 2", func(t *testing.T, m *Message) {
+			if err := DecodeInto(wire, m); err != nil {
+				t.Fatal(err)
+			}
+			fill(m, 2)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := AcquireMessage()
+			c.use(t, m)
+			ReleaseMessage(m)
+			if cap(m.answerBuf) == 0 || cap(m.answerBuf) > maxPooledAnswers {
+				t.Fatalf("released message kept %d records of storage", cap(m.answerBuf))
+			}
+			for i, r := range m.answerBuf[:cap(m.answerBuf)] {
+				if r.Name != "" || r.Data != nil || r.Addr.IsValid() || r.TTL != 0 || r.Type != 0 {
+					t.Fatalf("retained record %d not zeroed: %+v", i, r)
+				}
+			}
+		})
+	}
+}
+
+// TestMessagePoolStatsExact pins that striping the acquire counter
+// loses no count: goroutines acquiring and releasing at once add
+// exactly one acquire each. The test first holds enough messages at
+// once that the pool must allocate a run of them, which deals every
+// stripe, and then the goroutines share those.
+func TestMessagePoolStatsExact(t *testing.T) {
+	const goroutines, rounds, inFlight = 8, 1000, 4
+	before, _ := MessagePoolStats()
+	held := make([]*Message, 4*acquireStripes)
+	for i := range held {
+		held[i] = AcquireMessage()
+	}
+	for _, m := range held {
+		ReleaseMessage(m)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held [inFlight]*Message
+			for i := 0; i < rounds; i++ {
+				for j := range held {
+					held[j] = AcquireMessage()
+				}
+				for _, m := range held {
+					ReleaseMessage(m)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	after, _ := MessagePoolStats()
+	if got, want := after-before, int64(len(held)+goroutines*rounds*inFlight); got != want {
+		t.Fatalf("MessagePoolStats counted %d acquires, want %d", got, want)
 	}
 }
 

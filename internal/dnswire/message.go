@@ -151,6 +151,7 @@ func DecodeInto(msg []byte, m *Message) error {
 	edns := m.Edns // scratch from a previous decode, if any
 	*m = Message{
 		pooled:      m.pooled,
+		stripe:      m.stripe,
 		Questions:   m.Questions[:0],
 		Authorities: m.Authorities[:0],
 		Additionals: m.Additionals[:0],

@@ -25,13 +25,31 @@ import (
 //   - After ReleaseMessage the message must not be touched — nor may a
 //     copy of its Answers slice: the answer storage and the EDNS scratch
 //     stay with the message and are rewritten by the next owner.
+//   - ReleaseMessage zeroes all the retained answer storage, also the
+//     records a use wrote and then cut off (a shorter GrowAnswers, a
+//     decode that failed partway), so no retained record keeps caller
+//     data alive for the next owner.
+//   - Acquires are counted in cache-line-padded stripes, one picked per
+//     message when the pool allocates it: a sync.Pool hands each P back
+//     the messages it released, so concurrent scans bump different
+//     lines. MessagePoolStats sums the stripes; the count stays exact.
+
+// acquireStripes is how many padded acquire counters there are.
+const acquireStripes = 16
+
+// acquireStripe is one acquire counter on a cache line of its own
+// (128 bytes: adjacent-line prefetch pairs 64-byte lines).
+type acquireStripe struct {
+	n atomic.Int64
+	_ [120]byte
+}
 
 // poolAcquires / poolMisses feed the pool-hit-rate metric relayd
 // exports: a miss is an acquire the pool served by allocating a fresh
 // Message. Plain atomic adds — they never allocate, so the 0 allocs/op
 // contract on the exchange path holds.
 var (
-	poolAcquires atomic.Int64
+	poolAcquires [acquireStripes]acquireStripe
 	poolMisses   atomic.Int64
 )
 
@@ -42,16 +60,20 @@ var (
 // most eight records.
 const maxPooledAnswers = 16
 
+// msgPool's misses deal the acquire stripes round robin, so the few
+// messages each worker keeps in flight land on different stripes.
 var msgPool = sync.Pool{New: func() any {
-	poolMisses.Add(1)
-	return new(Message)
+	return &Message{stripe: uint8(poolMisses.Add(1) % acquireStripes)}
 }}
 
 // MessagePoolStats reports lifetime acquire and miss counts for the
 // message pool. The hit rate is (acquires-misses)/acquires; misses also
 // approximate the pool's allocation pressure.
 func MessagePoolStats() (acquires, misses int64) {
-	return poolAcquires.Load(), poolMisses.Load()
+	for i := range poolAcquires {
+		acquires += poolAcquires[i].n.Load()
+	}
+	return acquires, poolMisses.Load()
 }
 
 // AcquireMessage returns a pooled Message. Its section slices are nil
@@ -60,8 +82,8 @@ func MessagePoolStats() (acquires, misses int64) {
 // DecodeInto) or drop it with DropEDNS before use. Answer storage from a
 // previous life is retained and reused by GrowAnswers / DecodeInto.
 func AcquireMessage() *Message {
-	poolAcquires.Add(1)
 	m := msgPool.Get().(*Message)
+	poolAcquires[m.stripe].n.Add(1)
 	m.pooled = true
 	return m
 }
@@ -93,7 +115,7 @@ func ReleaseMessage(m *Message) {
 			*cs = ClientSubnet{}
 		}
 	}
-	*m = Message{Edns: edns, answerBuf: buf[:0]}
+	*m = Message{Edns: edns, answerBuf: buf[:0], stripe: m.stripe}
 	msgPool.Put(m)
 }
 

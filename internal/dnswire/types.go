@@ -191,6 +191,8 @@ type Message struct {
 	// pooled marks messages that came from AcquireMessage, so
 	// ReleaseMessage never recycles a message it does not own.
 	pooled bool
+	// stripe is the acquire-counter stripe msgPool dealt the message.
+	stripe uint8
 }
 
 // CanonicalName lowercases a domain name and guarantees a trailing dot,

@@ -77,14 +77,32 @@ type Flat[V any] struct {
 }
 
 // Intervals is one family's boundary intervals. The boundary keys live
-// in their own densely packed array (four 16-byte keys per cache line)
-// so the search never drags payloads through the cache; owner holds, at
-// the same position, the span index of the most-specific prefix covering
-// the interval, or -1 for a gap.
+// in their own densely packed array so the search never drags payloads
+// through the cache: IPv4 keys packed as uint32s in keys4 (sixteen per
+// cache line), IPv6 keys in keys (four per line); the other family's
+// slice is nil. owner holds, at the same position, the span index of the
+// most-specific prefix covering the interval, or -1 for a gap.
 type Intervals struct {
+	keys4    []uint32
 	keys     []Key
 	owner    []int32
 	distinct int
+}
+
+// keyAt returns the boundary key at position i.
+func (iv *Intervals) keyAt(i int) Key {
+	if iv.keys4 != nil {
+		return Key{0, uint64(iv.keys4[i])}
+	}
+	return iv.keys[i]
+}
+
+// leAt reports keyAt(i) <= k.
+func (iv *Intervals) leAt(i int, k Key) bool {
+	if iv.keys4 != nil {
+		return uint64(iv.keys4[i]) <= k.Lo
+	}
+	return iv.keys[i].le(k)
 }
 
 // Flatten sweeps spans (every prefix canonical, as CanonicalPrefix
@@ -126,16 +144,22 @@ func sweep[V any](spans []Span[V], famBits int) Intervals {
 		return cmp.Compare(a.i, b.i)
 	})
 	maxKey := Key{lowMask(famBits - 64), lowMask(famBits)}
-	iv := Intervals{
-		keys:  make([]Key, 0, 2*len(order)+1),
-		owner: make([]int32, 0, 2*len(order)+1),
+	iv := Intervals{owner: make([]int32, 0, 2*len(order)+1)}
+	if famBits == 32 {
+		iv.keys4 = make([]uint32, 0, cap(iv.owner))
+	} else {
+		iv.keys = make([]Key, 0, cap(iv.owner))
 	}
 	emit := func(k Key, owner int32) {
-		if n := len(iv.keys); n > 0 && iv.keys[n-1] == k {
+		if n := len(iv.owner); n > 0 && iv.keyAt(n-1) == k {
 			iv.owner[n-1] = owner
 			return
 		}
-		iv.keys = append(iv.keys, k)
+		if famBits == 32 {
+			iv.keys4 = append(iv.keys4, uint32(k.Lo))
+		} else {
+			iv.keys = append(iv.keys, k)
+		}
 		iv.owner = append(iv.owner, owner)
 	}
 	type open struct {
@@ -178,7 +202,7 @@ func sweep[V any](spans []Span[V], famBits int) Intervals {
 // Lookup returns the index into the flattened spans of the most-specific
 // prefix containing k, or -1 when none does.
 func (iv *Intervals) Lookup(k Key) int32 {
-	return iv.ownerAt(iv.bisect(k, -1, len(iv.keys)))
+	return iv.ownerAt(iv.bisect(k, -1, len(iv.owner)))
 }
 
 // Seek is Lookup for callers whose successive queries are nearby (the
@@ -187,15 +211,15 @@ func (iv *Intervals) Lookup(k Key) int32 {
 // answer before bisecting. Seek stores the new position back into *hint.
 // Any hint produces the same answer.
 func (iv *Intervals) Seek(k Key, hint *int) int32 {
-	n := len(iv.keys)
+	n := len(iv.owner)
 	if n == 0 {
 		return -1
 	}
 	h := min(max(*hint, 0), n-1)
 	lo, hi := h, n
-	if iv.keys[h].le(k) {
+	if iv.leAt(h, k) {
 		for step := 1; lo+step < n; step <<= 1 {
-			if !iv.keys[lo+step].le(k) {
+			if !iv.leAt(lo+step, k) {
 				hi = lo + step
 				break
 			}
@@ -204,7 +228,7 @@ func (iv *Intervals) Seek(k Key, hint *int) int32 {
 	} else {
 		lo, hi = -1, h
 		for step := 1; hi-step >= 0; step <<= 1 {
-			if iv.keys[hi-step].le(k) {
+			if iv.leAt(hi-step, k) {
 				lo = hi - step
 				break
 			}
@@ -218,8 +242,21 @@ func (iv *Intervals) Seek(k Key, hint *int) int32 {
 
 // bisect returns the rightmost boundary position in [lo, hi) whose key
 // is <= k, given keys[lo] <= k (or lo == -1) and k < keys[hi] (or
-// hi == len(keys)); -1 when every key is greater.
+// hi == len(keys)); -1 when every key is greater. The family is
+// dispatched once, so the IPv4 loop compares packed words only.
 func (iv *Intervals) bisect(k Key, lo, hi int) int {
+	if keys4 := iv.keys4; keys4 != nil {
+		k4 := uint32(k.Lo)
+		for lo+1 < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if keys4[mid] <= k4 {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
 	for lo+1 < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if iv.keys[mid].le(k) {
@@ -255,7 +292,7 @@ func (f *Flat[V]) Lookup(addr netip.Addr) int32 { return f.Family(addr).Lookup(K
 func (f *Flat[V]) At(i int32) *Span[V] { return &f.spans[i] }
 
 // Len returns the number of interval boundaries.
-func (f *Flat[V]) Len() int { return len(f.v4.keys) + len(f.v6.keys) }
+func (f *Flat[V]) Len() int { return len(f.v4.owner) + len(f.v6.owner) }
 
 // Prefixes returns the number of distinct prefixes flattened.
 func (f *Flat[V]) Prefixes() int { return f.v4.distinct + f.v6.distinct }

@@ -124,7 +124,7 @@ func TestSeekMatchesLookup(t *testing.T) {
 	}
 	f := Flatten(spans)
 	iv := &f.v4
-	n := len(iv.keys)
+	n := len(iv.owner)
 	hints := []int{-5, 0, n / 2, n - 1, n + 10}
 	carried := 0
 	for q := 0; q < 5000; q++ {

@@ -16,8 +16,19 @@ import (
 
 // Canonical returns addr in its canonical form: IPv4-mapped IPv6 addresses
 // are unmapped to plain IPv4. Zone information is stripped, as routing-level
-// analysis never deals with scoped addresses.
+// analysis never deals with scoped addresses. A plain IPv4 address, what
+// every scan query carries, has neither a mapping nor a zone and comes
+// back as it is, inlined into the caller.
 func Canonical(addr netip.Addr) netip.Addr {
+	if addr.Is4() {
+		return addr
+	}
+	return canonical6(addr)
+}
+
+// canonical6 is Canonical's non-IPv4 path, kept out of line so Canonical
+// inlines (WithZone does not).
+func canonical6(addr netip.Addr) netip.Addr {
 	return addr.Unmap().WithZone("")
 }
 

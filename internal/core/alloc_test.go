@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/relay-networks/privaterelay/internal/bgp"
 	"github.com/relay-networks/privaterelay/internal/dnsserver"
 	"github.com/relay-networks/privaterelay/internal/dnswire"
 	"github.com/relay-networks/privaterelay/internal/faults"
@@ -23,13 +22,26 @@ import (
 	"github.com/relay-networks/privaterelay/internal/vclock"
 )
 
-// TestProcessSubnetAllocBudget pins the steady-state cost of one
-// scanned /24 end to end: breaker admission, pacing, query re-stamping,
-// the in-memory exchange, classification and shard accounting. The
-// budget is zero — the whole loop runs on reused messages, answers
-// synthesized into message-owned storage and preallocated shard maps,
-// and this test is what keeps it that way.
-func TestProcessSubnetAllocBudget(t *testing.T) {
+// oneWorker readies cfg's scan at one worker and returns that worker,
+// for driving the step and the driver by hand.
+func oneWorker(t *testing.T, cfg ScanConfig) *scanWorker {
+	t.Helper()
+	cfg.Concurrency = 1
+	st, err := newScan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.workers[0]
+}
+
+// TestScanStepAllocBudget pins the steady-state cost of one scanned /24
+// end to end: the driver's breaker admission and pacing, the step's
+// query re-stamping, in-memory exchange, classification and recording
+// into the batch frame, and the seal that folds the frame into the
+// shard. The budget is zero — the whole loop runs on reused messages,
+// answers synthesized into message-owned storage, a reused frame and
+// preallocated shard maps, and this test is what keeps it that way.
+func TestScanStepAllocBudget(t *testing.T) {
 	const budget = 0
 	w := testWorld(t)
 	cfg := scanConfig(w, netsim.MonthApr, dnsserver.MaskDomain)
@@ -38,70 +50,44 @@ func TestProcessSubnetAllocBudget(t *testing.T) {
 	// ablation path exercises the full query loop every iteration.
 	cfg.RespectScope = false
 	cfg.Clock = vclock.WallClock{}
-
-	idx := cfg.Attribution.Index()
-	st := &scanState{
-		cfg:     &cfg,
-		idx:     idx,
-		clock:   cfg.Clock,
-		limiter: newTokenBucket(cfg.QPS, pacerBatch, cfg.Clock),
-		breaker: newCircuitBreaker(cfg.Breaker, cfg.Clock),
-	}
-	aux := &workerAux{
-		origins4: newOriginTable(),
-		origins:  make(map[netip.Addr]bgp.ASN),
-		cursor:   idx.Cursor(),
-	}
-	worker := &scanWorker{st: st, sh: newScanShard(), aux: aux}
+	worker := oneWorker(t, cfg)
 	ref := subnetRef{p: clientSubnetPrefix(w, 0)}
 	ctx := context.Background()
 
-	// Prime the message pool and the shard maps.
+	// Prime the message pool, the frame and the shard maps.
 	for i := 0; i < 16; i++ {
-		if !worker.processSubnet(ctx, ref) {
+		if !worker.drive(ctx, ref) {
 			t.Fatal("warm-up subnet did not complete")
 		}
+		worker.seal()
 	}
 	avg := testing.AllocsPerRun(500, func() {
-		if !worker.processSubnet(ctx, ref) {
+		if !worker.drive(ctx, ref) {
 			panic("subnet did not complete")
 		}
+		worker.seal()
 	})
 	if avg > budget {
-		t.Fatalf("processSubnet: %.2f allocs/op, budget %d", avg, budget)
+		t.Fatalf("scan step: %.2f allocs/op, budget %d", avg, budget)
 	}
 }
 
-// TestProcessSubnetFaultedAllocBudget pins the same loop under the
-// harsh fault profile, on the path a faulted scan takes: fresh /24s,
-// each run a batch of 64, through the injector with the resilience
-// stack (retries, backoff, breaker) on a virtual clock. Failure
-// responses are pooled and ledger entries are carved from the shard's
-// chunks, so a fault costs no allocation; a new chunk every 256 runs of
-// faults stays, amortized, under one allocation per batch.
-func TestProcessSubnetFaultedAllocBudget(t *testing.T) {
+// TestScanStepFaultedAllocBudget pins the same loop under the harsh
+// fault profile, on the path a faulted scan takes: fresh /24s, each run
+// a sealed batch of 64, through the injector with the resilience stack
+// (retries, backoff, breaker) on a virtual clock. Failure responses are
+// pooled and ledger entries are carved from the shard's chunks, so a
+// fault costs no allocation; a new chunk every 256 runs of faults
+// stays, amortized, under one allocation per batch.
+func TestScanStepFaultedAllocBudget(t *testing.T) {
 	const budget = 0
 	profile, err := faults.Parse("harsh,seed=5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg, inj, _ := resilientConfig(testWorld(t), aprDefault, profile, 1)
-	cfg.RespectScope = false // query every subnet, as in TestProcessSubnetAllocBudget
-
-	idx := cfg.Attribution.Index()
-	st := &scanState{
-		cfg:     &cfg,
-		idx:     idx,
-		clock:   cfg.Clock,
-		limiter: newTokenBucket(cfg.QPS, pacerBatch, cfg.Clock),
-		breaker: newCircuitBreaker(cfg.Breaker, cfg.Clock),
-	}
-	aux := &workerAux{
-		origins4: newOriginTable(),
-		origins:  make(map[netip.Addr]bgp.ASN),
-		cursor:   idx.Cursor(),
-	}
-	worker := &scanWorker{st: st, sh: newScanShard(), aux: aux}
+	cfg.RespectScope = false // query every subnet, as in TestScanStepAllocBudget
+	worker := oneWorker(t, cfg)
 	const warm, runs = 16, 100
 	var refs []subnetRef
 	const need = (warm + runs + 1) * workBatchSize // AllocsPerRun adds one warm-up run
@@ -120,12 +106,13 @@ func TestProcessSubnetFaultedAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	runBatch := func() {
 		for _, ref := range refs[:workBatchSize] {
-			worker.processSubnet(ctx, ref)
+			worker.drive(ctx, ref)
 		}
+		worker.seal()
 		refs = refs[workBatchSize:]
 		worker.deferred = worker.deferred[:0]
 	}
-	for range warm { // prime the message pool, the shard maps and the slab
+	for range warm { // prime the message pool, the frame, the shard maps and the slab
 		runBatch()
 	}
 	faulted := inj.Stats.Total()
@@ -134,48 +121,34 @@ func TestProcessSubnetFaultedAllocBudget(t *testing.T) {
 		t.Fatalf("%d faults over %d subnets: the profile did not bite", faulted, runs*workBatchSize)
 	}
 	if avg > budget {
-		t.Fatalf("faulted processSubnet: %.2f allocs per %d /24s (%d faults over the runs), budget %d",
+		t.Fatalf("faulted scan step: %.2f allocs per %d /24s (%d faults over the runs), budget %d",
 			avg, workBatchSize, faulted, budget)
 	}
 }
 
 // TestScanLoopCheckpointedAllocBudget pins the loop relayd actually
 // runs — every scan there is checkpointed — per *batch*: 64 subnets
-// recorded into the worker's persistent shard, their delta sealed into
-// a recycled frame buffer, the frame appended to the journal and group-
-// committed (Every = 64, relayd's cadence, so each batch pays its write
-// and fsync). Measured: 0 allocs/batch, and no per-batch maps — the
-// parent commit allocated a fresh scanShard (three maps) and a done
-// slice for every batch before it rewrote the whole snapshot.
+// recorded into the batch frame, the frame sealed into a recycled
+// buffer and folded into the worker's shard, the buffer appended to the
+// journal and group-committed (Every = 64, so each batch pays its write
+// and fsync). Measured: 0 allocs/batch.
 func TestScanLoopCheckpointedAllocBudget(t *testing.T) {
 	const budget = 0
 	w := testWorld(t)
 	cfg := scanConfig(w, netsim.MonthApr, dnsserver.MaskDomain)
-	cfg.RespectScope = false // query every subnet on every run, as in TestProcessSubnetAllocBudget
+	cfg.RespectScope = false // query every subnet on every run, as in TestScanStepAllocBudget
 	cfg.Clock = vclock.WallClock{}
+	worker := oneWorker(t, cfg)
 
-	idx := cfg.Attribution.Index()
 	j, _, err := openJournal(&CheckpointConfig{Path: filepath.Join(t.TempDir(), "scan.ckpt"), Every: workBatchSize},
 		dnswire.CanonicalName(cfg.Domain), universeSize(cfg.Universe))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.f.Close()
-	st := &scanState{
-		cfg:     &cfg,
-		idx:     idx,
-		clock:   cfg.Clock,
-		limiter: newTokenBucket(cfg.QPS, pacerBatch, cfg.Clock),
-		breaker: newCircuitBreaker(cfg.Breaker, cfg.Clock),
-		journal: j,
-	}
-	aux := &workerAux{
-		origins4: newOriginTable(),
-		origins:  make(map[netip.Addr]bgp.ASN),
-		cursor:   idx.Cursor(),
-		delta:    new(journalFrame),
-	}
-	worker := &scanWorker{st: st, sh: newScanShard(), aux: aux}
+	worker.st.journal = j
+	results, frameFree := make(chan batchResult, 1), make(chan []byte, 1)
+	worker.results, worker.frameFree = results, frameFree
 	var batch []subnetRef
 	for _, route := range cfg.Universe {
 		iputil.Subnets(route, 24, func(p netip.Prefix) bool {
@@ -188,17 +161,17 @@ func TestScanLoopCheckpointedAllocBudget(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	var buf []byte
 	runBatch := func() {
 		for _, ref := range batch {
-			if !worker.processSubnet(ctx, ref) {
+			if !worker.drive(ctx, ref) {
 				panic("subnet did not complete")
 			}
-			aux.delta.markDone(ref.idx)
+			worker.fr.markDone(ref.idx)
 		}
-		br := worker.sealBatch(buf)
+		worker.seal()
+		br := <-results
 		j.append(br.frame, br.done)
-		buf = br.frame
+		frameFree <- br.frame
 	}
 	for i := 0; i < 4; i++ { // prime pools, shard maps, frame and commit buffers
 		runBatch()

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"net/netip"
 	"path/filepath"
@@ -186,24 +187,80 @@ func TestScanChaosConvergesToFaultFreeDataset(t *testing.T) {
 // trips. Faults change the path, never the dataset; this test holds the
 // path itself, so a change to the injector or the ledger that re-rolls
 // a single attempt, or drops or merges one, fails here.
+//
+// The scan runs twice, without and with a fresh journal: both must give
+// the digest and the same dataset bytes, and the journal, replayed, must
+// hold the live counters and ledger (Recovered is decided at scan end,
+// after the last frame).
 func TestFaultedScanStatsPinned(t *testing.T) {
 	const want = "e38ec2d7d186eaae9e341dc2d99140b6caf3452b467c7025b004b45d6a4c1ba9"
 	profile, err := faults.Parse("harsh,seed=5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, _, clock := resilientConfig(testWorld(t), aprDefault, profile, 1)
-	ds, err := Scan(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &ds.Stats
-	// The scan must outlive harsh's SERVFAIL burst, so the pin covers
-	// attempts inside the burst window and after it.
-	if b := profile.Bursts[0]; clock.Elapsed() < b.Start+b.Len {
-		t.Fatalf("scan spanned %v of virtual time, before the burst ends at %v", clock.Elapsed(), b.Start+b.Len)
-	}
+	var unjournalled []byte
+	for _, journal := range []bool{false, true} {
+		cfg, _, clock := resilientConfig(testWorld(t), aprDefault, profile, 1)
+		path := filepath.Join(t.TempDir(), "scan.ckpt")
+		if journal {
+			cfg.Checkpoint = &CheckpointConfig{Path: path}
+		}
+		ds, err := Scan(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := &ds.Stats
+		// The scan must outlive harsh's SERVFAIL burst, so the pin covers
+		// attempts inside the burst window and after it.
+		if b := profile.Bursts[0]; clock.Elapsed() < b.Start+b.Len {
+			t.Fatalf("journal=%v: scan spanned %v of virtual time, before the burst ends at %v", journal, clock.Elapsed(), b.Start+b.Len)
+		}
+		if got := statsDigest(st); got != want {
+			t.Fatalf("journal=%v: faulted scan path digest %s, want %s", journal, got, want)
+		}
+		t.Logf("journal=%v: %d ledger entries, %d queries, %d retries, %d deferrals, %d fault attempts, %d passes, %d breaker trips",
+			journal, len(st.Ledger), st.QueriesSent, st.Retries, st.Deferrals, st.FaultAttempts(), st.Passes, st.BreakerTrips)
+		if !journal {
+			unjournalled = canonicalBytes(t, ds)
+			continue
+		}
+		if !bytes.Equal(canonicalBytes(t, ds), unjournalled) {
+			t.Fatal("journalled scan's dataset differs from the unjournalled one's")
+		}
 
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, live := range map[string]int64{
+			"queries": st.QueriesSent, "retries": st.Retries, "deferrals": st.Deferrals,
+			"timeoutattempts": st.TimeoutAttempts, "servfailattempts": st.ServFailAttempts,
+			"refusedattempts": st.RefusedAttempts, "truncatedattempts": st.TruncatedAttempts,
+			"staleattempts": st.StaleAttempts,
+		} {
+			if ck.Counters[name] != live {
+				t.Errorf("journalled %s = %d, live %d", name, ck.Counters[name], live)
+			}
+		}
+		if len(ck.Ledger) != len(st.Ledger) {
+			t.Fatalf("journal ledger has %d entries, live %d", len(ck.Ledger), len(st.Ledger))
+		}
+		for p, e := range st.Ledger {
+			got, ok := ck.Ledger[p]
+			if !ok {
+				t.Fatalf("%v ledgered live but not in the journal", p)
+			}
+			live := *e
+			live.Recovered = got.Recovered
+			if *got != live {
+				t.Fatalf("%v: journalled ledger entry %+v, live %+v", p, *got, *e)
+			}
+		}
+	}
+}
+
+// statsDigest hashes a scan's sorted ledger and path counters.
+func statsDigest(st *ScanStats) string {
 	entries := make([]*SubnetFault, 0, len(st.Ledger))
 	for _, e := range st.Ledger {
 		entries = append(entries, e)
@@ -231,12 +288,7 @@ func TestFaultedScanStatsPinned(t *testing.T) {
 		b = binary.BigEndian.AppendUint64(b, uint64(n))
 	}
 	sum := sha256.Sum256(b)
-	got := hex.EncodeToString(sum[:])
-	t.Logf("%d ledger entries, %d queries, %d retries, %d deferrals, %d fault attempts, %d passes, %d breaker trips",
-		len(entries), st.QueriesSent, st.Retries, st.Deferrals, st.FaultAttempts(), st.Passes, st.BreakerTrips)
-	if got != want {
-		t.Fatalf("faulted scan path digest %s, want %s", got, want)
-	}
+	return hex.EncodeToString(sum[:])
 }
 
 // killSwitch cancels the scan's context after a fixed number of
@@ -330,10 +382,10 @@ func TestScanCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestScanCheckpointCollectorMatchesFastPath pins the two accumulation
-// paths to each other: a fault-free checkpointed scan (per-batch minis
-// through the collector) must produce the same canonical bytes as the
-// contention-free fast path.
+// TestScanCheckpointCollectorMatchesFastPath checks journal on against
+// journal off: a fault-free checkpointed scan, whose workers also hand
+// every sealed frame to the collector, must produce the same canonical
+// bytes as the same scan without a journal.
 func TestScanCheckpointCollectorMatchesFastPath(t *testing.T) {
 	w := testWorld(t)
 	want := faultFreeBaseline(t, w, aprDefault)
@@ -345,7 +397,7 @@ func TestScanCheckpointCollectorMatchesFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := canonicalBytes(t, ds); !bytes.Equal(got, want) {
-		t.Fatal("collector path dataset differs from fast path")
+		t.Fatal("journalled scan's dataset differs from the unjournalled one's")
 	}
 }
 
@@ -430,7 +482,7 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 		if ok, probe := cb.acquire(ctx); !ok || probe {
 			t.Fatalf("closed breaker denied attempt %d", i)
 		}
-		cb.serverFailure(false)
+		cb.report(outcomeServFail, false)
 	}
 	if cb.state.Load() != breakerOpen {
 		t.Fatalf("state after %d failures = %d, want open", 3, cb.state.Load())
@@ -446,7 +498,7 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 		t.Fatalf("post-cooldown acquire = (%v, %v), want probe", ok, probe)
 	}
 	// Failed probe re-opens.
-	cb.serverFailure(true)
+	cb.report(outcomeTimeout, true)
 	if cb.state.Load() != breakerOpen || cb.tripCount() != 2 {
 		t.Fatalf("failed probe left state=%d trips=%d", cb.state.Load(), cb.tripCount())
 	}
@@ -455,11 +507,58 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 	if !ok || !probe {
 		t.Fatal("second probe not admitted")
 	}
-	cb.success(true)
+	cb.report(outcomeOK, true)
 	if cb.state.Load() != breakerClosed {
 		t.Fatalf("state after successful probe = %d, want closed", cb.state.Load())
 	}
 	if ok, probe := cb.acquire(ctx); !ok || probe {
 		t.Fatal("closed breaker after recovery should admit normally")
+	}
+}
+
+// breakerScript fails the first four exchanges with SERVFAIL and the
+// fifth with a terminal transport error, then passes every exchange on.
+type breakerScript struct {
+	inner dnsserver.Exchanger
+	n     atomic.Int64
+}
+
+func (x *breakerScript) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	switch n := x.n.Add(1); {
+	case n <= 4:
+		return &dnswire.Message{
+			Header:    dnswire.Header{ID: q.Header.ID, Response: true, RCode: dnswire.RCodeServFail},
+			Questions: q.Questions,
+		}, nil
+	case n == 5:
+		return nil, errors.New("connection reset")
+	}
+	return x.inner.Exchange(ctx, q)
+}
+
+// TestScanBreakerProbeTerminalErrorReopens: four SERVFAILs trip a 4/1 s
+// breaker, and its half-open probe dies on a terminal transport error.
+// The probe is a failed one, so the breaker re-opens and probes again
+// with the next /24 instead of staying half-open with a probe that
+// never reports: every later /24 answers, and none is deferred.
+func TestScanBreakerProbeTerminalErrorReopens(t *testing.T) {
+	cfg := scriptedConfig([]string{"10.2.0.0/20"}, map[string]string{"10.2.0.0/20": "192.0.2.3"}, nil)
+	cfg.Exchanger = &breakerScript{inner: cfg.Exchanger}
+	cfg.RespectScope = false // query all 16 /24s
+	cfg.Concurrency = 1
+	cfg.Retries, cfg.MaxPasses = 4, 3
+	cfg.Breaker = BreakerConfig{Threshold: 4, Cooldown: time.Second}
+	clock := vclock.NewVirtualClock()
+	cfg.Clock = clock
+	ds, err := Scan(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &ds.Stats
+	t.Logf("queries=%d deferrals=%d failed=%d errors=%d trips=%d in %v", st.QueriesSent, st.Deferrals,
+		st.FailedSubnets, st.Errors, st.BreakerTrips, clock.Elapsed())
+	if st.QueriesSent != 20 || st.Deferrals != 0 || st.FailedSubnets != 0 || st.Errors != 1 || st.BreakerTrips != 2 {
+		t.Fatalf("queries=%d deferrals=%d failed=%d errors=%d trips=%d, want 20, 0, 0, 1 (the probe's /24) and 2",
+			st.QueriesSent, st.Deferrals, st.FailedSubnets, st.Errors, st.BreakerTrips)
 	}
 }

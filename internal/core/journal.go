@@ -384,18 +384,15 @@ func (jr *journalReader) next() (*journalFrame, error) {
 	return &jr.fr, nil
 }
 
-// apply folds one journalled batch into the shard and the done bitmap.
-func (sh *scanShard) apply(fr *journalFrame, done *bitset) {
-	for _, r := range fr.done {
-		for i := r.lo; i <= r.hi; i++ {
-			done.set(i)
-		}
-	}
+// apply folds one batch frame into the shard: a live worker's sealed
+// batch and a replayed journal frame alike. Done marks are not shard
+// state; replay sets them in its bitmap.
+func (sh *scanShard) apply(fr *journalFrame) {
 	for _, a := range fr.addrs {
 		sh.addrs[a.addr] = a.as
 	}
 	for _, s := range fr.serving {
-		sh.servingOf(s.client).add(s.op, s.n)
+		sh.serving[servingKey{s.client, s.op}] += s.n
 	}
 	for _, e := range fr.ledger {
 		sh.appendFault(e)
@@ -426,7 +423,12 @@ func replayJournal(path string) (*journalReplay, error) {
 		rp.done = newBitset(jr.total)
 		var fr *journalFrame
 		for fr, err = jr.next(); fr != nil; fr, err = jr.next() {
-			rp.shard.apply(fr, rp.done)
+			rp.shard.apply(fr)
+			for _, r := range fr.done {
+				for i := r.lo; i <= r.hi; i++ {
+					rp.done.set(i)
+				}
+			}
 		}
 		rp.valid = int64(jr.off)
 	}

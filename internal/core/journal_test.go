@@ -257,7 +257,12 @@ func FuzzReadJournal(f *testing.F) {
 			var fr *journalFrame
 			for fr, err = jr.next(); fr != nil; fr, err = jr.next() {
 				re = fr.appendTo(re)
-				shard.apply(fr, done)
+				shard.apply(fr)
+				for _, r := range fr.done {
+					for i := r.lo; i <= r.hi; i++ {
+						done.set(i)
+					}
+				}
 			}
 			valid = jr.off
 		}

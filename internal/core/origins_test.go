@@ -7,21 +7,17 @@ import (
 	"github.com/relay-networks/privaterelay/internal/bgp"
 )
 
-// foldAll folds every address into a fresh journal-mode worker whose
-// routing table announces each address as its own /32 from want's AS,
-// twice over, and checks that each folds to its own AS and enters the
-// shard and the batch delta exactly once.
+// foldAll folds every address into a fresh worker whose routing table
+// announces each address as its own /32 from want's AS, twice over, and
+// checks that each folds to its own AS and enters the batch frame, and
+// after a seal the shard, exactly once.
 func foldAll(t *testing.T, addrs []netip.Addr, want func(i int) bgp.ASN) *scanWorker {
 	t.Helper()
 	tab := bgp.NewTable()
 	for i, a := range addrs {
 		tab.Announce(netip.PrefixFrom(a, 32), want(i))
 	}
-	w := &scanWorker{
-		st:  &scanState{idx: tab.Index()},
-		sh:  newScanShard(),
-		aux: &workerAux{origins4: newOriginTable(), origins: make(map[netip.Addr]bgp.ASN), delta: new(journalFrame)},
-	}
+	w := (&scanState{idx: tab.Index()}).newWorker()
 	for round := 0; round < 2; round++ {
 		for i, a := range addrs {
 			if got := w.foldAddr(a); got != want(i) {
@@ -29,6 +25,17 @@ func foldAll(t *testing.T, addrs []netip.Addr, want func(i int) bgp.ASN) *scanWo
 			}
 		}
 	}
+	seen := make(map[netip.Addr]bool, len(addrs))
+	for _, e := range w.fr.addrs {
+		if seen[e.addr] {
+			t.Fatalf("%v entered the batch frame twice", e.addr)
+		}
+		seen[e.addr] = true
+	}
+	if len(seen) != len(addrs) {
+		t.Fatalf("batch frame holds %d addresses, want %d", len(seen), len(addrs))
+	}
+	w.seal()
 	if len(w.sh.addrs) != len(addrs) {
 		t.Fatalf("shard holds %d addresses, want %d", len(w.sh.addrs), len(addrs))
 	}
@@ -36,16 +43,6 @@ func foldAll(t *testing.T, addrs []netip.Addr, want func(i int) bgp.ASN) *scanWo
 		if as, ok := w.sh.addrs[a]; !ok || as != want(i) {
 			t.Fatalf("shard[%v] = %d, %v; want %d", a, as, ok, want(i))
 		}
-	}
-	seen := make(map[netip.Addr]bool, len(addrs))
-	for _, e := range w.aux.delta.addrs {
-		if seen[e.addr] {
-			t.Fatalf("%v entered the batch delta twice", e.addr)
-		}
-		seen[e.addr] = true
-	}
-	if len(seen) != len(addrs) {
-		t.Fatalf("batch delta holds %d addresses, want %d", len(seen), len(addrs))
 	}
 	return w
 }
@@ -66,7 +63,7 @@ func TestFoldAddrSharedProbeChain(t *testing.T) {
 		}
 	}
 	w := foldAll(t, addrs, func(i int) bgp.ASN { return bgp.ASN(64500 + i) })
-	if got := len(w.aux.origins4.slots); got != len(fresh.slots) {
+	if got := len(w.origins4.slots); got != len(fresh.slots) {
 		t.Fatalf("table grew to %d slots for %d addresses", got, len(addrs))
 	}
 }
@@ -84,10 +81,10 @@ func TestFoldAddrBeyondInitialCapacity(t *testing.T) {
 		addrs = append(addrs, addrOf(172<<24|224<<16|uint32(i/16)<<12|uint32(1+i%16)))
 	}
 	w := foldAll(t, addrs, func(i int) bgp.ASN { return bgp.ASN(4_200_000 + i) })
-	if got := w.aux.origins4.n; got != n {
+	if got := w.origins4.n; got != n {
 		t.Fatalf("table holds %d entries, want %d (0.0.0.0 goes to the map)", got, n)
 	}
-	if got, min := len(w.aux.origins4.slots), 2*n; got < min {
+	if got, min := len(w.origins4.slots), 2*n; got < min {
 		t.Fatalf("table has %d slots for %d entries, want at least %d", got, n, min)
 	}
 }

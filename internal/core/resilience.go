@@ -112,32 +112,28 @@ func (cb *circuitBreaker) acquire(ctx context.Context) (admitted, probe bool) {
 	}
 }
 
-// success reports a successful (or at least non-server-failed) exchange.
-func (cb *circuitBreaker) success(probe bool) {
-	if cb == nil {
-		return
-	}
-	cb.consec.Store(0)
-	if probe {
-		cb.state.Store(breakerClosed)
-		cb.probing.Store(false)
-	}
-}
-
-// serverFailure reports a SERVFAIL/REFUSED. A failed half-open probe
-// re-opens immediately; while closed, crossing the threshold trips.
-func (cb *circuitBreaker) serverFailure(probe bool) {
-	if cb == nil {
-		return
-	}
-	if probe {
+// report feeds one admitted attempt's outcome back. A success resets
+// the failure run and closes a half-open breaker. A half-open probe
+// that fails in any way — SERVFAIL/REFUSED, timeout, truncation, a
+// stale response or a terminal transport error — re-opens it at once.
+// Otherwise only SERVFAIL/REFUSED count, and crossing the threshold
+// while closed trips.
+func (cb *circuitBreaker) report(out attemptOutcome, probe bool) {
+	switch {
+	case cb == nil:
+	case out == outcomeOK:
+		cb.consec.Store(0)
+		if probe {
+			cb.state.Store(breakerClosed)
+			cb.probing.Store(false)
+		}
+	case probe:
 		cb.open()
 		cb.probing.Store(false)
-		return
-	}
-	if cb.consec.Add(1) >= int64(cb.cfg.Threshold) &&
-		cb.state.Load() == breakerClosed {
-		cb.open()
+	case out == outcomeServFail || out == outcomeRefused:
+		if cb.consec.Add(1) >= int64(cb.cfg.Threshold) && cb.state.Load() == breakerClosed {
+			cb.open()
+		}
 	}
 }
 

@@ -239,16 +239,16 @@ type subnetRef struct {
 }
 
 // scanShard is one accumulator: a worker's private shard for the whole
-// scan, or the state a resumed journal replays into. Workers never
-// share mutable state on the steady-state path.
+// scan, or the state a resumed journal replays into. Either way it is
+// filled only by apply, one batch frame at a time. Workers never share
+// mutable state on the steady-state path.
 type scanShard struct {
 	addrs   map[netip.Addr]bgp.ASN
-	serving map[bgp.ASN]*opCounts // client AS → operator → /24s
+	serving map[servingKey]int64 // /24s served
 	// faults is the shard's failure ledger in the order it was written:
-	// one entry per run of consecutive faults of a /24, so recording a
-	// fault is a compare with the last entry, not a map probe. A /24
-	// deferred to a later pass may own several entries; ledgerOf folds
-	// them. Entries are carved from chunks of faultChunkLen, so a
+	// one entry per run of consecutive faults of a /24 within a batch. A
+	// /24 deferred to a later pass may own several entries; ledgerOf
+	// folds them. Entries are carved from chunks of faultChunkLen, so a
 	// faulted /24 costs no heap object of its own.
 	faults   [][]SubnetFault
 	counters scanCounters
@@ -260,78 +260,33 @@ const faultChunkLen = 256
 func newScanShard() *scanShard {
 	return &scanShard{
 		addrs:   make(map[netip.Addr]bgp.ASN),
-		serving: make(map[bgp.ASN]*opCounts),
+		serving: make(map[servingKey]int64),
 	}
 }
 
-// opCounts is one client AS's served-/24 counters, one entry per
-// operator in first-served order. A client AS sees only a handful of
-// operators, so a bump is a short scan of a dense list, not a map
-// probe.
-type opCounts []opCount
-
-type opCount struct {
-	op bgp.ASN
-	n  int64
-}
-
-// add counts n more /24s served by op.
-func (c *opCounts) add(op bgp.ASN, n int64) {
-	for i := range *c {
-		if e := &(*c)[i]; e.op == op {
-			e.n += n
-			return
-		}
-	}
-	*c = append(*c, opCount{op, n})
-}
-
-// servingOf returns client's per-operator counters, creating them on
-// first sight.
-func (sh *scanShard) servingOf(client bgp.ASN) *opCounts {
-	ops := sh.serving[client]
-	if ops == nil {
-		ops = new(opCounts)
-		sh.serving[client] = ops
-	}
-	return ops
-}
+// servingKey is a client AS and an operator that served its /24s.
+type servingKey struct{ client, op bgp.ASN }
 
 // servingMap copies the shard's serving counters out as nested maps.
 func (sh *scanShard) servingMap() map[bgp.ASN]map[bgp.ASN]int64 {
-	out := make(map[bgp.ASN]map[bgp.ASN]int64, len(sh.serving))
-	for client, ops := range sh.serving {
-		m := make(map[bgp.ASN]int64, len(*ops))
-		for _, e := range *ops {
-			m[e.op] = e.n
+	out := make(map[bgp.ASN]map[bgp.ASN]int64)
+	for k, n := range sh.serving {
+		if out[k.client] == nil {
+			out[k.client] = make(map[bgp.ASN]int64)
 		}
-		out[client] = m
+		out[k.client][k.op] = n
 	}
 	return out
 }
 
-// fault returns the ledger entry for subnet's current run of faults:
-// the last entry when it is subnet's, else a new, empty one.
-func (sh *scanShard) fault(subnet netip.Prefix) *SubnetFault {
-	if n := len(sh.faults); n > 0 {
-		last := sh.faults[n-1]
-		if e := &last[len(last)-1]; e.Subnet == subnet {
-			return e
-		}
-	}
-	return sh.appendFault(SubnetFault{Subnet: subnet})
-}
-
-// appendFault adds a copy of e to the ledger and returns it.
-func (sh *scanShard) appendFault(e SubnetFault) *SubnetFault {
+// appendFault adds a copy of e to the ledger.
+func (sh *scanShard) appendFault(e SubnetFault) {
 	n := len(sh.faults)
 	if n == 0 || len(sh.faults[n-1]) == faultChunkLen {
 		sh.faults = append(sh.faults, make([]SubnetFault, 0, faultChunkLen))
 		n++
 	}
-	chunk := append(sh.faults[n-1], e)
-	sh.faults[n-1] = chunk
-	return &chunk[len(chunk)-1]
+	sh.faults[n-1] = append(sh.faults[n-1], e)
 }
 
 // ledgerOf folds the shards' ledger entries into one entry per /24, in
@@ -366,229 +321,20 @@ func (sh *scanShard) absorb(o *scanShard) {
 	for addr, as := range o.addrs {
 		sh.addrs[addr] = as
 	}
-	for clientAS, ops := range o.serving {
-		dst := sh.servingOf(clientAS)
-		for _, e := range *ops {
-			dst.add(e.op, e.n)
-		}
+	for k, n := range o.serving {
+		sh.serving[k] += n
 	}
 	sh.counters.add(&o.counters)
-}
-
-// workerAux is a worker's private lookup state, persisted across passes
-// (unlike the per-pass scanWorker): the answer-address origin memo, the
-// galloping attribution cursor, the scope memo and the pacer grant.
-// Nothing in it is shared, so the steady-state loop never touches
-// cross-worker memory for lookups.
-type workerAux struct {
-	// origins4/origins memoize attribution of answer addresses (IPv4 in
-	// an open-addressing table keyed by the packed address, IPv6 and
-	// 0.0.0.0 in a map). Answers repeat heavily (one fleet of ~1.6k
-	// addresses serves the whole universe), so after warm-up every A
-	// record resolves with one multiply-shift and, almost always, one
-	// slot compare instead of a routing-index search.
-	origins4 originTable
-	origins  map[netip.Addr]bgp.ASN
-	// cursor resolves each subnet's own client AS. Worker subnet
-	// sequences ascend, so the cursor's gallop replaces a full binary
-	// search with a few neighbor probes.
-	cursor bgp.Cursor
-	// Scope memo (see scanWorker.setScope): the range of the last answer
-	// scope narrower than /24 in the current unit, and its operator.
-	// Reset at every unit start; empty when scopeLo > scopeHi.
-	scopeLo, scopeHi uint32
-	scopeOp          bgp.ASN
-	// Route-range accounting memo (see scanWorker.account): the address
-	// range of the last covering client route, its client AS and the
-	// per-operator counters it resolved to in the worker's shard (nil =
-	// no memo).
-	accLo, accHi uint32
-	accClient    bgp.ASN
-	accOps       *opCounts
-	// grant is the worker's outstanding pacer tranche.
-	grant pacerGrant
-
-	// Journal mode only (nil otherwise): delta collects what the batch
-	// in progress adds to the shard, and journalled is the shard's
-	// counters as of the last sealed frame.
-	delta      *journalFrame
-	journalled scanCounters
-}
-
-// foldAddr attributes one answer address and enters it into the shard's
-// address ledger, memoizing both: after this worker's first sight of an
-// address, later folds are a single inlined table probe with no
-// writes (the memo is only ever filled alongside a ledger write, so a
-// hit proves the address is already in this worker's shard).
-func (w *scanWorker) foldAddr(addr netip.Addr) bgp.ASN {
-	if addr.Is4() {
-		a4 := addr.As4()
-		// 0.0.0.0 cannot enter origins4 (its key marks an empty slot)
-		// and takes the map path below.
-		if key := uint32(a4[0])<<24 | uint32(a4[1])<<16 | uint32(a4[2])<<8 | uint32(a4[3]); key != 0 {
-			s := w.aux.origins4.find(key)
-			if s.key != 0 {
-				return s.as
-			}
-			as, _ := w.st.idx.Origin(addr)
-			w.aux.origins4.fill(s, key, as)
-			w.firstSight(addr, as)
-			return as
-		}
-	}
-	if as, ok := w.aux.origins[addr]; ok {
-		return as
-	}
-	as, _ := w.st.idx.Origin(addr)
-	w.aux.origins[addr] = as
-	w.firstSight(addr, as)
-	return as
-}
-
-// firstSight enters an address this worker has not met into its shard
-// and, in journal mode, into the batch delta — so the address is
-// journalled no later than the first done bit that depends on it.
-func (w *scanWorker) firstSight(addr netip.Addr, as bgp.ASN) {
-	w.sh.addrs[addr] = as
-	if d := w.aux.delta; d != nil {
-		d.addrs = append(d.addrs, addrEntry{addr, as})
-	}
-}
-
-// account attributes one served /24 to the subnet's own client AS under
-// the given operator. Consecutive subnets overwhelmingly share one
-// covering client route (routes span 4–1024 /24s), so the last route's
-// address range and its per-operator counters are memoized in the
-// worker aux: the steady state is one range check and one counter
-// bump.
-func (w *scanWorker) account(subnet netip.Prefix, operator bgp.ASN) {
-	aux := w.aux
-	a, ok := addrKey32(subnet.Addr())
-	if !ok || aux.accOps == nil || a < aux.accLo || a > aux.accHi {
-		route, clientAS, routed := aux.cursor.CoveringPrefix(subnet)
-		if !routed {
-			return
-		}
-		aux.accClient, aux.accOps = clientAS, w.sh.servingOf(clientAS)
-		var spanned bool
-		if aux.accLo, aux.accHi, spanned = spanRange(route); !spanned {
-			aux.accLo, aux.accHi = 1, 0 // empty range: never hits
-		}
-	}
-	aux.accOps.add(operator, 1)
-	if aux.delta != nil {
-		aux.delta.serve(aux.accClient, operator)
-	}
-}
-
-// skipCovered handles a subnet suppressed by a covering scope: the
-// covering answer serves it too, so it is accounted to its own client AS
-// under the operator recorded with the scope entry — the accounting a
-// direct query would have produced, without sending one.
-func (w *scanWorker) skipCovered(subnet netip.Prefix, operator bgp.ASN) {
-	w.sh.counters[cSkipped]++
-	w.account(subnet, operator)
-}
-
-// record folds one successful response into the shard.
-func (w *scanWorker) record(subnet netip.Prefix, resp *dnswire.Message) {
-	if resp.Header.RCode != dnswire.RCodeNoError || len(resp.Answers) == 0 {
-		return
-	}
-	st, cfg := w.st, w.st.cfg
-	var operator bgp.ASN
-	for i := range resp.Answers {
-		if rec := &resp.Answers[i]; rec.Type == dnswire.TypeA || rec.Type == dnswire.TypeAAAA {
-			operator = w.foldAddr(rec.Addr) // all records of one answer share an AS (§4.1)
-		}
-	}
-
-	if cfg.RespectScope && resp.Edns != nil && resp.Edns.ClientSubnet != nil {
-		cs := resp.Edns.ClientSubnet
-		switch {
-		case cs.ScopePrefixLen == 0:
-			// A scope of zero declares the answer valid for the entire
-			// address space — nothing more can be learned from further
-			// ECS queries. Exactly one worker wins the publication; a
-			// loser's subnet would have been skipped had the scan run
-			// sequentially, so it counts as skipped.
-			op := operator
-			if !st.global.CompareAndSwap(nil, &op) {
-				w.sh.counters[cSkipped]++
-			}
-		case cs.ScopePrefixLen < 24:
-			w.setScope(cs.ScopePrefix(), operator)
-		}
-	}
-	w.account(subnet, operator)
-}
-
-// setScope makes scope the worker's scope memo. A unit is swept in
-// ascending order and scopes, covering routes over disjoint allocations,
-// never nest: the last scope met is the only one a later /24 of the unit
-// can fall in. The unit's earlier deferrals inside the scope — a tail of
-// w.deferred — are settled as skipped and done, not re-queried.
-func (w *scanWorker) setScope(scope netip.Prefix, op bgp.ASN) {
-	lo, hi, ok := spanRange(scope)
-	if !ok {
-		return
-	}
-	aux := w.aux
-	aux.scopeLo, aux.scopeHi, aux.scopeOp = lo, hi, op
-	for n := len(w.deferred); n > w.unitStart; n-- {
-		ref := w.deferred[n-1]
-		if a, _ := addrKey32(ref.p.Addr()); a < lo || a > hi {
-			break
-		}
-		w.deferred = w.deferred[:n-1]
-		w.skipCovered(ref.p, op)
-		if aux.delta != nil {
-			aux.delta.markDone(ref.idx)
-		}
-	}
-}
-
-// attemptOutcome classifies one exchange.
-type attemptOutcome int8
-
-const (
-	outcomeOK attemptOutcome = iota
-	outcomeTimeout
-	outcomeServFail
-	outcomeRefused
-	outcomeTruncated
-	outcomeStale
-	outcomeError // non-retryable transport error
-)
-
-func classify(resp *dnswire.Message, err error, wantID uint16) attemptOutcome {
-	switch {
-	case errors.Is(err, dnsserver.ErrTimeout):
-		return outcomeTimeout
-	case err != nil:
-		return outcomeError
-	case resp.Header.ID != wantID:
-		return outcomeStale
-	case resp.Header.RCode == dnswire.RCodeServFail:
-		return outcomeServFail
-	case resp.Header.RCode == dnswire.RCodeRefused:
-		return outcomeRefused
-	case resp.Header.Truncated && len(resp.Answers) == 0:
-		return outcomeTruncated
-	default:
-		return outcomeOK
-	}
 }
 
 // scanState carries the shared scan machinery across passes.
 type scanState struct {
 	cfg     *ScanConfig
-	idx     *bgp.Index // flattened attribution snapshot (nil-safe)
-	clock   vclock.Clock
+	idx     *bgp.Index              // flattened attribution snapshot (nil-safe)
 	global  atomic.Pointer[bgp.ASN] // set once by the first scope-0 answer
 	limiter *tokenBucket
 	breaker *circuitBreaker
-	auxes   []*workerAux // per-worker lookup state, persistent across passes
+	workers []*scanWorker // one per Concurrency slot, for the whole scan
 
 	// Journal mode state (nil without a Checkpoint). The collector
 	// goroutine owns journal while a pass runs; resumed is the done
@@ -604,106 +350,133 @@ func (st *scanState) fail(err error) {
 	st.errOnce.Do(func() { st.scanErr = err })
 }
 
-// scanWorker is one worker's per-pass view.
+// scanWorker is one worker of a scan, kept across passes. Everything in
+// it is private to the worker, so the steady-state loop never touches
+// cross-worker memory. Every scan fact it learns — addresses, serving
+// counts, ledger entries, counters, done marks — goes into fr, the
+// frame of the batch in progress; seal folds the frame into sh.
 type scanWorker struct {
-	st       *scanState
-	sh       *scanShard // the worker's shard, persistent across passes
-	aux      *workerAux // persistent lookup state (memos, cursor, grant)
-	deferred []subnetRef
-	// unitStart is len(deferred) at the current unit's start.
-	unitStart int
+	st *scanState
+	sh *scanShard
+	fr journalFrame
 
-	// Journal mode only: the /24s processed since the last frame, and
-	// the collector's channels for frames and recycled frame buffers.
-	unsealed  int
-	results   chan<- batchResult
-	frameFree <-chan []byte
-
+	// origins4/origins memoize attribution of answer addresses (IPv4 in
+	// an open-addressing table keyed by the packed address, IPv6 and
+	// 0.0.0.0 in a map). Answers repeat heavily (one fleet of ~1.6k
+	// addresses serves the whole universe), so after warm-up every A
+	// record resolves with one multiply-shift and, almost always, one
+	// slot compare instead of a routing-index search.
+	origins4 originTable
+	origins  map[netip.Addr]bgp.ASN
+	// cursor resolves each subnet's own client AS. Worker subnet
+	// sequences ascend, so the cursor's gallop replaces a full binary
+	// search with a few neighbor probes.
+	cursor bgp.Cursor
+	// Scope memo (see setScope): the range of the last answer scope
+	// narrower than /24 in the current unit, and its operator. Reset at
+	// every unit start; empty when scopeLo > scopeHi.
+	scopeLo, scopeHi uint32
+	scopeOp          bgp.ASN
+	// Route-range accounting memo (see account): the address range of
+	// the last covering client route and its client AS; empty when
+	// accLo > accHi.
+	accLo, accHi uint32
+	accClient    bgp.ASN
+	// scopeZero is the operator of a scope-0 answer the last step met,
+	// for the driver to publish scan-wide (nil: none).
+	scopeZero *bgp.ASN
+	// grant is the worker's outstanding pacer tranche.
+	grant pacerGrant
 	// query is the worker's reusable query message: built once, then only
 	// the transaction ID and ECS prefix are re-stamped per subnet. Safe
 	// because Exchangers never retain the query past the call and the
 	// question section is immutable across subnets.
 	query *dnswire.Message
+
+	deferred []subnetRef // this pass's deferrals
+	// unitStart is len(deferred) at the current unit's start.
+	unitStart int
+	// unsealed counts the /24s since the last seal. In journal mode seal
+	// hands each frame to the collector on results and takes recycled
+	// buffers from frameFree, both set for each pass.
+	unsealed  int
+	results   chan<- batchResult
+	frameFree <-chan []byte
 }
 
-// outcomeFault maps a retryable outcome to its fault kind and attempt
-// counter. outcomeOK and outcomeError never reach the fault ledger:
-// successes carry no fault and terminal transport errors are accounted
-// in cTermErrors.
-var outcomeFault = [...]struct {
-	kind    faults.Kind
-	counter int
-}{
-	outcomeTimeout:   {faults.KindTimeout, cTimeoutAttempts},
-	outcomeServFail:  {faults.KindServFail, cServFailAttempts},
-	outcomeRefused:   {faults.KindRefused, cRefusedAttempts},
-	outcomeTruncated: {faults.KindTruncate, cTruncatedAttempts},
-	outcomeStale:     {faults.KindStale, cStaleAttempts},
-}
-
-// ledgerFail records one failed attempt for the subnet.
-func (w *scanWorker) ledgerFail(subnet netip.Prefix, out attemptOutcome) {
-	f := outcomeFault[out]
-	w.sh.fault(subnet).note(f.kind)
-	w.sh.counters[f.counter]++
-	if d := w.aux.delta; d != nil {
-		d.fault(subnet).note(f.kind)
+func (st *scanState) newWorker() *scanWorker {
+	return &scanWorker{
+		st:       st,
+		sh:       newScanShard(),
+		origins4: newOriginTable(),
+		origins:  make(map[netip.Addr]bgp.ASN),
+		cursor:   st.idx.Cursor(),
+		accLo:    1, // empty memo
 	}
 }
 
-// processSubnet runs one subnet to completion, deferral or terminal
-// failure. It reports whether the subnet is done (success, scope-skip or
-// terminal error); deferred subnets are appended to w.deferred with
-// their attempt count advanced.
-func (w *scanWorker) processSubnet(ctx context.Context, ref subnetRef) bool {
-	st, cfg, sh := w.st, w.st.cfg, w.sh
-	if cfg.RespectScope {
-		if op := st.global.Load(); op != nil {
-			w.skipCovered(ref.p, *op)
-			return true
-		}
-		if a, ok := addrKey32(ref.p.Addr()); ok && w.aux.scopeLo <= a && a <= w.aux.scopeHi {
-			w.skipCovered(ref.p, w.aux.scopeOp)
-			return true
+// startUnit opens a work unit: a fresh scope memo, and deferrals from
+// here on are the unit's own.
+func (w *scanWorker) startUnit() {
+	w.scopeLo, w.scopeHi = 1, 0
+	w.unitStart = len(w.deferred)
+}
+
+// covered settles a /24 that a scope already answered — the scan-wide
+// scope-0 answer or the unit's scope memo — and reports whether it did.
+func (w *scanWorker) covered(p netip.Prefix) bool {
+	if !w.st.cfg.RespectScope {
+		return false
+	}
+	if op := w.st.global.Load(); op != nil {
+		w.skipCovered(p, *op)
+		return true
+	}
+	if a, ok := addrKey32(p.Addr()); ok && w.scopeLo <= a && a <= w.scopeHi {
+		w.skipCovered(p, w.scopeOp)
+		return true
+	}
+	return false
+}
+
+// publishScopeZero publishes the last step's scope-0 answer, if it met
+// one. Exactly one worker wins the publication; a loser's subnet would
+// have been skipped had the scan run sequentially, so it counts as
+// skipped.
+func (w *scanWorker) publishScopeZero() {
+	if op := w.scopeZero; op != nil {
+		w.scopeZero = nil
+		if !w.st.global.CompareAndSwap(nil, op) {
+			w.fr.counters[cSkipped]++
 		}
 	}
+}
 
-	key := iputil.HashPrefix(ref.p)
+// drive runs one subnet to completion, deferral or terminal failure
+// through the step. It reports whether the subnet is done (success,
+// scope-skip or terminal error); deferred subnets are appended to
+// w.deferred with their attempt count advanced. The breaker hears every
+// admitted attempt's outcome, a half-open probe's included.
+func (w *scanWorker) drive(ctx context.Context, ref subnetRef) bool {
+	st, cfg := w.st, w.st.cfg
+	if w.covered(ref.p) {
+		return true
+	}
 	for inPass := 0; ; inPass++ {
 		admitted, probe := st.breaker.acquire(ctx)
 		if !admitted {
 			w.defer_(ref)
 			return false
 		}
-		st.limiter.wait(ctx, &w.aux.grant)
-
-		// A fresh transaction ID per attempt: a late response to attempt
-		// N cannot satisfy attempt N+1. The query message itself is the
-		// worker's reusable one — only the ID and ECS prefix change.
-		id := uint16(iputil.Mix(key, uint64(ref.attempts)))
-		if w.query == nil {
-			w.query = dnswire.NewQuery(id, cfg.Domain, cfg.QType)
-		}
-		q := w.query
-		q.Header.ID = id
-		q.SetECS(ref.p)
-		resp, err := cfg.Exchanger.Exchange(ctx, q)
-		sh.counters[cQueries]++
-		if ref.attempts > 0 {
-			sh.counters[cRetries]++
-		}
+		st.limiter.wait(ctx, &w.grant)
+		out := w.step(ctx, ref.p, ref.attempts)
 		ref.attempts++
-
-		out := classify(resp, err, id)
-		switch out {
-		case outcomeOK:
-			st.breaker.success(probe)
-			w.record(ref.p, resp)
-			// record copies everything it keeps; the pooled response can
-			// go back for the next exchange.
-			dnswire.ReleaseMessage(resp)
+		st.breaker.report(out, probe)
+		if out == outcomeOK {
+			w.publishScopeZero()
 			return true
-		case outcomeError:
+		}
+		if out == outcomeError {
 			if ctx.Err() != nil {
 				// Cancellation is not a subnet failure: leave the subnet
 				// incomplete so a checkpoint resume redoes it.
@@ -713,29 +486,16 @@ func (w *scanWorker) processSubnet(ctx context.Context, ref subnetRef) bool {
 			}
 			// Non-retryable transport error: the subnet is lost, the scan
 			// carries on.
-			sh.counters[cTermErrors]++
+			w.fr.counters[cTermErrors]++
 			return true
-		case outcomeServFail, outcomeRefused:
-			st.breaker.serverFailure(probe)
-		default:
-			// Timeouts, truncation and stale responses do not feed the
-			// breaker, but a failed half-open probe must re-open it.
-			if probe {
-				st.breaker.serverFailure(true)
-			}
 		}
-		// Failure responses (ServFail, Refused, truncated, stale) carry
-		// nothing worth keeping; timeouts have no response at all.
-		dnswire.ReleaseMessage(resp)
-		w.ledgerFail(ref.p, out)
-
 		if inPass >= cfg.Retries || ctx.Err() != nil {
 			w.defer_(ref)
 			return false
 		}
 		retryIdx := int(ref.attempts) - 1
-		if d := cfg.Backoff.Delay(retryIdx, iputil.Mix(key, uint64(retryIdx)^0xBACC0FF)); d > 0 {
-			if st.clock.Sleep(ctx, d) != nil {
+		if d := cfg.Backoff.Delay(retryIdx, iputil.Mix(iputil.HashPrefix(ref.p), uint64(retryIdx)^0xBACC0FF)); d > 0 {
+			if cfg.Clock.Sleep(ctx, d) != nil {
 				w.defer_(ref)
 				return false
 			}
@@ -749,7 +509,7 @@ func (w *scanWorker) processSubnet(ctx context.Context, ref subnetRef) bool {
 // covers subnets the breaker deferred before any attempt and subnets a
 // later pass completed via a covering scope.
 func (w *scanWorker) defer_(ref subnetRef) {
-	w.sh.counters[cDeferrals]++
+	w.fr.counters[cDeferrals]++
 	w.deferred = append(w.deferred, ref)
 }
 
@@ -760,18 +520,21 @@ type batchResult struct {
 	done  int64
 }
 
-// sealBatch encodes what the worker's last workBatchSize /24s (or, at
-// pass end, its remainder) added to its shard as one journal frame in
-// buf, and starts the next batch's delta.
-func (w *scanWorker) sealBatch(buf []byte) batchResult {
-	d := w.aux.delta
-	for i, v := range w.sh.counters {
-		d.counters[i] = v - w.aux.journalled[i]
+// seal closes the batch: its frame folds into the worker's shard — the
+// fold journal replay uses — and, in journal mode, goes to the
+// collector encoded into a recycled buffer.
+func (w *scanWorker) seal() {
+	if w.st.journal != nil {
+		var buf []byte
+		select {
+		case buf = <-w.frameFree:
+		default:
+		}
+		w.results <- batchResult{frame: w.fr.appendTo(buf[:0]), done: w.fr.doneCount()}
 	}
-	w.aux.journalled = w.sh.counters
-	br := batchResult{frame: d.appendTo(buf[:0]), done: d.doneCount()}
-	d.reset()
-	return br
+	w.sh.apply(&w.fr)
+	w.fr.reset()
+	w.unsealed = 0
 }
 
 // universeSize counts the /24s the scan will cover.
@@ -785,21 +548,9 @@ func universeSize(universe []netip.Prefix) int64 {
 	return total
 }
 
-// Scan runs the enumeration and returns the dataset.
-//
-// The steady-state path is contention-free: each worker takes whole
-// work units (a universe prefix on the first pass, up to workBatchSize
-// pending /24s after), accumulates into a private shard (merged once at
-// the end), skips covered /24s with its own scope memo, and paces itself
-// on an atomic token bucket. Because a unit's skips depend only on the
-// unit, the dataset's columns, SubnetsTotal, SubnetsSkipped and
-// QueriesSent are deterministic — identical for any Concurrency — on a
-// lossless deterministic transport. The one exception is a scope-0
-// answer (AAAA): the first one suppresses every later query scan-wide,
-// so workers racing it may send a few more queries. Under a fault plane
-// the columns stay identical once every subnet recovers (MaxPasses
-// permitting): faults change the path, not the dataset.
-func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
+// newScan applies cfg's defaults and readies a scan without a journal:
+// the shared pacer and breaker and one worker per Concurrency slot.
+func newScan(cfg ScanConfig) (*scanState, error) {
 	if cfg.Exchanger == nil {
 		return nil, ErrNoExchanger
 	}
@@ -821,131 +572,84 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.WallClock{}
 	}
-	start := cfg.Clock.Now()
-	ds := &Dataset{Dataset: colstore.Dataset{Domain: dnswire.CanonicalName(cfg.Domain)}}
-	var idx *bgp.Index
-	if cfg.Attribution != nil {
-		// Table.Index is memoized: the flattened snapshot is built once
-		// per table, not once per scan.
-		idx = cfg.Attribution.Index()
-	}
-
 	st := &scanState{
 		cfg:     &cfg,
-		idx:     idx,
-		clock:   cfg.Clock,
 		limiter: newTokenBucket(cfg.QPS, pacerBatch, cfg.Clock),
 		breaker: newCircuitBreaker(cfg.Breaker, cfg.Clock),
 	}
-
-	total := universeSize(cfg.Universe)
-	ds.Stats.SubnetsTotal = total
-
-	shards := make([]*scanShard, cfg.Concurrency)
-	st.auxes = make([]*workerAux, cfg.Concurrency)
-	for i := range shards {
-		shards[i] = newScanShard()
-		st.auxes[i] = &workerAux{
-			origins4: newOriginTable(),
-			origins:  make(map[netip.Addr]bgp.ASN),
-			cursor:   idx.Cursor(),
-		}
+	if cfg.Attribution != nil {
+		// Table.Index is memoized: the flattened snapshot is built once
+		// per table, not once per scan.
+		st.idx = cfg.Attribution.Index()
 	}
+	st.workers = make([]*scanWorker, cfg.Concurrency)
+	for i := range st.workers {
+		st.workers[i] = st.newWorker()
+	}
+	return st, nil
+}
 
-	// Journal mode: replay prior progress into one more shard for the
-	// final merge, and give every worker a batch delta to fill.
+// Scan runs the enumeration and returns the dataset.
+//
+// The steady-state path is contention-free: each worker takes whole
+// work units (a universe prefix on the first pass, up to workBatchSize
+// pending /24s after), accumulates into a private shard (merged once at
+// the end), skips covered /24s with its own scope memo, and paces itself
+// on an atomic token bucket. Because a unit's skips depend only on the
+// unit, the dataset's columns, SubnetsTotal, SubnetsSkipped and
+// QueriesSent are deterministic — identical for any Concurrency — on a
+// lossless deterministic transport. The one exception is a scope-0
+// answer (AAAA): the first one suppresses every later query scan-wide,
+// so workers racing it may send a few more queries. Under a fault plane
+// the columns stay identical once every subnet recovers (MaxPasses
+// permitting): faults change the path, not the dataset.
+func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
+	st, err := newScan(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg = *st.cfg
+	start := cfg.Clock.Now()
+
+	// Journal mode: worker 0 carries on from the state the journal
+	// replays to.
+	var resumed, torn int64
 	if cfg.Checkpoint != nil {
-		j, resumed, err := openJournal(cfg.Checkpoint, ds.Domain, total)
+		j, rp, err := openJournal(cfg.Checkpoint, dnswire.CanonicalName(cfg.Domain), universeSize(cfg.Universe))
 		if err != nil {
 			return nil, err
 		}
 		defer j.f.Close()
-		st.journal, st.resumed = j, resumed.done
-		shards = append(shards, resumed.shard)
-		ds.Stats.ResumedSubnets = resumed.done.count()
-		ds.Stats.CheckpointTornBytes = resumed.torn
-		for _, aux := range st.auxes {
-			aux.delta = new(journalFrame)
-		}
+		st.journal, st.resumed = j, rp.done
+		st.workers[0].sh = rp.shard
+		resumed, torn = rp.done.count(), rp.torn
 	}
 
 	var pending []subnetRef
-	for pass := 1; ; pass++ {
-		ds.Stats.Passes++
-		pending = st.runPass(ctx, shards, pending)
+	pass := 1
+	for ; ; pass++ {
+		pending = st.runPass(ctx, pending)
 		if len(pending) == 0 || pass >= cfg.MaxPasses || ctx.Err() != nil || (st.journal != nil && st.journal.err != nil) {
 			break
 		}
 		// Inter-pass backoff: give outages room to clear before the
 		// next sweep over the deferred set.
 		if d := cfg.Backoff.Delay(pass+2, iputil.Mix(uint64(pass)^0x9A55, uint64(pass+2)^0xBACC0FF)); d > 0 {
-			if st.clock.Sleep(ctx, d) != nil {
+			if cfg.Clock.Sleep(ctx, d) != nil {
 				break
 			}
 		} else if cfg.Backoff.Base <= 0 && st.breaker != nil {
 			// Breaker without backoff: still let the cooldown elapse.
-			_ = st.clock.Sleep(ctx, st.breaker.cfg.Cooldown)
+			_ = cfg.Clock.Sleep(ctx, st.breaker.cfg.Cooldown)
 		}
 	}
 
-	// Merge the other worker shards (and, on a resume, the replayed one)
-	// into the first, then lay the result out as sorted columns — the
-	// tree's one map-to-columns step. A one-worker scan merges nothing.
-	merged := shards[0]
-	for _, sh := range shards[1:] {
-		merged.absorb(sh)
+	ds, err := st.dataset(pending)
+	if err != nil {
+		return nil, err
 	}
-	ledger := ledgerOf(shards)
-	for addr, as := range merged.addrs {
-		ds.AppendAddr(addr, as)
-	}
-	for clientAS, ops := range merged.serving {
-		for _, e := range *ops {
-			ds.AppendServing(clientAS, e.op, e.n)
-		}
-	}
-	if err := ds.Normalize(); err != nil {
-		return nil, fmt.Errorf("core: scan %s: %w", ds.Domain, err)
-	}
-	c := &merged.counters
-	ds.Stats.QueriesSent = c[cQueries]
-	ds.Stats.SubnetsSkipped = c[cSkipped]
-	ds.Stats.Retries = c[cRetries]
-	ds.Stats.Deferrals = c[cDeferrals]
-	ds.Stats.TimeoutAttempts = c[cTimeoutAttempts]
-	ds.Stats.ServFailAttempts = c[cServFailAttempts]
-	ds.Stats.RefusedAttempts = c[cRefusedAttempts]
-	ds.Stats.TruncatedAttempts = c[cTruncatedAttempts]
-	ds.Stats.StaleAttempts = c[cStaleAttempts]
-	ds.Stats.BreakerTrips = st.breaker.tripCount()
-	ds.Stats.Ledger = ledger
-	ds.Stats.Errors = c[cTermErrors]
-
-	// Recovery is decided here, not during the scan: a subnet is
-	// unrecovered iff it is still pending when the passes end. Everything
-	// else in the ledger — including subnets a later pass completed via a
-	// covering scope — recovered.
-	unrecovered := make(map[netip.Prefix]bool, len(pending))
-	for _, ref := range pending {
-		unrecovered[ref.p] = true
-		if _, ok := ledger[ref.p]; !ok {
-			// Deferred before any attempt (breaker denial, cancellation).
-			ledger[ref.p] = &SubnetFault{Subnet: ref.p}
-		}
-	}
-	for p, e := range ledger {
-		if !unrecovered[p] {
-			e.Recovered = true
-			continue
-		}
-		e.Recovered = false
-		ds.Stats.FailedSubnets++
-		if e.LastKind == faults.KindTimeout && e.Timeouts > 0 {
-			ds.Stats.Timeouts++
-		} else {
-			ds.Stats.Errors++
-		}
-	}
+	ds.Stats.Passes = int64(pass)
+	ds.Stats.ResumedSubnets, ds.Stats.CheckpointTornBytes = resumed, torn
 
 	// Final group commit — at scan end and on cancellation alike — so
 	// every batch the workers finished is durable, and resuming a
@@ -975,6 +679,73 @@ func Scan(ctx context.Context, cfg ScanConfig) (*Dataset, error) {
 	return ds, nil
 }
 
+// dataset merges the workers' shards into the first and lays the result
+// out as sorted columns, the tree's one map-to-columns step (a
+// one-worker scan merges nothing), with the counters and the ledger.
+// pending is what the passes left unrecovered.
+func (st *scanState) dataset(pending []subnetRef) (*Dataset, error) {
+	ds := &Dataset{Dataset: colstore.Dataset{Domain: dnswire.CanonicalName(st.cfg.Domain)}}
+	shards := make([]*scanShard, len(st.workers))
+	for i, w := range st.workers {
+		shards[i] = w.sh
+	}
+	merged := shards[0]
+	for _, sh := range shards[1:] {
+		merged.absorb(sh)
+	}
+	ledger := ledgerOf(shards)
+	for addr, as := range merged.addrs {
+		ds.AppendAddr(addr, as)
+	}
+	for k, n := range merged.serving {
+		ds.AppendServing(k.client, k.op, n)
+	}
+	if err := ds.Normalize(); err != nil {
+		return nil, fmt.Errorf("core: scan %s: %w", ds.Domain, err)
+	}
+	s, c := &ds.Stats, &merged.counters
+	s.SubnetsTotal = universeSize(st.cfg.Universe)
+	s.QueriesSent = c[cQueries]
+	s.SubnetsSkipped = c[cSkipped]
+	s.Retries = c[cRetries]
+	s.Deferrals = c[cDeferrals]
+	s.TimeoutAttempts = c[cTimeoutAttempts]
+	s.ServFailAttempts = c[cServFailAttempts]
+	s.RefusedAttempts = c[cRefusedAttempts]
+	s.TruncatedAttempts = c[cTruncatedAttempts]
+	s.StaleAttempts = c[cStaleAttempts]
+	s.BreakerTrips = st.breaker.tripCount()
+	s.Ledger = ledger
+	s.Errors = c[cTermErrors]
+
+	// Recovery is decided here, not during the scan: a subnet is
+	// unrecovered iff it is still pending when the passes end. Everything
+	// else in the ledger — including subnets a later pass completed via a
+	// covering scope — recovered.
+	unrecovered := make(map[netip.Prefix]bool, len(pending))
+	for _, ref := range pending {
+		unrecovered[ref.p] = true
+		if _, ok := ledger[ref.p]; !ok {
+			// Deferred before any attempt (breaker denial, cancellation).
+			ledger[ref.p] = &SubnetFault{Subnet: ref.p}
+		}
+	}
+	for p, e := range ledger {
+		if !unrecovered[p] {
+			e.Recovered = true
+			continue
+		}
+		e.Recovered = false
+		s.FailedSubnets++
+		if e.LastKind == faults.KindTimeout && e.Timeouts > 0 {
+			s.Timeouts++
+		} else {
+			s.Errors++
+		}
+	}
+	return ds, nil
+}
+
 // cancelled reports whether done, a context's Done channel, is closed.
 // The scan worker asks before every subnet; on a cancelCtx ctx.Err()
 // takes the context's mutex, the receive does not.
@@ -997,38 +768,35 @@ type workUnit struct {
 	refs   []subnetRef
 }
 
-// run works through units until work closes, then seals its last frame.
+// run works through units until work closes, sealing a batch every
+// workBatchSize /24s and the remainder at the end.
 func (w *scanWorker) run(ctx context.Context, work <-chan workUnit) {
 	done := ctx.Done()
-	step := func(ref subnetRef) bool {
+	next := func(ref subnetRef) bool {
 		if cancelled(done) {
 			w.st.fail(ctx.Err())
 			return false
 		}
-		finished := w.processSubnet(ctx, ref)
-		if w.results != nil {
-			if finished {
-				w.aux.delta.markDone(ref.idx)
-			}
-			if w.unsealed++; w.unsealed == workBatchSize {
-				w.seal()
-			}
+		if w.drive(ctx, ref) {
+			w.fr.markDone(ref.idx)
+		}
+		if w.unsealed++; w.unsealed == workBatchSize {
+			w.seal()
 		}
 		return true
 	}
 	for u := range work {
-		w.aux.scopeLo, w.aux.scopeHi = 1, 0
-		w.unitStart = len(w.deferred)
+		w.startUnit()
 		if u.refs == nil {
 			// Resumed /24s were completed by an earlier run.
 			i := u.first - 1
 			iputil.Subnets(u.prefix, 24, func(s netip.Prefix) bool {
 				i++
-				return w.st.resumed.get(i) || step(subnetRef{p: s, idx: i})
+				return w.st.resumed.get(i) || next(subnetRef{p: s, idx: i})
 			})
 		}
 		for _, ref := range u.refs {
-			if !step(ref) {
+			if !next(ref) {
 				break
 			}
 		}
@@ -1038,21 +806,10 @@ func (w *scanWorker) run(ctx context.Context, work <-chan workUnit) {
 	}
 }
 
-// seal hands the frame of the worker's unsealed /24s to the collector.
-func (w *scanWorker) seal() {
-	var buf []byte
-	select {
-	case buf = <-w.frameFree:
-	default:
-	}
-	w.results <- w.sealBatch(buf)
-	w.unsealed = 0
-}
-
 // runPass sweeps one source of work — the universe when pending is nil
 // (pass 1), the deferred set afterwards — and returns the subnets still
 // pending.
-func (st *scanState) runPass(ctx context.Context, shards []*scanShard, pending []subnetRef) []subnetRef {
+func (st *scanState) runPass(ctx context.Context, pending []subnetRef) []subnetRef {
 	cfg := st.cfg
 	work := make(chan workUnit, 2*cfg.Concurrency)
 
@@ -1080,18 +837,16 @@ func (st *scanState) runPass(ctx context.Context, shards []*scanShard, pending [
 		}()
 	}
 
-	workers := make([]*scanWorker, cfg.Concurrency)
 	var wg sync.WaitGroup
-	wg.Add(cfg.Concurrency)
-	for i := range workers {
-		w := &scanWorker{st: st, sh: shards[i], aux: st.auxes[i], results: results, frameFree: frameFree}
-		workers[i] = w
+	wg.Add(len(st.workers))
+	for _, w := range st.workers {
+		w.results, w.frameFree = results, frameFree
 		go func() {
 			defer wg.Done()
 			w.run(ctx, work)
 			// Hand unused pacer slots back so the pacer's timeline
 			// reflects exactly the queries sent.
-			st.limiter.release(&w.aux.grant)
+			st.limiter.release(&w.grant)
 		}()
 	}
 
@@ -1118,13 +873,13 @@ func (st *scanState) runPass(ctx context.Context, shards []*scanShard, pending [
 	}
 	close(work)
 	wg.Wait()
-	if results != nil {
+	if st.journal != nil {
 		close(results)
 		<-collectorDone
 	}
 
 	var deferred []subnetRef
-	for _, w := range workers {
+	for _, w := range st.workers {
 		deferred = append(deferred, w.deferred...)
 		w.deferred = nil
 	}

@@ -23,10 +23,11 @@ import (
 
 // TestScanEquivalentAcrossConcurrency pins the determinism contract of
 // the sharded pipeline: on a fixed lossless world, the canonical dataset
-// bytes (A and S rows), SubnetsTotal, SubnetsSkipped and QueriesSent
-// must be identical whether the scan runs sequentially or on 64 workers,
-// and the bytes must equal the RespectScope=false ablation's. Besides
-// the test world's scans, scripted inputs pin the work-unit semantics.
+// bytes (A and S rows), SubnetsTotal, SubnetsSkipped and QueriesSent of
+// the worker pool at 1, 4 and 64 workers must be identical to the
+// in-order reference driver's, and the bytes must equal the
+// RespectScope=false ablation's. Besides the test world's scans,
+// scripted inputs pin the work-unit semantics.
 func TestScanEquivalentAcrossConcurrency(t *testing.T) {
 	w := testWorld(t)
 	ctx := context.Background()
@@ -37,7 +38,7 @@ func TestScanEquivalentAcrossConcurrency(t *testing.T) {
 	cases := []struct {
 		name  string
 		cfg   func() ScanConfig
-		check func(t *testing.T, cfg ScanConfig, ds *Dataset) // on the sequential run
+		check func(t *testing.T, cfg ScanConfig, ds *Dataset) // on the reference run
 	}{
 		{name: "apr-default", cfg: worldScan(aprDefault)},
 		{name: "mar-fallback", cfg: worldScan(marFallback)},
@@ -84,7 +85,7 @@ func TestScanEquivalentAcrossConcurrency(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		run := func(conc int, respectScope bool) (*Dataset, ScanConfig) {
+		run := func(conc int, respectScope bool) *Dataset {
 			cfg := c.cfg()
 			cfg.Concurrency = conc
 			cfg.RespectScope = respectScope
@@ -92,24 +93,25 @@ func TestScanEquivalentAcrossConcurrency(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s conc=%d: %v", c.name, conc, err)
 			}
-			return ds, cfg
+			return ds
 		}
 
-		base, cfg := run(1, true)
+		cfg := c.cfg()
+		base := inOrderScan(t, cfg)
 		if base.Stats.SubnetsSkipped == 0 {
-			t.Fatalf("%s: baseline skipped nothing; the equivalence test would be vacuous", c.name)
+			t.Fatalf("%s: reference skipped nothing; the equivalence test would be vacuous", c.name)
 		}
 		if c.check != nil {
 			c.check(t, cfg, base)
 		}
 		want := canonicalBytes(t, base)
-		if ablation, _ := run(8, false); !bytes.Equal(canonicalBytes(t, ablation), want) {
+		if ablation := run(8, false); !bytes.Equal(canonicalBytes(t, ablation), want) {
 			t.Errorf("%s: canonical dataset differs from the RespectScope=false ablation", c.name)
 		}
-		for _, conc := range []int{8, 64} {
-			ds, _ := run(conc, true)
+		for _, conc := range []int{1, 4, 64} {
+			ds := run(conc, true)
 			if !bytes.Equal(canonicalBytes(t, ds), want) {
-				t.Errorf("%s conc=%d: canonical dataset differs from sequential baseline", c.name, conc)
+				t.Errorf("%s conc=%d: canonical dataset differs from the in-order reference", c.name, conc)
 			}
 			if ds.Stats.SubnetsTotal != base.Stats.SubnetsTotal {
 				t.Errorf("%s conc=%d: SubnetsTotal = %d, want %d", c.name, conc, ds.Stats.SubnetsTotal, base.Stats.SubnetsTotal)
@@ -122,6 +124,75 @@ func TestScanEquivalentAcrossConcurrency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// inOrderScan is the reference driver: it runs cfg's scan through the
+// step alone, every /24 in universe order on the calling goroutine — no
+// channel, no goroutine, no journal, and no breaker, pacer or backoff
+// (the equivalence cases configure none). It keeps the worker pool's
+// unit and pass structure, which decide what a scope memo covers: one
+// unit per universe prefix, then passes over the deferred /24s in units
+// of workBatchSize.
+func inOrderScan(t *testing.T, cfg ScanConfig) *Dataset {
+	t.Helper()
+	cfg.Concurrency = 1
+	st, err := newScan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, ctx := st.workers[0], context.Background()
+	drive := func(ref subnetRef) {
+		if w.covered(ref.p) {
+			return
+		}
+		for inPass := 0; ; inPass++ {
+			out := w.step(ctx, ref.p, ref.attempts)
+			ref.attempts++
+			switch {
+			case out == outcomeOK:
+				w.publishScopeZero()
+				return
+			case out == outcomeError:
+				w.fr.counters[cTermErrors]++
+				return
+			case inPass >= st.cfg.Retries:
+				w.defer_(ref)
+				return
+			}
+		}
+	}
+
+	var idx int64
+	for _, p := range cfg.Universe {
+		if p.Addr().Is4() {
+			w.startUnit()
+			iputil.Subnets(p, 24, func(s netip.Prefix) bool {
+				drive(subnetRef{p: s, idx: idx})
+				idx++
+				return true
+			})
+		}
+	}
+	passes := int64(1)
+	for ; len(w.deferred) > 0 && passes < int64(st.cfg.MaxPasses); passes++ {
+		pending := w.deferred
+		w.deferred = nil
+		for len(pending) > 0 {
+			n := min(len(pending), workBatchSize)
+			w.startUnit()
+			for _, ref := range pending[:n] {
+				drive(ref)
+			}
+			pending = pending[n:]
+		}
+	}
+	w.seal()
+	ds, err := st.dataset(w.deferred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Stats.Passes = passes
+	return ds
 }
 
 // scriptedExchanger is an authoritative stand-in with one fixed answer
